@@ -16,7 +16,6 @@ byte-identical stdout.  Exit codes: 0 success, 1 a numeric check failed,
 from __future__ import annotations
 
 import argparse
-import cmath
 import csv
 import json
 import sys
@@ -48,12 +47,15 @@ from .expfun import (
     predict_alpha,
 )
 from .presets import PRESETS, preset_scheme
-from .spectral import SpectralPoint, build_transfer, find_complex_roots, find_real_roots
+from .spectral import SpectralPoint, build_transfer, eigenvalues
 from .words import SchemeParseError, WeightScheme, load_scheme, symmetry_defect
 
 __all__ = ["main"]
 
-PAIR_MATCH_TOL = 1e-8
+# Relative accuracy of a spectral prediction of alpha_n/n!: the computed
+# eigenvalues and constants carry errors near 1e-14 relative, so verify
+# holds no decay bound below this multiple of alpha_n/n!.
+PREDICTION_RTOL = 1e-13
 
 
 class UsageFailure(Exception):
@@ -82,8 +84,6 @@ def _fmt_cell(v) -> str:
         return "true" if v else "false"
     if isinstance(v, float):
         return f"{v:.12g}"
-    if isinstance(v, (int, Fraction)):
-        return str(v)
     return str(v)
 
 
@@ -149,55 +149,6 @@ def _resolve_scheme(args) -> tuple[WeightScheme, str]:
     raise UsageFailure("one of --scheme FILE or --preset NAME is required")
 
 
-def _parse_real_range(spec: str | None, scheme: WeightScheme) -> tuple[float, float]:
-    if spec is None:
-        return 0.05, max(2.0, float(scheme.max_abs_weight()) + 1.0)
-    parts = spec.split(":")
-    if len(parts) != 2:
-        raise UsageFailure(f"--real-range wants LO:HI, got {spec!r}")
-    try:
-        lo, hi = (float(p) for p in parts)
-    except ValueError:
-        raise UsageFailure(f"--real-range wants numbers, got {spec!r}") from None
-    if not (0 < lo < hi):
-        raise UsageFailure("--real-range needs 0 < LO < HI")
-    return lo, hi
-
-
-def _parse_complex_box(
-    spec: str | None, scheme: WeightScheme
-) -> tuple[float, float, float, float]:
-    if spec is None:
-        r = max(1.0, float(scheme.max_abs_weight()))
-        return (-r, r, -r, r)
-    parts = spec.split(":")
-    if len(parts) != 4:
-        raise UsageFailure(f"--complex-box wants RE1:RE2:IM1:IM2, got {spec!r}")
-    try:
-        re1, re2, im1, im2 = (float(p) for p in parts)
-    except ValueError:
-        raise UsageFailure(f"--complex-box wants numbers, got {spec!r}") from None
-    if not (re1 < re2 and im1 < im2):
-        raise UsageFailure("--complex-box needs RE1 < RE2 and IM1 < IM2")
-    return re1, re2, im1, im2
-
-
-def _collect_spectrum(
-    scheme: WeightScheme, args
-) -> tuple[list[SpectralPoint], tuple[float, float], tuple[float, float, float, float]]:
-    """Real-axis and complex-region roots merged, sorted by falling modulus."""
-    pair = build_transfer(scheme)
-    lo, hi = _parse_real_range(getattr(args, "real_range", None), scheme)
-    box = _parse_complex_box(getattr(args, "complex_box", None), scheme)
-    points = list(find_real_roots(pair, lo, hi, include_negative=True))
-    for p in find_complex_roots(pair, region=box):
-        if any(abs(p.lam - q.lam) <= PAIR_MATCH_TOL for q in points):
-            continue  # the real-axis scan already owns this root
-        points.append(p)
-    points.sort(key=lambda p: (-abs(p.lam), cmath.phase(p.lam)))
-    return points, (lo, hi), box
-
-
 def _truncate_points(
     points: list[SpectralPoint], top: int
 ) -> tuple[list[SpectralPoint], float | None]:
@@ -210,24 +161,20 @@ def _truncate_points(
         return points, None
     k = top
     last, nxt = points[k - 1].lam, points[k].lam
-    if abs(last.imag) > 1e-9 and abs(nxt - last.conjugate()) <= PAIR_MATCH_TOL:
+    if last.imag != 0 and nxt == last.conjugate():
         k += 1
     if k >= len(points):
         return points, None
     return points[:k], abs(points[k].lam)
 
 
-def _spectrum_rows(points: list[SpectralPoint]) -> list[dict]:
-    return [
-        {
-            "lambda_re": p.lam.real,
-            "lambda_im": p.lam.imag,
-            "abs_lambda": abs(p.lam),
-            "simple": p.simple,
-            "residual": p.residual,
-        }
+def _spectrum_report(command: str, label: str, params: dict, points) -> RunReport:
+    columns = ["lambda_re", "lambda_im", "abs_lambda", "simple", "residual"]
+    rows = [
+        dict(zip(columns, (p.lam.real, p.lam.imag, abs(p.lam), p.simple, p.residual)))
         for p in points
     ]
+    return RunReport(command, label, params, columns, rows)
 
 
 def _constants_for_points(
@@ -329,20 +276,10 @@ def _cmd_oracle(args) -> tuple[RunReport, list[str]]:
 
 def _cmd_spectrum(args) -> tuple[RunReport, list[str]]:
     scheme, label = _resolve_scheme(args)
-    points, (lo, hi), box = _collect_spectrum(scheme, args)
+    points = eigenvalues(build_transfer(scheme), args.min_modulus)
     points, _ = _truncate_points(points, args.top)
-    report = RunReport(
-        command="spectrum",
-        scheme_label=label,
-        params={
-            "real_range": f"{lo:.12g}:{hi:.12g}",
-            "complex_box": ":".join(f"{v:.12g}" for v in box),
-            "top": args.top,
-        },
-        columns=["lambda_re", "lambda_im", "abs_lambda", "simple", "residual"],
-        rows=_spectrum_rows(points),
-    )
-    return report, []
+    params = {"min_modulus": args.min_modulus, "top": args.top}
+    return _spectrum_report("spectrum", label, params, points), []
 
 
 def _cmd_constants(args) -> tuple[RunReport, list[str]]:
@@ -352,17 +289,13 @@ def _cmd_constants(args) -> tuple[RunReport, list[str]]:
         raise CheckFailure(
             f"constants need a reversal-symmetric scheme: {defect}"
         )
-    points, (lo, hi), box = _collect_spectrum(scheme, args)
+    points = eigenvalues(build_transfer(scheme), args.min_modulus)
     points, _ = _truncate_points(points, args.top)
     rows = _constants_for_points(scheme, points)
     report = RunReport(
         command="constants",
         scheme_label=label,
-        params={
-            "real_range": f"{lo:.12g}:{hi:.12g}",
-            "complex_box": ":".join(f"{v:.12g}" for v in box),
-            "top": args.top,
-        },
+        params={"min_modulus": args.min_modulus, "top": args.top},
         columns=[
             "lambda_re",
             "lambda_im",
@@ -391,21 +324,14 @@ def _cmd_verify(args) -> tuple[RunReport, list[str]]:
         raise UsageFailure("--tol must be positive")
 
     defect = symmetry_defect(scheme)
-    points, (lo, hi), box = _collect_spectrum(scheme, args)
+    points = eigenvalues(build_transfer(scheme), args.min_modulus)
     if defect is not None:
         print(
             f"note: scheme is not reversal-symmetric ({defect}); "
             "constants are unavailable, showing the spectrum only",
             file=sys.stderr,
         )
-        report = RunReport(
-            command="verify",
-            scheme_label=label,
-            params={"mode": "spectrum-only"},
-            columns=["lambda_re", "lambda_im", "abs_lambda", "simple", "residual"],
-            rows=_spectrum_rows(points),
-        )
-        return report, []
+        return _spectrum_report("verify", label, {"mode": "spectrum-only"}, points), []
 
     points, r_hat = _truncate_points(points, args.top)
     skipped: list[tuple[SpectralPoint, str]] = []
@@ -441,6 +367,7 @@ def _cmd_verify(args) -> tuple[RunReport, list[str]]:
             bound = tol * r_hat**n
         else:
             bound = tol * ref_base**n / factorial(n + 1)
+        bound = max(bound, PREDICTION_RTOL * float(exact_norm))
         rows.append(
             {
                 "n": n,
@@ -476,8 +403,7 @@ def _cmd_verify(args) -> tuple[RunReport, list[str]]:
             "n_max": n_max,
             "top": args.top,
             "tol": tol,
-            "real_range": f"{lo:.12g}:{hi:.12g}",
-            "complex_box": ":".join(f"{v:.12g}" for v in box),
+            "min_modulus": args.min_modulus,
         },
         columns=[
             "n",
@@ -615,16 +541,21 @@ def _add_format_flag(sp: argparse.ArgumentParser) -> None:
     )
 
 
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+    return value
+
+
 def _add_region_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument(
-        "--real-range",
-        metavar="LO:HI",
-        help="positive real interval to scan (mirrored to negatives)",
-    )
-    sp.add_argument(
-        "--complex-box",
-        metavar="RE1:RE2:IM1:IM2",
-        help="complex rectangle to search",
+        "--min-modulus",
+        type=_positive_float,
+        default=0.05,
+        metavar="R",
+        help="report every eigenvalue with |lambda| > R, certified complete "
+        "by a winding number (default 0.05)",
     )
     sp.add_argument(
         "--top",
@@ -725,7 +656,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SchemeParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except CheckFailure as exc:
+    except (CheckFailure, ValueError, OverflowError) as exc:
+        # a library ValueError or OverflowError is a numeric check that failed
         print(f"check failed: {exc}", file=sys.stderr)
         return 1
     finally:

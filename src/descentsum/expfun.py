@@ -26,11 +26,11 @@ import cmath
 import numpy as np
 
 from .exact import WeightedCount, _check_refinement
+from .linalg import invariant_subspaces
 from .spectral import TransferPair, build_transfer
 from .words import WeightScheme, all_words, symmetry_defect
 
 MU_MERGE_TOL = 1e-9
-_JORDAN_TOL = 1e-8
 # rounding splits a defective eigenvalue by ~eps^(1/blocksize), far above
 # eps itself; clustering must sit above that, kernel classification below
 _CLUSTER_TOL = 1e-4
@@ -376,33 +376,18 @@ def eigenfunction_pieces(
     if c.shape != (d,):
         raise ValueError(f"vector must have shape ({d},)")
     scale = max(1.0, float(np.linalg.norm(M, 1)))
-    eigenvalues = np.linalg.eigvals(M)
-    clusters = _cluster(eigenvalues, _CLUSTER_TOL * scale)
-    bases = []
-    for rep, mult in clusters:
-        K = np.linalg.matrix_power(M - rep * np.eye(d), mult)
-        _, sing, vh = np.linalg.svd(K)
-        cut = _JORDAN_TOL * max(1.0, float(sing[0])) if len(sing) else _JORDAN_TOL
-        kernel_dim = int(np.sum(sing <= cut))
-        if kernel_dim != mult:
-            raise ValueError(
-                f"failed to classify the generalized eigenspace at eigenvalue "
-                f"{rep:.6g} (tolerance {_JORDAN_TOL:g}): multiplicity {mult}, "
-                f"kernel dimension {kernel_dim}"
-            )
-        bases.append(vh[d - mult :].conj().T)
-    S = np.hstack(bases)
+    clusters, S = invariant_subspaces(M, _CLUSTER_TOL * scale)
     try:
         y = np.linalg.solve(S, c)
     except np.linalg.LinAlgError:
         raise ValueError(
-            f"failed to classify the generalized eigenspaces at tolerance "
-            f"{_JORDAN_TOL:g}: basis is numerically singular"
+            "failed to classify the generalized eigenspaces at tolerance "
+            "1e-08: basis is numerically singular"
         ) from None
     pieces_terms: list[list[tuple]] = [[] for _ in range(d)]
     col = 0
-    for (rep, mult), basis in zip(clusters, bases):
-        cj = basis @ y[col : col + mult]
+    for rep, mult in clusters:
+        cj = S[:, col : col + mult] @ y[col : col + mult]
         col += mult
         N = M - rep * np.eye(d)
         vec = cj
@@ -419,41 +404,6 @@ def eigenfunction_pieces(
         "first",
         {words[idx]: ExpPoly(pieces_terms[idx]) for idx in range(d)},
     )
-
-
-def _cluster(values: np.ndarray, tol: float) -> list[tuple[complex, int]]:
-    """Greedy transitive clustering; returns (representative, multiplicity)."""
-    items = sorted((complex(v) for v in values), key=lambda z: (z.real, z.imag))
-    groups: list[list[complex]] = []
-    for z in items:
-        placed = False
-        for g in groups:
-            if any(abs(z - w) <= tol for w in g):
-                g.append(z)
-                placed = True
-                break
-        if not placed:
-            groups.append([z])
-    # merge groups that became adjacent transitively
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(groups)):
-            for j in range(i + 1, len(groups)):
-                if any(
-                    abs(z - w) <= tol for z in groups[i] for w in groups[j]
-                ):
-                    groups[i].extend(groups.pop(j))
-                    changed = True
-                    break
-            if changed:
-                break
-    out = []
-    for g in groups:
-        rep = sum(g) / len(g)
-        out.append((complex(rep), len(g)))
-    out.sort(key=lambda t: (t[0].real, t[0].imag))
-    return out
 
 
 def apply_J(f: PiecewiseFn) -> PiecewiseFn:

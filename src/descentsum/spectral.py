@@ -14,30 +14,47 @@ are exactly the nonzero roots of
 and the eigenfunctions are built from vectors in the nullspace of P(lambda).
 An eigenvalue is certified simple when B exp((A-B)/lambda) c is nonzero for
 the nullspace vector c.
+
+With z = 1/lambda and C = A - B, P(lambda) = -lambda M(z) where
+M(z) = I - z B gamma(zC), and f(z) = det M(z) is entire, with
+f'/f = -tr(M^-1 B exp(zC)).  The eigenvalues with |lambda| > r are the zeros
+of f in the disc |z| < 1/r, so the winding number of f on that circle counts
+them, and contour moments of f'/f locate them (Delves & Lyness, Math. Comp.
+21, 1967; Kravanja & Van Barel, Computing the Zeros of Analytic Functions,
+LNM 1727, 2000).
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
-from .linalg import det, gamma, mat_exp, nullspace_vector
+from .linalg import _exp_and_gamma, det, gamma, invariant_subspaces, mat_exp
+from .linalg import nullspace_vector
 from .words import WeightScheme, all_words
 
-REAL_SCAN_POINTS = 2000
-COMPLEX_GRID = 60
-DEDUP_TOL = 1e-8
 _SIMPLE_TOL = 1e-8
+_CLUSTER_TOL = 1e-3  # eigenvalues of A - B this close (relative) share a block
+_BASIS_COND = 1e4  # largest condition number of a usable block basis
+_CONTOUR_POINTS = 32  # first sampling of a circle, doubled until its count settles
+_MAX_CONTOUR_POINTS = 2048
+_COUNT_TOL = 0.02  # how far a winding number may sit from an integer
+_MAX_PENCIL = 8  # most zeros taken from one Hankel pencil
+_NEWTON_STEPS = 50
+_NEWTON_TOL = 1e-10  # largest last Newton step of a zero, relative to |z|
+_STEP_IN = 0.98  # a circle whose count does not settle moves in by this factor
+_SAME_TOL = 1e-5  # polished zeros this close, relative to |z|, are one zero
+_STACK_BYTES = 2**16  # one stacked (points, d, d) array; bounds peak memory
 
 __all__ = [
     "TransferPair",
     "SpectralPoint",
     "build_transfer",
     "det_P",
-    "find_real_roots",
-    "find_complex_roots",
+    "eigenvalues",
     "is_simple",
     "det_M_product_check",
 ]
@@ -63,6 +80,33 @@ class TransferPair:
         """Smallest |lambda| for which (A-B)/lambda stays below the exp bound."""
         norm = float(np.linalg.norm(self.A - self.B, 1))
         return norm / 700.0
+
+    @cached_property
+    def _blocks(self) -> tuple[np.ndarray, ...]:
+        """B and C = A - B in a basis W of generalized eigenspaces of C.
+
+        Returns W^-1 B W; the block-diagonal T = W^-1 C W, one block per
+        cluster of eigenvalues within _CLUSTER_TOL; per column the centre c
+        of its cluster (0 for a cluster at 0); and the inverse of T with
+        the blocks where c = 0 taken as I.  When W is ill-conditioned,
+        T = C and c = 0.
+        """
+        C, d = self.A - self.B, self.dim
+        tol = _CLUSTER_TOL * max(1.0, float(np.linalg.norm(C, 1)))
+        try:
+            clusters, W = invariant_subspaces(C, tol)
+            usable = np.linalg.cond(W) <= _BASIS_COND
+        except ValueError:
+            usable = False
+        if not usable:
+            clusters, W = [(0j, d)], np.eye(d)
+        sizes = [k for _, k in clusters]
+        label = np.repeat(np.arange(len(sizes)), sizes)
+        c = np.repeat([0j if abs(rep) <= tol else rep for rep, _ in clusters], sizes)
+        Winv = np.linalg.inv(W)
+        T = np.where(label[:, None] == label[None, :], Winv @ C @ W, 0)
+        flat = (c == 0)[:, None] & (c == 0)[None, :]
+        return Winv @ self.B @ W, T, c, np.linalg.inv(np.where(flat, np.eye(d), T))
 
 
 @dataclass(frozen=True)
@@ -92,34 +136,67 @@ def build_transfer(scheme: WeightScheme) -> TransferPair:
     return TransferPair(m=m, A=A, B=B)
 
 
-def det_P(pair: TransferPair, lam: complex) -> complex:
-    """det(-lambda I + B gamma((A-B)/lambda)).
+def _kernel(pair: TransferPair, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stacks N, R over a 1-d array z with f'(z)/f(z) = -tr(N^-1 R).
 
-    Refuses |lambda| below the overflow floor ||A-B|| / 700, where the matrix
-    exponential inside gamma would overflow float64.
+    In the basis W, M(z) = I - B' z gamma(zT) and B exp(zC) = B' exp(zT),
+    with B' = W^-1 B W.  Where a block's centre c has Re(zc) > 1, its
+    columns in both are multiplied by exp(-zc): the trace is unchanged, but
+    the entries stay bounded, so f'/f keeps its digits much further out
+    than with the growing exponentials of M itself.
     """
+    Bw, T, c, Tinv = pair._blocks
+    zs, eye = z[:, None, None], np.eye(pair.dim)
+    grows = (z[:, None] * c).real > 1
+    shift = np.where(grows, c, 0)[:, None, :]
+    E, G = _exp_and_gamma(zs * (T - shift * eye))  # exp(zT - z shift): bounded
+    S = np.exp(-zs * shift) * eye
+    # exp(-zc) z gamma(zT) = (exp(z(T - c)) - exp(-zc)) T^-1 on a growing block
+    Psi = np.where(grows[:, None, :], (E - S) @ Tinv, zs * G)
+    return S - Bw @ Psi, Bw @ E
+
+
+def _P(pair: TransferPair, lam: complex) -> np.ndarray:
     floor = pair.overflow_floor()
     if abs(lam) <= floor:
         raise ValueError(
             f"|lambda| = {abs(lam):.3g} is at or below the overflow floor "
             f"{floor:.3g} for this scheme"
         )
-    d = pair.dim
-    P = -lam * np.eye(d, dtype=complex) + pair.B @ gamma((pair.A - pair.B) / lam)
-    return det(P)
+    return -lam * np.eye(pair.dim) + pair.B @ gamma((pair.A - pair.B) / lam)
 
 
-def _P_matrix(pair: TransferPair, lam: complex) -> np.ndarray:
-    d = pair.dim
-    return -lam * np.eye(d, dtype=complex) + pair.B @ gamma((pair.A - pair.B) / lam)
+def det_P(pair: TransferPair, lam: complex) -> complex:
+    """det(-lambda I + B gamma((A-B)/lambda)).
+
+    Refuses |lambda| below the overflow floor ||A-B|| / 700, where the matrix
+    exponential inside gamma would overflow float64.
+    """
+    return det(_P(pair, lam))
 
 
-def _residual_scale(pair: TransferPair, lam: complex) -> float:
-    return max(1.0, abs(lam) ** pair.dim)
+def _log_derivative(pair: TransferPair, zs: np.ndarray) -> np.ndarray:
+    """f'(z)/f(z) = -tr(M(z)^-1 B exp(zC)) at every z of a 1-d array."""
+    chunk = max(1, _STACK_BYTES // (16 * pair.dim**2))
+    pieces = (zs[i : i + chunk] for i in range(0, len(zs), chunk))
+    # where f is not resolved in float64 the values come out non-finite,
+    # which the callers reject
+    with np.errstate(all="ignore"):
+        return np.concatenate([_trace_solve(*_kernel(pair, z)) for z in pieces])
+
+
+def _trace_solve(M: np.ndarray, BE: np.ndarray):
+    """-tr(M^-1 BE) per matrix of a stack; infinite where M is exactly singular."""
+    try:
+        return -np.trace(np.linalg.solve(M, BE), axis1=-2, axis2=-1)
+    except np.linalg.LinAlgError:  # z is exactly a zero of f
+        if M.ndim == 2:
+            return complex(np.inf)
+        return np.array([_trace_solve(m, be) for m, be in zip(M, BE)])
 
 
 def _make_point(pair: TransferPair, lam: complex) -> SpectralPoint:
-    P = _P_matrix(pair, lam)
+    P = _P(pair, lam)
     vector = nullspace_vector(P)
     return SpectralPoint(
         lam=lam,
@@ -129,180 +206,176 @@ def _make_point(pair: TransferPair, lam: complex) -> SpectralPoint:
     )
 
 
-def _sort_points(points: list[SpectralPoint]) -> list[SpectralPoint]:
-    return sorted(points, key=lambda p: (-abs(p.lam), np.angle(p.lam)))
-
-
 def is_simple(pair: TransferPair, lam: complex, vector: np.ndarray) -> bool:
     """Certificate that the root is simple: B exp((A-B)/lambda) c != 0."""
     image = pair.B @ mat_exp((pair.A - pair.B) / lam) @ vector
     return bool(np.linalg.norm(image) > _SIMPLE_TOL * np.linalg.norm(vector))
 
 
-def find_real_roots(
-    pair: TransferPair,
-    lo: float,
-    hi: float,
-    include_negative: bool = False,
-) -> list[SpectralPoint]:
-    """Real roots of det_P on [lo, hi], 0 < lo < hi.
+class _Circle:
+    """Samples of z f'(z)/f(z) on |z| = radius.
 
-    Scans a uniform grid of REAL_SCAN_POINTS points for sign changes of the
-    (real) determinant and polishes each bracket by bisection followed by
-    secant steps, to steps below 1e-13.  With include_negative the mirror
-    interval [-hi, -lo] is scanned as well.  A lo below the overflow floor is
-    clipped (with a warning).
+    The points double until the winding number (the mean of the samples) is
+    within _COUNT_TOL of an integer and moves less than that between the last
+    two samplings; ``count`` is that integer, or None when no sampling up to
+    _MAX_CONTOUR_POINTS settles: a zero lies too close to the circle, or f
+    is not resolved in float64 there.  Radius 0 gives the empty disc.
     """
-    if not (0 < lo < hi):
-        raise ValueError("need 0 < lo < hi")
+
+    def __init__(self, pair: TransferPair, radius: float):
+        self.radius = radius
+        self.count = None
+        n = _CONTOUR_POINTS
+        self.z = radius * np.exp(2j * np.pi * np.arange(n) / n)
+        with np.errstate(all="ignore"):  # non-finite samples leave count None
+            self.zg = self.z * _log_derivative(pair, self.z)
+            while self.count is None and 2 * n <= _MAX_CONTOUR_POINTS:
+                coarse = self.zg.mean()
+                mid = self.z * np.exp(1j * np.pi / n)
+                self.z = np.concatenate([self.z, mid])
+                self.zg = np.concatenate([self.zg, mid * _log_derivative(pair, mid)])
+                n *= 2
+                fine = self.zg.mean()
+                if not np.isfinite(fine):
+                    break
+                nearest = round(fine.real)
+                if max(abs(fine - coarse), abs(fine - nearest)) <= _COUNT_TOL:
+                    self.count = nearest
+
+    def moments(self, scale: float, k: int) -> np.ndarray:
+        """(1/2 pi i) times the integral of (z/scale)^j f'/f dz, j < k."""
+        w = self.z / scale
+        return (w[None, :] ** np.arange(k)[:, None] * self.zg).mean(axis=1)
+
+
+def eigenvalues(pair: TransferPair, r_min: float) -> list[SpectralPoint]:
+    """Every eigenvalue with |lambda| > r_min, certified complete.
+
+    The winding number of f on |z| = 1/r_min counts the eigenvalues.  Further
+    circles cut the disc into annuli until each holds at most _MAX_PENCIL
+    zeros; the contour moments of an annulus form a small Hankel pencil whose
+    eigenvalues approximate its zeros, and Newton's method on f'/f polishes
+    them.  An annulus that does not yield as many distinct zeros as it counts
+    is split again.
+
+    A circle whose count does not settle (a zero lies on it, or f is not
+    resolved in float64 there) is moved in by _STEP_IN steps.  When the
+    outer circle has to move, or an annulus cannot be split, the list is
+    complete only above a larger modulus, which a UserWarning names; no
+    eigenvalue beyond that modulus is returned.
+
+    Real eigenvalues have an imaginary part of exactly 0; every non-real one
+    is reported with its exact conjugate and the conjugated vector.  An
+    r_min at or below the overflow floor is raised above it, with a warning.
+    The result is sorted by falling modulus.
+    """
+    if not r_min > 0:
+        raise ValueError(f"need r_min > 0, got {r_min}")
     floor = pair.overflow_floor()
-    if lo <= floor:
-        lo = floor * 1.01 + 1e-12
+    if r_min <= floor:
+        r_min = floor * 1.01 + 1e-12
         warnings.warn(
-            f"scan lower bound raised to {lo:.3g} (overflow floor of the scheme)",
+            f"r_min raised to {r_min:.3g} (overflow floor of the scheme)",
             stacklevel=2,
         )
-        if lo >= hi:
-            return []
-    intervals = [(lo, hi)]
-    if include_negative:
-        intervals.append((-hi, -lo))
-    roots: list[float] = []
-    for a, b in intervals:
-        roots.extend(_scan_interval(pair, a, b))
-    deduped: list[float] = []
-    for r in sorted(roots):
-        if not deduped or abs(r - deduped[-1]) > DEDUP_TOL:
-            deduped.append(r)
-    return _sort_points([_make_point(pair, complex(r)) for r in deduped])
-
-
-def _scan_interval(pair: TransferPair, a: float, b: float) -> list[float]:
-    xs = np.linspace(a, b, REAL_SCAN_POINTS)
-    vals = [det_P(pair, complex(x)).real for x in xs]
-    roots = []
-    for i in range(len(xs) - 1):
-        va, vb = vals[i], vals[i + 1]
-        if va == 0.0:
-            roots.append(float(xs[i]))
-        elif va * vb < 0:
-            roots.append(_polish_real(pair, float(xs[i]), float(xs[i + 1]), va, vb))
-    if vals[-1] == 0.0:
-        roots.append(float(xs[-1]))
-    return roots
-
-
-def _polish_real(
-    pair: TransferPair, a: float, b: float, fa: float, fb: float
-) -> float:
-    for _ in range(80):
-        mid = 0.5 * (a + b)
-        if b - a < 1e-13 * max(1.0, abs(mid)):
-            break
-        fm = det_P(pair, complex(mid)).real
-        if fm == 0.0:
-            return mid
-        if fa * fm < 0:
-            b, fb = mid, fm
+    outer = _settled_circle(pair, 1 / r_min, 0.0)
+    bound = outer.radius  # the zeros are certified complete in |z| < bound
+    zeros: list[complex] = []
+    regions = [(_Circle(pair, 0.0), outer)]
+    while regions:
+        inner, outer = regions.pop()
+        k = outer.count - inner.count
+        if k == 0 or inner.radius >= bound:
+            continue
+        if k <= _MAX_PENCIL:
+            found = _annulus_zeros(pair, inner, outer, k)
+            if found is not None:
+                zeros.extend(found)
+                continue
+        mid = _settled_circle(pair, (inner.radius + outer.radius) / 2, inner.radius)
+        if mid is None or not inner.count <= mid.count <= outer.count:
+            bound = inner.radius  # its zeros could not be separated
+            continue
+        regions += [(inner, mid), (mid, outer)]
+    if bound * r_min < 1:
+        warnings.warn(
+            f"eigenvalues certified complete only for |lambda| > {1 / bound:.6g}, "
+            f"not down to {r_min:.6g}: no contour nearer gave a settled winding "
+            "number (f is not resolved in float64 there, or zeros lie on them)",
+            stacklevel=2,
+        )
+    points = []
+    for z in zeros:
+        if abs(z) >= bound:
+            continue
+        if z.imag == 0:
+            points.append(_make_point(pair, complex(1 / z.real, 0.0)))
         else:
-            a, fa = mid, fm
-    # secant refinement inside the final bracket
-    x0, x1, f0, f1 = a, b, fa, fb
-    for _ in range(4):
-        if f1 == f0:
-            break
-        x2 = x1 - f1 * (x1 - x0) / (f1 - f0)
-        if not (min(a, b) - 1e-12 <= x2 <= max(a, b) + 1e-12):
-            break
-        x0, f0, x1, f1 = x1, f1, x2, det_P(pair, complex(x2)).real
-    return x1
+            p = _make_point(pair, 1 / z)
+            points += [p, replace(p, lam=p.lam.conjugate(), vector=p.vector.conj())]
+    return sorted(points, key=lambda p: (-abs(p.lam), np.angle(p.lam)))
 
 
-def find_complex_roots(
-    pair: TransferPair,
-    region: tuple[float, float, float, float],
-    exclude: float = 0.05,
-    grid: int = COMPLEX_GRID,
-) -> list[SpectralPoint]:
-    """Roots of det_P inside a rectangle of the complex plane.
-
-    ``region`` is (re_lo, re_hi, im_lo, im_hi).  |det_P| is evaluated on a
-    grid x grid lattice; Newton iteration (with a numerically differenced
-    derivative) is started from every local minimum of |det_P| on the
-    lattice.  Converged roots are deduplicated at 1e-8, roots with
-    |lambda| < exclude are dropped, and for every non-real root the complex
-    conjugate is verified and reported as well, even if the rectangle is
-    one-sided.
-    """
-    re_lo, re_hi, im_lo, im_hi = region
-    if not (re_lo < re_hi and im_lo < im_hi):
-        raise ValueError("empty region")
-    exclude = max(exclude, pair.overflow_floor() * 1.01 + 1e-12)
-    res = np.linspace(re_lo, re_hi, grid)
-    ims = np.linspace(im_lo, im_hi, grid)
-    mags = np.full((grid, grid), np.inf)
-    for i, x in enumerate(res):
-        for j, y in enumerate(ims):
-            z = complex(x, y)
-            if abs(z) < exclude:
-                continue
-            mags[i, j] = abs(det_P(pair, z))
-    seeds = []
-    for i in range(grid):
-        for j in range(grid):
-            v = mags[i, j]
-            if not np.isfinite(v):
-                continue
-            neighbors = mags[
-                max(0, i - 1) : i + 2, max(0, j - 1) : j + 2
-            ]
-            if v <= neighbors.min():
-                seeds.append((v, complex(res[i], ims[j])))
-    seeds.sort(key=lambda t: (t[0], t[1].real, t[1].imag))
-    roots: list[complex] = []
-    for _, seed in seeds[:200]:
-        root = _newton(pair, seed, exclude)
-        if root is None or abs(root) < exclude:
-            continue
-        if not (
-            re_lo - 1e-9 <= root.real <= re_hi + 1e-9
-            and im_lo - 1e-9 <= root.imag <= im_hi + 1e-9
-        ):
-            continue
-        if all(abs(root - r) > DEDUP_TOL for r in roots):
-            roots.append(root)
-    # report conjugates of non-real roots even when the box is one-sided
-    for root in list(roots):
-        if abs(root.imag) > DEDUP_TOL:
-            conj = root.conjugate()
-            if all(abs(conj - r) > DEDUP_TOL for r in roots):
-                if abs(det_P(pair, conj)) <= 1e-8 * _residual_scale(pair, conj):
-                    roots.append(conj)
-    return _sort_points([_make_point(pair, r) for r in roots])
-
-
-def _newton(
-    pair: TransferPair, z: complex, exclude: float, max_iter: int = 60
-) -> complex | None:
-    f = lambda w: det_P(pair, w)
-    for _ in range(max_iter):
-        if abs(z) < 0.5 * exclude:
-            return None
-        h = 1e-6 * max(1.0, abs(z))
-        try:
-            fz = f(z)
-            deriv = (f(z + h) - f(z - h)) / (2 * h)
-        except ValueError:  # wandered below the overflow floor
-            return None
-        if deriv == 0:
-            return None
-        step = fz / deriv
-        z = z - step
-        if abs(step) <= 1e-12 * max(1.0, abs(z)):
-            if abs(f(z)) <= 1e-8 * _residual_scale(pair, z):
-                return z
-            return None
+def _settled_circle(pair: TransferPair, radius: float, lo: float) -> _Circle | None:
+    """The first circle of radius, radius * _STEP_IN, ... above lo whose count
+    settles; None when none does."""
+    while radius > lo:
+        circle = _Circle(pair, radius)
+        if circle.count is not None:
+            return circle
+        radius *= _STEP_IN
     return None
+
+
+def _annulus_zeros(
+    pair: TransferPair, inner: _Circle, outer: _Circle, k: int
+) -> list[complex] | None:
+    """The k zeros between two circles, each real or in the upper half plane.
+
+    None when the polished pencil roots are not k distinct zeros there.  A
+    zero within _SAME_TOL of the real axis is taken as real.
+    """
+    scale = outer.radius
+    mu = outer.moments(scale, 2 * k) - inner.moments(scale, 2 * k)
+    idx = np.add.outer(np.arange(k), np.arange(k))
+    try:
+        w = np.linalg.eigvals(np.linalg.solve(mu[idx], mu[idx + 1]))
+    except np.linalg.LinAlgError:
+        return None
+    z = _polish(pair, w * scale)
+    z = np.where(np.abs(z.imag) <= _SAME_TOL * np.abs(z), z.real + 0j, z)
+    canon: list[complex] = []  # distinct zeros, each real or in the upper half
+    for c in sorted(np.where(z.imag < 0, z.conj(), z), key=abs):
+        if all(abs(c - o) > _SAME_TOL * abs(c) for o in canon):
+            canon.append(c)
+    if any(not inner.radius < abs(c) < outer.radius for c in canon):
+        return None
+    return canon if sum(1 if c.imag == 0 else 2 for c in canon) == k else None
+
+
+def _polish(pair: TransferPair, z: np.ndarray) -> np.ndarray:
+    """Newton's method z <- z - f/f' on every z at once; the converged ones.
+
+    A zero is polished until the step falls to rounding level, or stops
+    shrinking (the steps then wander inside the rounding noise of f'/f).
+    Only zeros whose last step is at most _NEWTON_TOL relative come back.
+    """
+    z = np.array(z, dtype=complex)
+    size = np.full(z.shape, np.inf)  # last step relative to |z|
+    active = np.ones(z.shape, dtype=bool)
+    floor = pair.overflow_floor()
+    for _ in range(_NEWTON_STEPS):
+        active &= np.isfinite(z) & (np.abs(z) * floor < 1)
+        if not active.any():
+            break
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = 1 / _log_derivative(pair, z[active])
+            z[active] -= step
+            new = np.abs(step) / np.abs(z[active])
+        stalled = (new <= _NEWTON_TOL) & (new >= size[active])
+        size[active] = new
+        active[active] = ~((new <= 4 * np.finfo(float).eps) | stalled)
+    return z[np.isfinite(z) & (np.abs(z) * floor < 1) & (size <= _NEWTON_TOL)]
 
 
 def det_M_product_check(pair: TransferPair, lam: complex) -> complex:

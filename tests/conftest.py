@@ -1,15 +1,8 @@
 """Shared fixtures: preset schemes and their spectra, computed once per session."""
 
-import cmath
-
 import pytest
 
-from descentsum import (
-    build_transfer,
-    find_complex_roots,
-    find_real_roots,
-    preset_scheme,
-)
+from descentsum import build_transfer, eigenvalues, preset_scheme
 
 PRESET_NAMES = (
     "sec5-1",
@@ -32,17 +25,9 @@ SYMMETRIC_PRESETS = (
 
 
 def full_spectrum(scheme):
-    """All roots the default scan regions find, sorted by descending modulus."""
+    """Every eigenvalue with |lambda| > 0.05, sorted by descending modulus."""
     pair = build_transfer(scheme)
-    w = float(scheme.max_abs_weight())
-    hi = max(2.0, w + 1.0)
-    box = max(1.0, w)
-    points = list(find_real_roots(pair, 0.05, hi, include_negative=True))
-    for pt in find_complex_roots(pair, (-box, box, -box, box)):
-        if all(abs(pt.lam - q.lam) > 1e-8 for q in points):
-            points.append(pt)
-    points.sort(key=lambda p: (-abs(p.lam), cmath.phase(p.lam)))
-    return pair, points
+    return pair, eigenvalues(pair, 0.05)
 
 
 @pytest.fixture(scope="session")

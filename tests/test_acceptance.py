@@ -35,8 +35,7 @@ from descentsum import (
     double_descents,
     dp_alpha,
     eigenfunction_pieces,
-    find_complex_roots,
-    find_real_roots,
+    eigenvalues,
     gamma,
     genfun_coeffs,
     inner_products,
@@ -68,17 +67,16 @@ def spectrum_with_constant(name):
     t0 = perf_counter()
     scheme = preset_scheme(name)
     pair = build_transfer(scheme)
-    real = find_real_roots(pair, 0.05, 2.0)
-    cplx = find_complex_roots(pair, (-1.0, 1.0, -1.0, 1.0))
+    points = eigenvalues(pair, 0.05)
     elapsed = perf_counter() - t0
-    top = real[0]
+    top = points[0]
     phi = eigenfunction_pieces(pair, top.lam, top.vector)
     psi = adjoint_eigenfunction(scheme, phi)
     kappa, mu = kappa_piecewise(scheme), mu_piecewise(scheme)
     pairings = inner_products(phi, psi, kappa, mu)
     const = asymptotic_constant(phi, psi, kappa, mu)
     return SimpleNamespace(
-        scheme=scheme, pair=pair, real=real, cplx=cplx, elapsed=elapsed,
+        scheme=scheme, pair=pair, points=points, elapsed=elapsed,
         top=top, pairings=pairings, const=const,
     )
 
@@ -129,8 +127,8 @@ def test_criterion_01_sec51_spectrum(s51):
     lam0 = s51.top.lam
     err0 = abs(lam0 - 0.9240358576)
     pair_target = -0.2875224461 + 0.4015233122j
-    err_pair = min(abs(p.lam - pair_target) for p in s51.cplx)
-    err_conj = min(abs(p.lam - pair_target.conjugate()) for p in s51.cplx)
+    err_pair = min(abs(p.lam - pair_target) for p in s51.points)
+    err_conj = min(abs(p.lam - pair_target.conjugate()) for p in s51.points)
     ok = err0 < 1e-7 and err_pair < 1e-6 and err_conj < 1e-6 and s51.elapsed < 5.0
     report(
         ok,
@@ -159,8 +157,8 @@ def test_criterion_03_sec52_spectrum_and_constant(s52):
     lam0 = s52.top.lam
     e_lam = abs(lam0 - 0.6869765032)
     pair_target = 0.1559951131 + 0.5317098371j
-    e_pair = min(abs(p.lam - pair_target) for p in s52.cplx)
-    e_conj = min(abs(p.lam - pair_target.conjugate()) for p in s52.cplx)
+    e_pair = min(abs(p.lam - pair_target) for p in s52.points)
+    e_conj = min(abs(p.lam - pair_target.conjugate()) for p in s52.points)
     p1, _, p3 = s52.pairings
     e_const = abs(s52.const - 0.8908970548)
     e_p1 = abs(p1 - 0.2798342976)
@@ -197,13 +195,12 @@ def test_criterion_05_sec6_spectrum():
         abs(det_P(pair, lam) - math.exp(-1.0 / lam) * lam * (lam - 1.0))
         for lam in np.linspace(0.1, 2.0, 50)
     )
-    real = find_real_roots(pair, 0.05, 3.0, include_negative=True)
-    cplx = find_complex_roots(pair, (-2.0, 2.0, -2.0, 2.0))
-    only_one = len(real) == 1 and all(abs(p.lam - 1.0) < 1e-10 for p in cplx)
-    root_err = abs(real[0].lam - 1.0)
-    v = real[0].vector
+    points = eigenvalues(pair, 0.05)
+    only_one = len(points) == 1
+    root_err = abs(points[0].lam - 1.0)
+    v = points[0].vector
     dir_err = abs(v[1] / v[0] - 2.0)
-    simple = real[0].simple and is_simple(pair, real[0].lam, v)
+    simple = points[0].simple and is_simple(pair, points[0].lam, v)
     ok = grid_err < 1e-10 and only_one and root_err < 1e-10 and dir_err < 1e-9 and simple
     report(
         ok,
@@ -216,7 +213,7 @@ def test_criterion_05_sec6_spectrum():
 def test_criterion_06_sec6_constants():
     scheme = preset_scheme("sec6")
     pair = build_transfer(scheme)
-    top = find_real_roots(pair, 0.05, 2.0)[0]
+    top = eigenvalues(pair, 0.05)[0]
     targets = {
         ("a", "a"): E - 4 + 4 / E,
         ("a", "b"): 1 - 2 / E,
@@ -392,7 +389,7 @@ def test_criterion_11_kernel_identities():
     for name in ("sec5-1", "sec5-2", "sec6", "alternating", "all-ones"):
         scheme = preset_scheme(name)
         pair = build_transfer(scheme)
-        top = find_real_roots(pair, 0.05, 2.0)[0]
+        top = eigenvalues(pair, 0.05)[0]
         phi = eigenfunction_pieces(pair, top.lam, top.vector)
         psi = adjoint_eigenfunction(scheme, phi)
         for _ in range(10):

@@ -126,13 +126,19 @@ def test_spectrum_top_keeps_conjugate_pairs(capsys):
 
 def test_spectrum_region_flags(capsys):
     rc, out, _ = run(capsys, "spectrum", "--preset", "sec5-1",
-                     "--real-range", "0.5:2", "--complex-box=-1:1:-1:1")
+                     "--min-modulus", "0.1", "--format", "json")
     assert rc == 0
-    _, rows = table_rows(out)
-    reals = [r for r in rows if abs(float(r["lambda_im"])) < 1e-10]
-    for r in reals:
-        assert float(r["lambda_re"]) >= 0.5 or float(r["lambda_re"]) <= -0.5 or \
-            abs(float(r["lambda_re"])) <= 1.0
+    doc = json.loads(out)
+    assert doc["params"]["min_modulus"] == 0.1
+    mods = [row["abs_lambda"] for row in doc["rows"]]
+    assert len(mods) == 14  # the winding number's count above 0.1
+    assert all(m > 0.1 for m in mods)
+    for bad in ("0", "-1", "x"):
+        with pytest.raises(SystemExit) as exc:
+            main(["spectrum", "--preset", "sec5-1", "--min-modulus", bad])
+        assert exc.value.code == 2
+    with pytest.raises(SystemExit):
+        main(["spectrum", "--preset", "sec5-1", "--real-range", "0.5:2"])
 
 
 def test_constants_sec6_values(capsys):
@@ -168,6 +174,33 @@ def test_verify_sec6(capsys):
     _, rows = table_rows(out)
     errs = {int(r["n"]): float(r["abs_error"]) for r in rows}
     assert errs[12] < 1e-9
+
+
+def test_verify_bound_stops_at_float_resolution(capsys):
+    # past n = 21 the decay bound would fall below what float64 resolves
+    rc, out, err = run(capsys, "verify", "--preset", "sec5-1", "--n-max", "24")
+    assert rc == 0, err
+    # negative control: one eigenvalue against a tight bound still fails
+    rc, _, err = run(capsys, "verify", "--preset", "sec5-1", "--top", "1",
+                     "--tol", "1e-3")
+    assert rc == 1
+    assert "exceeds the decay bound" in err
+
+
+def test_library_errors_are_check_failures(capsys, monkeypatch):
+    import descentsum.cli as cli
+
+    for exc in (ValueError("prediction has imaginary residue 1e-3"),
+                OverflowError("matrix 1-norm 800 exceeds the exp overflow bound")):
+        def fail(*args, exc=exc):
+            raise exc
+
+        monkeypatch.setattr(cli, "predict_alpha", fail)
+        rc, out, err = run(capsys, "verify", "--preset", "sec6")
+        assert rc == 1
+        assert f"check failed: {exc}\n" in err
+        assert "Traceback" not in err
+        assert out == ""
 
 
 def test_verify_spectrum_only_fallback_for_asymmetric(capsys):

@@ -22,7 +22,7 @@ from descentsum import (
     constant_piecewise,
     dp_alpha,
     eigenfunction_pieces,
-    find_real_roots,
+    eigenvalues,
     inner_products,
     kappa_piecewise,
     letter_indicator,
@@ -256,7 +256,7 @@ def test_eigenfunction_sec51_exponent_set():
     tau = math.sqrt((1 + math.sqrt(5)) / 2)
     sigma = math.sqrt((-1 + math.sqrt(5)) / 2)
     pair = build_transfer(preset_scheme("sec5-1"))
-    top = find_real_roots(pair, 0.05, 2.0)[0]
+    top = eigenvalues(pair, 0.05)[0]
     phi = eigenfunction_pieces(pair, top.lam, top.vector)
     lam0 = top.lam.real
     expected = {sigma / lam0, -sigma / lam0, tau / lam0, -tau / lam0}
@@ -390,7 +390,7 @@ def test_inner_products_sec6_exact_targets():
 def test_section6_refined_constants():
     scheme = preset_scheme("sec6")
     pair = build_transfer(scheme)
-    top = find_real_roots(pair, 0.05, 2.0)[0]
+    top = eigenvalues(pair, 0.05)[0]
     targets = {
         ("a", "a"): E - 4 + 4 / E,
         ("a", "b"): 1 - 2 / E,

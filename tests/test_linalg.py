@@ -96,6 +96,28 @@ def test_gamma_functional_identity_large_norm():
     assert np.max(np.abs(lhs - rhs)) < 1e-13 * np.max(np.abs(rhs))
 
 
+def test_gamma_at_the_dimension_cap():
+    rng = np.random.default_rng(64)
+    M = random_matrix(rng, MAX_DIM, scale=1.0 / MAX_DIM)
+    lhs = M @ gamma(M)
+    rhs = mat_exp(M) - np.eye(MAX_DIM)
+    assert np.max(np.abs(lhs - rhs)) < 1e-12
+
+
+def test_stacks_match_single_matrices():
+    # a (..., d, d) stack gives exactly what each matrix gives alone
+    rng = np.random.default_rng(17)
+    stack = np.array([random_matrix(rng, 4, scale=s) for s in (0.1, 1.0, 5.0)])
+    stack = stack.reshape(3, 1, 4, 4)
+    for fn in (mat_exp, gamma):
+        out = fn(stack)
+        assert out.shape == stack.shape
+        for i in range(3):
+            assert np.array_equal(out[i, 0], fn(stack[i, 0]))
+    with pytest.raises(OverflowError):
+        mat_exp(np.array([np.eye(2), 800.0 * np.eye(2)]))
+
+
 def test_gamma_matches_integral_series():
     # gamma(M) = sum M^k/(k+1)!
     rng = np.random.default_rng(5)

@@ -1,18 +1,20 @@
-"""Transfer pairs, the spectral determinant, and root finding."""
+"""Transfer pairs, the spectral determinant, and the certified eigenvalue finder."""
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
+
+import descentsum.spectral as spectral
 
 from descentsum import (
     WeightScheme,
     build_transfer,
     det_M_product_check,
     det_P,
-    find_complex_roots,
-    find_real_roots,
+    eigenvalues,
     is_simple,
     load_scheme,
     preset_scheme,
@@ -107,6 +109,13 @@ def test_det_P_overflow_floor():
         det_P(pair, floor * 0.5)
 
 
+def test_det_P_at_the_dimension_cap():
+    # m = 7 gives d = 64, the documented cap; gamma must not double it
+    pair = build_transfer(load_scheme("m = 7\nwt aaaaaaa = 0\nwt bbbbbbb = 0\n"))
+    assert pair.dim == 64
+    assert np.isfinite(det_P(pair, 0.9))
+
+
 def test_det_P_20_over_lam4_identity():
     # the packaged determinant matches the explicit four-exponential expansion
     pair1 = build_transfer(preset_scheme("sec5-1"))
@@ -120,7 +129,7 @@ def test_det_P_20_over_lam4_identity():
 
 def test_find_real_roots_sec51():
     pair = build_transfer(preset_scheme("sec5-1"))
-    roots = find_real_roots(pair, 0.05, 2.0)
+    roots = eigenvalues(pair, 0.05)
     assert roots
     top = roots[0]
     assert abs(top.lam - 0.9240358576) < 1e-7
@@ -134,7 +143,7 @@ def test_find_real_roots_sec51():
 
 def test_find_real_roots_sec52_vector():
     pair = build_transfer(preset_scheme("sec5-2"))
-    top = find_real_roots(pair, 0.05, 2.0)[0]
+    top = eigenvalues(pair, 0.05)[0]
     assert abs(top.lam - 0.6869765032) < 1e-7
     expected = np.array([0.4315640876, 0.0, 0.6378684967, 0.6378684967])
     assert np.allclose(top.vector.real, expected, atol=1e-7)
@@ -142,7 +151,7 @@ def test_find_real_roots_sec52_vector():
 
 def test_find_real_roots_sec6():
     pair = build_transfer(preset_scheme("sec6"))
-    roots = find_real_roots(pair, 0.05, 3.0, include_negative=True)
+    roots = eigenvalues(pair, 0.05)
     assert len(roots) == 1
     pt = roots[0]
     assert abs(pt.lam - 1.0) < 1e-10
@@ -153,17 +162,27 @@ def test_find_real_roots_sec6():
 
 def test_find_real_roots_validation_and_clipping():
     pair = build_transfer(preset_scheme("sec6"))
-    with pytest.raises(ValueError):
-        find_real_roots(pair, 1.0, 0.5)
-    with pytest.raises(ValueError):
-        find_real_roots(pair, -0.1, 1.0)
+    for r_min in (0.0, -0.1, float("nan")):
+        with pytest.raises(ValueError):
+            eigenvalues(pair, r_min)
+    # clipped to the floor; f = exp(-z)(1 - z) falls under float64 rounding
+    # long before it, so only a smaller disc is certified, with a warning
+    with pytest.warns(UserWarning) as caught:
+        roots = eigenvalues(pair, 1e-9)
+    messages = [str(w.message) for w in caught]
+    assert any("overflow floor" in msg for msg in messages)
+    assert any("certified complete only" in msg for msg in messages)
+    assert len(roots) == 1 and abs(roots[0].lam - 1.0) < 1e-10
+    # no-descents (A = 1, B = 0) has no eigenvalue, and f = 1 stays resolved
+    # right up to the floor
+    single = build_transfer(preset_scheme("no-descents"))
     with pytest.warns(UserWarning, match="overflow floor"):
-        find_real_roots(pair, 1e-9, 2.0)
+        assert eigenvalues(single, 1e-9) == []
 
 
 def test_find_complex_roots_sec51_pair():
     pair = build_transfer(preset_scheme("sec5-1"))
-    roots = find_complex_roots(pair, (-1.0, 1.0, -1.0, 1.0))
+    roots = eigenvalues(pair, 0.05)
     target = -0.2875224461 + 0.4015233122j
     hits = [p for p in roots if abs(p.lam - target) < 1e-6]
     conj_hits = [p for p in roots if abs(p.lam - target.conjugate()) < 1e-6]
@@ -178,27 +197,126 @@ def test_find_complex_roots_sec51_pair():
 
 def test_find_complex_roots_sec52_pair():
     pair = build_transfer(preset_scheme("sec5-2"))
-    roots = find_complex_roots(pair, (-1.0, 1.0, -1.0, 1.0))
+    roots = eigenvalues(pair, 0.05)
     target = 0.1559951131 + 0.5317098371j
     assert any(abs(p.lam - target) < 1e-6 for p in roots)
     assert any(abs(p.lam - target.conjugate()) < 1e-6 for p in roots)
 
 
-def test_find_complex_roots_one_sided_region_completes_conjugates():
+def test_find_complex_roots_one_sided_region_completes_conjugates(spectra):
+    # every non-real eigenvalue comes with its exact conjugate and conjugated
+    # vector
+    for name in ("sec5-1", "sec5-2"):
+        _, points = spectra[name]
+        by_lam = {p.lam: p for p in points}
+        for p in points:
+            if p.lam.imag == 0:
+                continue
+            twin = by_lam[p.lam.conjugate()]
+            assert np.array_equal(twin.vector, p.vector.conj())
+            assert twin.simple == p.simple
+
+
+def test_eigenvalues_complete_on_sec5(spectra):
+    # the winding number counts 14 (sec5-1) and 13 (sec5-2) eigenvalues above
+    # 0.1, among them small complex pairs that grid scans miss
+    for name, count, pair_target in (
+        ("sec5-1", 14, -0.01497 + 0.10423j),
+        ("sec5-2", 13, 0.01021 + 0.11006j),
+    ):
+        _, points = spectra[name]
+        assert sum(abs(p.lam) > 0.1 for p in points) == count
+        for target in (pair_target, pair_target.conjugate()):
+            assert min(abs(p.lam - target) for p in points) < 1e-5
+        assert all(p.simple for p in points)
+
+
+def test_eigenvalues_alternating_closed_form(spectra):
+    # alternating permutations: eigenvalues +-2/((2k+1) pi)
+    _, points = spectra["alternating"]
+    expected = [
+        s * 2 / ((2 * k + 1) * math.pi)
+        for k in range(7)
+        for s in (1, -1)
+        if 2 / ((2 * k + 1) * math.pi) > 0.05
+    ]
+    assert len(points) == len(expected) == 12
+    assert all(p.lam.imag == 0 for p in points)  # real, exactly
+    for x in expected:
+        assert min(abs(p.lam - x) for p in points) < 1e-9
+
+
+def test_eigenvalues_stable_under_doubled_sampling(monkeypatch):
+    # the winding numbers and the zeros do not move when every contour
+    # carries twice as many points
     pair = build_transfer(preset_scheme("sec5-1"))
-    roots = find_complex_roots(pair, (-1.0, 1.0, 0.05, 1.0))
-    lams = [p.lam for p in roots]
-    for lam in lams:
-        if abs(lam.imag) > 1e-8:
-            assert any(abs(other - lam.conjugate()) < 1e-8 for other in lams)
+    coarse = eigenvalues(pair, 0.1)
+    monkeypatch.setattr(spectral, "_CONTOUR_POINTS", 2 * spectral._CONTOUR_POINTS)
+    monkeypatch.setattr(
+        spectral, "_MAX_CONTOUR_POINTS", 2 * spectral._MAX_CONTOUR_POINTS
+    )
+    fine = eigenvalues(pair, 0.1)
+    assert len(coarse) == len(fine) == 14
+    for p, q in zip(coarse, fine):
+        assert abs(p.lam - q.lam) < 1e-9 * abs(p.lam)
+
+
+def test_eigenvalues_certify_a_smaller_disc_where_f_is_unresolved():
+    # sec6 below |lambda| ~ 0.03: the certified bound moves up, with a
+    # warning naming it, and the one eigenvalue is still returned
+    pair = build_transfer(preset_scheme("sec6"))
+    with pytest.warns(UserWarning, match=r"complete only for \|lambda\| > 0\.03"):
+        roots = eigenvalues(pair, 0.02)
+    assert [p.lam for p in roots] == [pytest.approx(1.0, abs=1e-10)]
+
+
+def test_eigenvalues_reach_beyond_the_unscaled_range():
+    # |z| rho(A - B) = 64 at r_min = 0.02, where M(z) itself holds entries
+    # near e^64: the scaled columns keep the count and the zeros resolved
+    pair = build_transfer(preset_scheme("sec5-1"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        deep = eigenvalues(pair, 0.02)
+    shallow = eigenvalues(pair, 0.05)
+    assert len(deep) == 66
+    assert all(p.simple for p in deep)
+    above = [p for p in deep if abs(p.lam) > 0.05]
+    assert len(above) == len(shallow) == 26
+    for p, q in zip(above, shallow):
+        assert abs(p.lam - q.lam) < 1e-12 * abs(q.lam)
+
+
+def test_eigenvalues_no_runs_5():
+    # no 5 consecutive ascents or descents: A - B has an 8-dimensional
+    # nilpotent block; an argument-principle count with scipy's expm gives
+    # 26 eigenvalues above 0.1 and 51 above 0.05
+    text = "m = 5\nwt aaaaa = 0\nwt bbbbb = 0\n"
+    points = eigenvalues(build_transfer(load_scheme(text)), 0.05)
+    assert len(points) == 51
+    assert sum(abs(p.lam) > 0.1 for p in points) == 26
+    assert all(p.simple for p in points)
+    # |det P| is formed without the column scaling, so it is only small where
+    # the entries of P are moderate
+    assert all(p.residual < 1e-9 for p in points if abs(p.lam) > 0.1)
+
+
+def test_log_derivative_closed_forms():
+    # alternating: f(z) = cos z, so f'/f = -tan z; sec6: f(z) = e^-z (1 - z)
+    # with a Jordan block at -1, so f'/f = -1 + 1/(z - 1)
+    z = 50 * np.exp(2j * np.pi * (np.arange(16) + 0.3) / 16)
+    alt = build_transfer(preset_scheme("alternating"))
+    assert np.allclose(spectral._log_derivative(alt, z), -np.tan(z), rtol=1e-12)
+    sec6 = build_transfer(preset_scheme("sec6"))
+    w = z / 5
+    assert np.allclose(spectral._log_derivative(sec6, w), -1 + 1 / (w - 1), rtol=1e-10)
 
 
 def test_transcendental_sums_at_top_roots():
     pair1 = build_transfer(preset_scheme("sec5-1"))
-    lam1 = find_real_roots(pair1, 0.05, 2.0)[0].lam.real
+    lam1 = eigenvalues(pair1, 0.05)[0].lam.real
     assert abs(aaa_bbb_sum(lam1) - (-8.0)) < 1e-6
     pair2 = build_transfer(preset_scheme("sec5-2"))
-    lam2 = find_real_roots(pair2, 0.05, 2.0)[0].lam.real
+    lam2 = eigenvalues(pair2, 0.05)[0].lam.real
     assert abs(aba_bab_sum(lam2) - (-8.0)) < 1e-6
 
 
@@ -207,8 +325,8 @@ def test_root_scaling_covariance():
     doubled = load_scheme("m = 2\nwt aa = 0\nwt ab = 2\nwt ba = 2\nwt bb = 4\n")
     pair2 = build_transfer(doubled)
     pair1 = build_transfer(preset_scheme("sec6"))
-    roots2 = find_real_roots(pair2, 0.2, 4.0, include_negative=True)
-    roots1 = find_real_roots(pair1, 0.1, 2.0, include_negative=True)
+    roots2 = eigenvalues(pair2, 0.2)
+    roots1 = eigenvalues(pair1, 0.1)
     mods2 = sorted(p.lam.real for p in roots2)
     mods1 = sorted(2 * p.lam.real for p in roots1)
     assert len(mods2) == len(mods1)
@@ -226,7 +344,7 @@ def test_is_simple_on_located_roots(spectra):
 
 def test_det_M_product_check():
     pair = build_transfer(preset_scheme("sec5-1"))
-    lam0 = find_real_roots(pair, 0.05, 2.0)[0].lam
+    lam0 = eigenvalues(pair, 0.05)[0].lam
     assert abs(det_M_product_check(pair, lam0)) < 1e-9
     # away from the spectrum the product form is far from zero
     assert abs(det_M_product_check(pair, 1.7)) > 1e-3
