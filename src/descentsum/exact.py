@@ -12,13 +12,14 @@ recursions, nearest-integer formulas, and generating-function coefficients.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
+from itertools import accumulate, permutations
 from math import comb, factorial
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .words import WeightScheme, all_words, descent_word
 
@@ -73,14 +74,35 @@ def _wt_of_word(scheme: WeightScheme, u: str) -> Fraction:
     return value
 
 
+# rows per enumeration chunk: the permutations of the last 6 entries
+_CHUNK_TAIL = 6
+
+
 @lru_cache(maxsize=None)
 def _word_multiplicities(n: int) -> dict[str, int]:
-    """How many permutations in S_n share each descent word (full enumeration)."""
-    counts: Counter[str] = Counter(
-        "".join("a" if p[i] < p[i + 1] else "b" for i in range(n - 1))
-        for p in permutations(range(n))
-    )
-    return dict(counts)
+    """How many permutations in S_n share each descent word (full enumeration).
+
+    S_n is listed in chunks: each fixes the first n - 6 entries and runs the
+    remaining ones through all their orders, at most 6! = 720 rows.  A row's
+    descent bits are packed into a word index (bit i set for a descent at
+    position i) and the indices are counted with np.bincount.
+    """
+    k = max(0, n - _CHUNK_TAIL)
+    tails = np.array(list(permutations(range(n - k))), dtype=np.int8)
+    rows = np.empty((len(tails), n), dtype=np.int8)
+    bits = 1 << np.arange(max(0, n - 1), dtype=np.intp)
+    counts = np.zeros(2 ** len(bits), dtype=np.int64)
+    for head in permutations(range(n), k):
+        rest = np.array(sorted(set(range(n)).difference(head)), dtype=np.int8)
+        rows[:, :k] = head
+        rows[:, k:] = rest[tails]
+        index = (rows[:, :-1] > rows[:, 1:]) @ bits
+        counts += np.bincount(index, minlength=len(counts))
+    return {
+        "".join("b" if code >> i & 1 else "a" for i in range(n - 1)): int(count)
+        for code, count in enumerate(counts.tolist())
+        if count
+    }
 
 
 def _check_refinement(m: int, n: int, start: str | None, end: str | None) -> None:
@@ -159,8 +181,14 @@ def dp_alpha(
 
     Permutations are built by appending entries on the right; the state is
     (last min(m-1, built-1) letters of the descent word, rank of the last
-    entry).  Exact big-integer arithmetic is used when every weight is an
-    integer, exact rationals otherwise.
+    entry), kept as one list of weights over ranks 1..i per word suffix.
+    An entry appended at rank r among i + 1 is an ascent exactly from the
+    ranks below r, so the weights it collects are a prefix sum (letter a)
+    or a suffix sum (letter b) of that list.  This is the up-down recurrence
+    of de Bruijn ("Permutations with given ups and downs", Nieuw Arch. Wisk.
+    18, 1970); it costs O(2^(m-1) n^2) additions.  Exact big-integer
+    arithmetic is used when every weight is an integer, exact rationals
+    otherwise.
 
     ``start``/``end`` restrict to permutations whose descent word begins or
     ends with the given letter.  These refined counts are defined only for
@@ -183,41 +211,41 @@ def dp_alpha(
     wt1 = {w: cast(v) for w, v in scheme.wt1.items()}
     wt2 = {w: cast(v) for w, v in scheme.wt2.items()}
 
-    one = 1 if integral else Fraction(1)
-    init = wt1[""] if m == 1 else one
-    # states: {(suffix, rank): weight} after i entries, rank in 1..i
-    states: dict[tuple[str, int], object] = {("", 1): init}
+    zero = 0 if integral else Fraction(0)
+    init = wt1[""] if m == 1 else (1 if integral else Fraction(1))
+    # states: {suffix: weights of ranks 1..i} after i entries
+    states: dict[str, list] = {"": [init]}
     for i in range(1, n):
-        nxt: dict[tuple[str, int], object] = {}
-        for (suffix, rank), weight in states.items():
-            for new_rank in range(1, i + 2):
-                letter = "a" if new_rank > rank else "b"
+        nxt: dict[str, list] = {}
+        for suffix, weights in states.items():
+            # an entry appended at rank r (1..i+1) collects, as an ascent,
+            # the ranks below r and, as a descent, the ranks from r on
+            below = list(accumulate(weights, initial=zero))
+            from_r = list(accumulate(reversed(weights), initial=zero))[::-1]
+            for letter, sums in (("a", below), ("b", from_r)):
                 if i == 1 and start is not None and letter != start:
                     continue
                 grown = suffix + letter
-                factor = one
+                factor = None
                 if len(grown) == m:  # a full window just closed
                     factor = wt[grown]
+                    grown = grown[1:]
+                elif len(grown) == m - 1:  # the prefix is now complete
+                    factor = wt1[grown]
+                if factor is not None:
                     if not factor:
                         continue
-                    new_suffix = grown[1:]
+                    sums = [factor * x for x in sums]
+                if grown in nxt:
+                    nxt[grown] = [x + y for x, y in zip(nxt[grown], sums)]
                 else:
-                    new_suffix = grown
-                    if len(grown) == m - 1:  # the prefix is now complete
-                        factor = wt1[grown]
-                        if not factor:
-                            continue
-                key = (new_suffix, new_rank)
-                add = weight * factor
-                if key in nxt:
-                    nxt[key] += add
-                else:
-                    nxt[key] = add
+                    nxt[grown] = sums
         states = nxt
-    total = 0 if integral else Fraction(0)
-    for (suffix, _rank), weight in states.items():
+    total = zero
+    for suffix, weights in states.items():
         if end is not None and (not suffix or suffix[-1] != end):
             continue
+        weight = sum(weights, zero)
         if n >= m:
             weight = weight * wt2[suffix[len(suffix) - (m - 1) :] if m > 1 else ""]
         total += weight

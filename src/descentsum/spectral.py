@@ -111,7 +111,12 @@ class TransferPair:
 
 @dataclass(frozen=True)
 class SpectralPoint:
-    """One located eigenvalue with its certificate data."""
+    """One located eigenvalue with its certificate data.
+
+    ``residual`` is |P(lambda) vector| / (|lambda| + |B gamma((A-B)/lambda)|)
+    in 2-norms: how far P is from singular, relative to the size of its two
+    terms, so it stays near float64 rounding however large P's entries get.
+    """
 
     lam: complex
     vector: np.ndarray
@@ -198,11 +203,14 @@ def _trace_solve(M: np.ndarray, BE: np.ndarray):
 def _make_point(pair: TransferPair, lam: complex) -> SpectralPoint:
     P = _P(pair, lam)
     vector = nullspace_vector(P)
+    # not |det P|, which grows with the entries of P, and not
+    # sigma_min/sigma_max, which is 1 for any nonzero 1 x 1 P (m = 1)
+    scale = abs(lam) + np.linalg.norm(P + lam * np.eye(pair.dim), 2)
     return SpectralPoint(
         lam=lam,
         vector=vector,
         simple=is_simple(pair, lam, vector),
-        residual=abs(det(P)),
+        residual=float(np.linalg.norm(P @ vector) / scale),
     )
 
 

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from descentsum import BRUTE_FORCE_CAP
 from descentsum.cli import main
 
 
@@ -36,6 +37,14 @@ def test_oracle_sec6_agreement(capsys):
     assert "alpha" in header
     assert {r["method"] for r in rows} == {"dp", "brute", "operator"}
     assert all(r["alpha"] == "26" for r in rows)
+
+
+def test_oracle_all_routes_at_the_brute_force_cap(capsys):
+    rc, out, _ = run(capsys, "oracle", "--preset", "sec5-1", "--n", str(BRUTE_FORCE_CAP))
+    assert rc == 0
+    assert "agreement: true" in out
+    _, rows = table_rows(out)
+    assert [r["method"] for r in rows] == ["dp", "brute", "operator"]
 
 
 def test_oracle_single_method_and_refinement(capsys):

@@ -1,7 +1,7 @@
 """Exact counting oracles: brute force, insertion DP, recursions, closed forms."""
 
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 from math import factorial
 
 import pytest
@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from descentsum import (
     BRUTE_FORCE_CAP,
     WeightScheme,
+    all_words,
     brute_force_alpha,
     brute_force_alpha_direct,
     count_barred,
@@ -83,6 +84,32 @@ def test_brute_force_cap():
         brute_force_alpha(preset_scheme("sec6"), BRUTE_FORCE_CAP + 1)
 
 
+def test_word_table_matches_inclusion_exclusion():
+    # MacMahon: the permutations whose descent set is exactly S number
+    # the sum over subsets T of S of (-1)^|S - T| n!/(t1! (t2 - t1)! ... (n - tk)!)
+    from descentsum.exact import _word_multiplicities
+
+    def at_most(n, cuts):
+        bounds = [0, *cuts, n]
+        out = factorial(n)
+        for lo, hi in zip(bounds, bounds[1:]):
+            out //= factorial(hi - lo)
+        return out
+
+    for n in range(0, 10):
+        table = _word_multiplicities(n)
+        assert sum(table.values()) == factorial(n)
+        assert all(isinstance(count, int) for count in table.values())
+        for word in all_words(max(0, n - 1)):
+            descents = [i + 1 for i, letter in enumerate(word) if letter == "b"]
+            expected = sum(
+                (-1) ** (len(descents) - len(cuts)) * at_most(n, cuts)
+                for r in range(len(descents) + 1)
+                for cuts in combinations(descents, r)
+            )
+            assert table.get(word, 0) == expected, (n, word)
+
+
 def test_brute_force_grouped_equals_direct():
     schemes = [
         preset_scheme("sec6"),
@@ -146,20 +173,39 @@ def test_refinements_cross_symmetry():
             ).value
 
 
-small_fraction = st.fractions(min_value=0, max_value=3, max_denominator=3)
+# signed, with zero drawn often: zero weights prune DP transitions, and
+# signed ones let whole prefix sums cancel
+small_fraction = st.one_of(
+    st.just(Fraction(0)), st.fractions(min_value=-3, max_value=3, max_denominator=3)
+)
 
 
-@settings(max_examples=25, deadline=None)
-@given(m=st.integers(min_value=1, max_value=3), data=st.data())
-def test_dp_equals_brute_on_random_rational_schemes(m, data):
-    from descentsum import all_words
-
+def random_scheme(m, data):
     wt = {w: data.draw(small_fraction) for w in all_words(m)}
     wt1 = {u: data.draw(small_fraction) for u in all_words(m - 1)}
     wt2 = {u: data.draw(small_fraction) for u in all_words(m - 1)}
-    s = WeightScheme(m=m, wt=wt, wt1=wt1, wt2=wt2)
-    for n in range(1, 6):
-        assert dp_alpha(s, n).value == brute_force_alpha(s, n).value
+    return WeightScheme(m=m, wt=wt, wt1=wt1, wt2=wt2)
+
+
+@settings(max_examples=25, deadline=None)
+@given(m=st.integers(min_value=1, max_value=5), data=st.data())
+def test_dp_equals_brute_on_random_rational_schemes(m, data):
+    s = random_scheme(m, data)
+    for n in range(1, 9):
+        assert dp_alpha(s, n).value == brute_force_alpha(s, n).value, n
+
+
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_dp_refinements_equal_brute_on_random_schemes(data):
+    s = random_scheme(2, data)
+    for n in range(2, 9):
+        for start in (None, "a", "b"):
+            for end in (None, "a", "b"):
+                assert (
+                    dp_alpha(s, n, start=start, end=end).value
+                    == brute_force_alpha(s, n, start=start, end=end).value
+                ), (n, start, end)
 
 
 def test_derangements_table():
@@ -185,13 +231,13 @@ def test_section6_recursion_seeds_and_values():
 
 def test_section6_recursion_matches_dp():
     sec6 = preset_scheme("sec6")
-    for n in range(2, 13):
+    for n in [*range(2, 41), *range(50, 151, 10)]:
         rec = section6_recursion(n)
         assert rec["aa"] == dp_alpha(sec6, n, start="a", end="a").value
         assert rec["bb"] == dp_alpha(sec6, n, start="b", end="b").value
         assert rec["ab"] == dp_alpha(sec6, n, start="a", end="b").value
         assert rec["ab"] == dp_alpha(sec6, n, start="b", end="a").value
-        assert rec["total"] == dp_alpha(sec6, n).value
+        assert rec["total"] == dp_alpha(sec6, n).value, n
 
 
 def test_nearest_integer_examples():
@@ -255,12 +301,14 @@ def test_count_barred_is_power_of_two_on_double_ascent_free():
 
 def test_alternating_preset_counts_twice_the_euler_numbers():
     alt = preset_scheme("alternating")
-    euler = euler_numbers(8)
-    for n in range(2, 9):
-        assert dp_alpha(alt, n).value == 2 * euler[n]
+    euler = euler_numbers(120)
+    for n in range(2, 121):
+        assert dp_alpha(alt, n).value == 2 * euler[n], n
 
 
 def test_no_descents_and_no_peaks_closed_forms():
     for n in range(1, 10):
         assert dp_alpha(preset_scheme("no-descents"), n).value == 1
         assert dp_alpha(preset_scheme("no-peaks"), n).value == 2 ** (n - 1)
+    assert dp_alpha(preset_scheme("no-peaks"), 100).value == 2**99
+    assert dp_alpha(preset_scheme("all-ones"), 100).value == factorial(100)

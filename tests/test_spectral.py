@@ -295,9 +295,22 @@ def test_eigenvalues_no_runs_5():
     assert len(points) == 51
     assert sum(abs(p.lam) > 0.1 for p in points) == 26
     assert all(p.simple for p in points)
-    # |det P| is formed without the column scaling, so it is only small where
-    # the entries of P are moderate
-    assert all(p.residual < 1e-9 for p in points if abs(p.lam) > 0.1)
+    # the residual is relative to the size of P's terms, so it stays small
+    # where they grow like exp(rho(A - B)/|lambda|)
+    assert all(p.residual < 1e-9 for p in points)
+
+
+def test_residual_at_window_length_1():
+    # m = 1 with wt(a) = 2, wt(b) = 1: P(lambda) = lambda (e^(1/lambda) - 2),
+    # so the eigenvalues are 1/(log 2 + 2 pi i k); P is 1 x 1 here, where
+    # sigma_min/sigma_max would read 1 at every eigenvalue
+    text = "m = 1\nwt a = 2\nwt b = 1\n"
+    points = eigenvalues(build_transfer(load_scheme(text)), 0.05)
+    expected = [1 / complex(np.log(2), 2 * np.pi * k) for k in range(-3, 4)]
+    assert len(points) == len(expected)
+    for lam in expected:
+        assert min(abs(p.lam - lam) for p in points) < 1e-12
+    assert all(p.residual < 1e-12 for p in points)
 
 
 def test_log_derivative_closed_forms():
