@@ -6,7 +6,13 @@ by three independent exact routes (brute force, insertion DP, operator
 iteration) and analyzes the n -> infinity behavior through the spectrum of a
 small transfer-matrix pair: alpha_n / n! is a finite combination of
 lambda^(n-m) terms whose coefficients come from eigenfunction pairings.
+
+Only the exact, pure-Python modules (words, presets, exact) load with the
+package.  The names of expfun, linalg and spectral resolve on first access
+(PEP 562), so the exact routes run without importing numpy.
 """
+
+import importlib
 
 from .exact import (
     BRUTE_FORCE_CAP,
@@ -23,35 +29,7 @@ from .exact import (
     verify_genfun_equation,
     wt_of_permutation,
 )
-from .expfun import (
-    ExpPoly,
-    PiecewiseFn,
-    adjoint_eigenfunction,
-    alpha_by_operator_iteration,
-    apply_J,
-    apply_operator,
-    asymptotic_constant,
-    constant_piecewise,
-    eigenfunction_pieces,
-    inner_products,
-    kappa_piecewise,
-    letter_indicator,
-    mu_piecewise,
-    polytope_integral,
-    predict_alpha,
-    scheme_constant,
-)
-from .linalg import det, gamma, mat_exp, nullspace_vector
 from .presets import PRESETS, preset_scheme
-from .spectral import (
-    SpectralPoint,
-    TransferPair,
-    build_transfer,
-    det_M_product_check,
-    det_P,
-    eigenvalues,
-    is_simple,
-)
 from .words import (
     SchemeParseError,
     WeightScheme,
@@ -67,6 +45,46 @@ from .words import (
 )
 
 __version__ = "0.1.0"
+
+# names whose modules load on first access: numpy comes in with linalg and
+# spectral, and expfun's numeric half reaches them at call time
+_LAZY = {
+    **dict.fromkeys(
+        (
+            "ExpPoly",
+            "PiecewiseFn",
+            "adjoint_eigenfunction",
+            "alpha_by_operator_iteration",
+            "apply_J",
+            "apply_operator",
+            "asymptotic_constant",
+            "constant_piecewise",
+            "eigenfunction_pieces",
+            "inner_products",
+            "kappa_piecewise",
+            "letter_indicator",
+            "mu_piecewise",
+            "polytope_integral",
+            "predict_alpha",
+            "scheme_constant",
+        ),
+        "expfun",
+    ),
+    **dict.fromkeys(("det", "gamma", "mat_exp", "nullspace_vector"), "linalg"),
+    **dict.fromkeys(
+        (
+            "SpectralPoint",
+            "TransferPair",
+            "build_transfer",
+            "det_M_product_check",
+            "det_P",
+            "eigenvalues",
+            "is_simple",
+        ),
+        "spectral",
+    ),
+}
+_LAZY_MODULES = frozenset(_LAZY.values())
 
 __all__ = [
     "BRUTE_FORCE_CAP",
@@ -123,3 +141,17 @@ __all__ = [
     "verify_genfun_equation",
     "wt_of_permutation",
 ]
+
+
+def __getattr__(name: str):
+    if name in _LAZY_MODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_LAZY[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY, *_LAZY_MODULES})

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .exact import (
     BRUTE_FORCE_CAP,
@@ -47,8 +47,10 @@ from .expfun import (
     predict_alpha,
 )
 from .presets import PRESETS, preset_scheme
-from .spectral import SpectralPoint, build_transfer, eigenvalues
 from .words import SchemeParseError, WeightScheme, load_scheme, symmetry_defect
+
+if TYPE_CHECKING:
+    from .spectral import SpectralPoint, TransferPair
 
 __all__ = ["main"]
 
@@ -149,6 +151,20 @@ def _resolve_scheme(args) -> tuple[WeightScheme, str]:
     raise UsageFailure("one of --scheme FILE or --preset NAME is required")
 
 
+def _spectrum(
+    scheme: WeightScheme, min_modulus: float
+) -> tuple[TransferPair, list[SpectralPoint]]:
+    """The scheme's transfer pair and its eigenvalues above min_modulus.
+
+    spectral, and numpy with it, is imported here: only the float routes
+    (spectrum, constants, verify) pay for it.
+    """
+    from .spectral import build_transfer, eigenvalues
+
+    pair = build_transfer(scheme)
+    return pair, eigenvalues(pair, min_modulus)
+
+
 def _truncate_points(
     points: list[SpectralPoint], top: int
 ) -> tuple[list[SpectralPoint], float | None]:
@@ -179,11 +195,11 @@ def _spectrum_report(command: str, label: str, params: dict, points) -> RunRepor
 
 def _constants_for_points(
     scheme: WeightScheme,
+    pair: TransferPair,
     points: list[SpectralPoint],
     skipped: list[tuple[SpectralPoint, str]] | None = None,
 ) -> list[dict]:
     """Constant rows per point; degenerate points go to ``skipped`` if given."""
-    pair = build_transfer(scheme)
     kappa = kappa_piecewise(scheme)
     mu = mu_piecewise(scheme)
     rows = []
@@ -276,7 +292,7 @@ def _cmd_oracle(args) -> tuple[RunReport, list[str]]:
 
 def _cmd_spectrum(args) -> tuple[RunReport, list[str]]:
     scheme, label = _resolve_scheme(args)
-    points = eigenvalues(build_transfer(scheme), args.min_modulus)
+    _, points = _spectrum(scheme, args.min_modulus)
     points, _ = _truncate_points(points, args.top)
     params = {"min_modulus": args.min_modulus, "top": args.top}
     return _spectrum_report("spectrum", label, params, points), []
@@ -289,9 +305,9 @@ def _cmd_constants(args) -> tuple[RunReport, list[str]]:
         raise CheckFailure(
             f"constants need a reversal-symmetric scheme: {defect}"
         )
-    points = eigenvalues(build_transfer(scheme), args.min_modulus)
+    pair, points = _spectrum(scheme, args.min_modulus)
     points, _ = _truncate_points(points, args.top)
-    rows = _constants_for_points(scheme, points)
+    rows = _constants_for_points(scheme, pair, points)
     report = RunReport(
         command="constants",
         scheme_label=label,
@@ -324,7 +340,7 @@ def _cmd_verify(args) -> tuple[RunReport, list[str]]:
         raise UsageFailure("--tol must be positive")
 
     defect = symmetry_defect(scheme)
-    points = eigenvalues(build_transfer(scheme), args.min_modulus)
+    pair, points = _spectrum(scheme, args.min_modulus)
     if defect is not None:
         print(
             f"note: scheme is not reversal-symmetric ({defect}); "
@@ -335,7 +351,7 @@ def _cmd_verify(args) -> tuple[RunReport, list[str]]:
 
     points, r_hat = _truncate_points(points, args.top)
     skipped: list[tuple[SpectralPoint, str]] = []
-    crows = _constants_for_points(scheme, points, skipped)
+    crows = _constants_for_points(scheme, pair, points, skipped)
     for p, msg in skipped:
         print(
             f"note: no constant at lambda = {p.lam:.12g} ({msg}); "

@@ -19,8 +19,6 @@ from itertools import accumulate, permutations
 from math import comb, factorial
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .words import WeightScheme, all_words, descent_word
 
 BRUTE_FORCE_CAP = 10
@@ -87,6 +85,8 @@ def _word_multiplicities(n: int) -> dict[str, int]:
     descent bits are packed into a word index (bit i set for a descent at
     position i) and the indices are counted with np.bincount.
     """
+    import numpy as np  # here, so the other exact routes run without numpy
+
     k = max(0, n - _CHUNK_TAIL)
     tails = np.array(list(permutations(range(n - k))), dtype=np.int8)
     rows = np.empty((len(tails), n), dtype=np.int8)

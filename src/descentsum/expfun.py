@@ -19,16 +19,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 import cmath
 
-import numpy as np
-
 from .exact import WeightedCount, _check_refinement
-from .linalg import invariant_subspaces
-from .spectral import TransferPair, build_transfer
 from .words import WeightScheme, all_words, symmetry_defect
+
+# numpy, linalg and spectral are imported by the two functions that need
+# them, so the exact operator-iteration route runs without numpy
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .spectral import TransferPair
 
 MU_MERGE_TOL = 1e-9
 # rounding splits a defective eigenvalue by ~eps^(1/blocksize), far above
@@ -363,11 +366,16 @@ def eigenfunction_pieces(
 ) -> PiecewiseFn:
     """The eigenfunction exp((A-B)/lambda * x) @ c, one ExpPoly per cell.
 
-    The matrix is split into generalized eigenspaces (eigenvalues clustered
-    at 1e-8); on each space exp contributes exp(mu x) times a polynomial of
-    degree below the block size.  Raises ValueError when the generalized
-    eigenspaces cannot be classified at that tolerance.
+    M = (A-B)/lambda is split into generalized eigenspaces: eigenvalues of M
+    within _CLUSTER_TOL (1e-4) times max(1, ||M||_1) of each other share
+    one.  On each space exp contributes exp(mu x) times a polynomial of
+    degree below the space's dimension.  Raises ValueError, naming the
+    tolerance, when the generalized eigenspaces cannot be classified at it.
     """
+    import numpy as np
+
+    from .linalg import invariant_subspaces
+
     if lam == 0:
         raise ValueError("lambda must be nonzero")
     M = (pair.A - pair.B) / lam
@@ -375,14 +383,14 @@ def eigenfunction_pieces(
     c = np.asarray(vector, dtype=complex)
     if c.shape != (d,):
         raise ValueError(f"vector must have shape ({d},)")
-    scale = max(1.0, float(np.linalg.norm(M, 1)))
-    clusters, S = invariant_subspaces(M, _CLUSTER_TOL * scale)
+    tol = _CLUSTER_TOL * max(1.0, float(np.linalg.norm(M, 1)))
+    clusters, S = invariant_subspaces(M, tol)
     try:
         y = np.linalg.solve(S, c)
     except np.linalg.LinAlgError:
         raise ValueError(
             "failed to classify the generalized eigenspaces at tolerance "
-            "1e-08: basis is numerically singular"
+            f"{tol:.3g}: basis is numerically singular"
         ) from None
     pieces_terms: list[list[tuple]] = [[] for _ in range(d)]
     col = 0
@@ -516,6 +524,8 @@ def scheme_constant(
 
     kappa and mu default to the scheme's initial and final weight functions.
     """
+    from .spectral import build_transfer
+
     pair = build_transfer(scheme)
     phi = eigenfunction_pieces(pair, lam, vector)
     psi = adjoint_eigenfunction(scheme, phi)

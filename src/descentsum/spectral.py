@@ -32,8 +32,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import _exp_and_gamma, det, gamma, invariant_subspaces, mat_exp
-from .linalg import nullspace_vector
+from .linalg import _EXP_NORM_LIMIT, _exp_and_gamma, det, gamma
+from .linalg import invariant_subspaces, mat_exp, nullspace_vector
 from .words import WeightScheme, all_words
 
 _SIMPLE_TOL = 1e-8
@@ -79,7 +79,7 @@ class TransferPair:
     def overflow_floor(self) -> float:
         """Smallest |lambda| for which (A-B)/lambda stays below the exp bound."""
         norm = float(np.linalg.norm(self.A - self.B, 1))
-        return norm / 700.0
+        return norm / _EXP_NORM_LIMIT
 
     @cached_property
     def _blocks(self) -> tuple[np.ndarray, ...]:
@@ -174,8 +174,9 @@ def _P(pair: TransferPair, lam: complex) -> np.ndarray:
 def det_P(pair: TransferPair, lam: complex) -> complex:
     """det(-lambda I + B gamma((A-B)/lambda)).
 
-    Refuses |lambda| below the overflow floor ||A-B|| / 700, where the matrix
-    exponential inside gamma would overflow float64.
+    Refuses |lambda| at or below the overflow floor ||A-B||_1 divided by
+    linalg._EXP_NORM_LIMIT, where the matrix exponential inside gamma would
+    overflow float64.
     """
     return det(_P(pair, lam))
 

@@ -281,6 +281,21 @@ def test_eigenfunction_validation():
         eigenfunction_pieces(pair, 1.0, np.array([1.0, 2.0, 3.0]))
 
 
+def test_eigenfunction_singular_basis_names_the_clustering_tolerance(monkeypatch):
+    pair = build_transfer(preset_scheme("sec6"))
+    lam = 0.25
+    norm = np.linalg.norm((pair.A - pair.B) / lam, 1)
+    assert norm > 1  # so the tolerance scales with the norm
+    tol = 1e-4 * norm
+
+    def singular(*args):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    with pytest.raises(ValueError, match=f"at tolerance {tol:.3g}: basis"):
+        eigenfunction_pieces(pair, lam, np.array([1.0, 2.0]))
+
+
 # ------------------------------------------------------------------- J
 
 

@@ -1,0 +1,84 @@
+"""The package surface: lazily resolved names, and which routes load numpy."""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import descentsum
+
+SRC = str(Path(descentsum.__file__).resolve().parent.parent)
+
+# runs the CLI in a fresh interpreter, then reports whether numpy was loaded
+_PROBE = (
+    "import sys\n"
+    "from descentsum.cli import main\n"
+    "rc = main(sys.argv[1:])\n"
+    "print('numpy loaded:', 'numpy' in sys.modules, 'exit:', rc, file=sys.stderr)\n"
+)
+
+
+def _fresh(*args: str) -> str:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stderr.splitlines()[-1]
+
+
+@pytest.mark.parametrize("module", ["descentsum", "descentsum.cli"])
+def test_import_leaves_numpy_unloaded(module):
+    probe = f"import sys, {module}; print('numpy' in sys.modules, file=sys.stderr)"
+    assert _fresh("-c", probe) == "False"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["oracle", "--preset", "sec5-1", "--n", "12", "--method", "dp"],
+        ["oracle", "--preset", "sec6", "--n", "12", "--method", "operator"],
+        ["sequence", "--n-max", "8"],
+    ],
+    ids=["oracle-dp", "oracle-operator", "sequence"],
+)
+def test_exact_routes_run_without_numpy(argv):
+    assert _fresh("-c", _PROBE, *argv) == "numpy loaded: False exit: 0"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "--preset", "sec5-1", "--top", "1"],
+        ["oracle", "--preset", "sec5-1", "--n", "6", "--method", "brute"],
+    ],
+    ids=["spectrum", "oracle-brute"],
+)
+def test_float_routes_load_numpy(argv):
+    assert _fresh("-c", _PROBE, *argv) == "numpy loaded: True exit: 0"
+
+
+def test_every_public_name_resolves_and_is_listed():
+    listed = dir(descentsum)
+    for name in descentsum.__all__:
+        assert getattr(descentsum, name) is not None, name
+        assert name in listed, name
+    assert descentsum.eigenvalues is sys.modules["descentsum.spectral"].eigenvalues
+    assert descentsum.spectral is sys.modules["descentsum.spectral"]
+
+
+def test_star_import_binds_every_public_name():
+    namespace: dict = {}
+    exec("from descentsum import *", namespace)
+    for name in descentsum.__all__:
+        assert namespace[name] is getattr(descentsum, name), name
+
+
+def test_unknown_attribute_raises_naming_it():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        descentsum.no_such_name

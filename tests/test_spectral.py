@@ -107,6 +107,8 @@ def test_det_P_overflow_floor():
     assert floor > 0
     with pytest.raises(ValueError, match="overflow floor"):
         det_P(pair, floor * 0.5)
+    # the floor is the exp bound of linalg: just above it gamma still runs
+    assert np.isfinite(det_P(pair, floor * 1.01))
 
 
 def test_det_P_at_the_dimension_cap():
