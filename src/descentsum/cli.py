@@ -36,16 +36,7 @@ from .exact import (
     section6_recursion,
     verify_genfun_equation,
 )
-from .expfun import (
-    adjoint_eigenfunction,
-    alpha_by_operator_iteration,
-    asymptotic_constant,
-    eigenfunction_pieces,
-    inner_products,
-    kappa_piecewise,
-    mu_piecewise,
-    predict_alpha,
-)
+from .expfun import alpha_by_operator_iteration, predict_alpha, scheme_constant
 from .presets import PRESETS, preset_scheme
 from .words import SchemeParseError, WeightScheme, load_scheme, symmetry_defect
 
@@ -193,6 +184,11 @@ def _spectrum_report(command: str, label: str, params: dict, points) -> RunRepor
     return RunReport(command, label, params, columns, rows)
 
 
+# each complex value of a constants row, split into _re and _im columns
+_CONSTANT_PARTS = ("lambda", "const", "phi_mu", "kappa_psi", "phi_psi")
+_CONSTANT_COLUMNS = [f"{name}_{part}" for name in _CONSTANT_PARTS for part in ("re", "im")]
+
+
 def _constants_for_points(
     scheme: WeightScheme,
     pair: TransferPair,
@@ -200,34 +196,19 @@ def _constants_for_points(
     skipped: list[tuple[SpectralPoint, str]] | None = None,
 ) -> list[dict]:
     """Constant rows per point; degenerate points go to ``skipped`` if given."""
-    kappa = kappa_piecewise(scheme)
-    mu = mu_piecewise(scheme)
     rows = []
     for p in points:
         try:
-            phi = eigenfunction_pieces(pair, p.lam, p.vector)
-            psi = adjoint_eigenfunction(scheme, phi)
-            p1, p2, p3 = inner_products(phi, psi, kappa, mu)
-            const = asymptotic_constant(phi, psi, kappa, mu)
+            const, pairings = scheme_constant(scheme, pair, p)
         except ValueError as exc:
             if skipped is None:
                 raise CheckFailure(f"at lambda = {p.lam:.12g}: {exc}") from None
             skipped.append((p, str(exc)))
             continue
-        rows.append(
-            {
-                "lambda_re": p.lam.real,
-                "lambda_im": p.lam.imag,
-                "const_re": const.real,
-                "const_im": const.imag,
-                "phi_mu_re": complex(p1).real,
-                "phi_mu_im": complex(p1).imag,
-                "kappa_psi_re": complex(p2).real,
-                "kappa_psi_im": complex(p2).imag,
-                "phi_psi_re": complex(p3).real,
-                "phi_psi_im": complex(p3).imag,
-            }
-        )
+        row = {}
+        for name, value in zip(_CONSTANT_PARTS, (p.lam, const, *pairings)):
+            row[f"{name}_re"], row[f"{name}_im"] = complex(value).real, complex(value).imag
+        rows.append(row)
     return rows
 
 
@@ -312,18 +293,7 @@ def _cmd_constants(args) -> tuple[RunReport, list[str]]:
         command="constants",
         scheme_label=label,
         params={"min_modulus": args.min_modulus, "top": args.top},
-        columns=[
-            "lambda_re",
-            "lambda_im",
-            "const_re",
-            "const_im",
-            "phi_mu_re",
-            "phi_mu_im",
-            "kappa_psi_re",
-            "kappa_psi_im",
-            "phi_psi_re",
-            "phi_psi_im",
-        ],
+        columns=_CONSTANT_COLUMNS,
         rows=rows,
     )
     return report, []
@@ -564,6 +534,16 @@ def _positive_float(text: str) -> float:
     return value
 
 
+def _nonnegative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {text!r}")
+    return value
+
+
 def _add_region_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument(
         "--min-modulus",
@@ -575,7 +555,7 @@ def _add_region_flags(sp: argparse.ArgumentParser) -> None:
     )
     sp.add_argument(
         "--top",
-        type=int,
+        type=_nonnegative_int,
         default=0,
         metavar="K",
         help="keep only the K largest-modulus eigenvalues "

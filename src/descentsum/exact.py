@@ -3,9 +3,12 @@
 The central quantity is alpha_n: the sum of Wt(pi) over all pi in S_n, where
 Wt multiplies the scheme's window weights along the descent word of pi (with
 wt1 on the leading m-1 letters and wt2 on the trailing m-1 letters).  This
-module holds the two exact routes used to cross-check everything else:
-brute-force enumeration over S_n, and an insertion dynamic program over
-(descent-word suffix, rank of last entry) states.  It also carries the exact
+module holds two of the three exact routes used to cross-check everything
+else: brute-force enumeration over S_n, grouped by descent word, and
+de Bruijn's prefix-sum recurrence (dp_alpha), which keeps one list of
+weights over the ranks of the last entry per descent-word suffix.  The third,
+operator iteration in exact rationals, is expfun.alpha_by_operator_iteration;
+no route is written in terms of another.  The module also carries the exact
 closed-form machinery available for the scheme with wt(aa) = 0, wt(bb) = 2:
 recursions, nearest-integer formulas, and generating-function coefficients.
 """

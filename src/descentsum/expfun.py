@@ -26,12 +26,12 @@ import cmath
 from .exact import WeightedCount, _check_refinement
 from .words import WeightScheme, all_words, symmetry_defect
 
-# numpy, linalg and spectral are imported by the two functions that need
-# them, so the exact operator-iteration route runs without numpy
+# numpy and linalg are imported by eigenfunction_pieces, the one function
+# that needs them, so the exact operator-iteration route runs without numpy
 if TYPE_CHECKING:
     import numpy as np
 
-    from .spectral import TransferPair
+    from .spectral import SpectralPoint, TransferPair
 
 MU_MERGE_TOL = 1e-9
 # rounding splits a defective eigenvalue by ~eps^(1/blocksize), far above
@@ -492,19 +492,14 @@ def adjoint_eigenfunction(scheme: WeightScheme, phi: PiecewiseFn) -> PiecewiseFn
     return apply_J(phi)
 
 
-def asymptotic_constant(
-    phi: PiecewiseFn,
-    psi: PiecewiseFn,
-    kappa: PiecewiseFn,
-    mu: PiecewiseFn,
-) -> complex:
+def asymptotic_constant(p_phi_mu, p_kappa_psi, p_phi_psi) -> complex:
     """The coefficient <phi, mu> <kappa, conj(psi)> / <phi, conj(psi)>.
 
     This is the weight of one eigenvalue's lambda^(n-m) term in the
-    n!-normalized asymptotics.  A denominator pairing below 1e-10 is refused:
+    n!-normalized asymptotics, formed from the three pairings that
+    inner_products returns.  A denominator pairing below 1e-10 is refused:
     it signals a possibly non-simple eigenvalue, where this formula is wrong.
     """
-    p_phi_mu, p_kappa_psi, p_phi_psi = inner_products(phi, psi, kappa, mu)
     if abs(p_phi_psi) < 1e-10:
         raise ValueError(
             f"pairing <phi, conj(psi)> = {abs(p_phi_psi):.3g} vanishes at "
@@ -515,25 +510,28 @@ def asymptotic_constant(
 
 def scheme_constant(
     scheme: WeightScheme,
-    lam: complex,
-    vector: np.ndarray,
+    pair: TransferPair,
+    point: SpectralPoint,
     kappa: PiecewiseFn | None = None,
     mu: PiecewiseFn | None = None,
-) -> complex:
-    """Convenience wrapper: eigenfunction, adjoint, and constant in one step.
+) -> tuple[complex, tuple[complex, complex, complex]]:
+    """One eigenvalue's asymptotic constant and the three pairings behind it.
 
-    kappa and mu default to the scheme's initial and final weight functions.
+    The eigenfunction phi of point.vector, its adjoint psi = J(phi), the
+    pairings (<phi, mu>, <kappa, conj(psi)>, <phi, conj(psi)>), and their
+    ratio, for the scheme's transfer pair.  kappa and mu default to the
+    scheme's initial and final weight functions.  Raises ValueError when
+    the scheme is not reversal-symmetric, the eigenspaces cannot be
+    classified, or the denominator pairing vanishes.
     """
-    from .spectral import build_transfer
-
-    pair = build_transfer(scheme)
-    phi = eigenfunction_pieces(pair, lam, vector)
+    phi = eigenfunction_pieces(pair, point.lam, point.vector)
     psi = adjoint_eigenfunction(scheme, phi)
     if kappa is None:
         kappa = kappa_piecewise(scheme)
     if mu is None:
         mu = mu_piecewise(scheme)
-    return asymptotic_constant(phi, psi, kappa, mu)
+    pairings = inner_products(phi, psi, kappa, mu)
+    return asymptotic_constant(*pairings), pairings
 
 
 def predict_alpha(

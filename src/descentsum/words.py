@@ -142,13 +142,7 @@ def is_symmetric(scheme: WeightScheme) -> bool:
     adjoint of its transfer operator is conjugate to the operator itself via
     the apply_J reflection; the asymptotic-constant pipeline relies on this.
     """
-    for w, v in scheme.wt.items():
-        if v != scheme.wt[w[::-1]]:
-            return False
-    for u, v in scheme.wt1.items():
-        if v != scheme.wt2[u[::-1]]:
-            return False
-    return True
+    return symmetry_defect(scheme) is None
 
 
 def symmetry_defect(scheme: WeightScheme) -> str | None:

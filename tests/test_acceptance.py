@@ -24,7 +24,6 @@ from descentsum import (
     all_words,
     alpha_by_operator_iteration,
     apply_J,
-    asymptotic_constant,
     brute_force_alpha,
     build_transfer,
     constant_piecewise,
@@ -70,11 +69,7 @@ def spectrum_with_constant(name):
     points = eigenvalues(pair, 0.05)
     elapsed = perf_counter() - t0
     top = points[0]
-    phi = eigenfunction_pieces(pair, top.lam, top.vector)
-    psi = adjoint_eigenfunction(scheme, phi)
-    kappa, mu = kappa_piecewise(scheme), mu_piecewise(scheme)
-    pairings = inner_products(phi, psi, kappa, mu)
-    const = asymptotic_constant(phi, psi, kappa, mu)
+    const, pairings = scheme_constant(scheme, pair, top)
     return SimpleNamespace(
         scheme=scheme, pair=pair, points=points, elapsed=elapsed,
         top=top, pairings=pairings, const=const,
@@ -234,7 +229,7 @@ def test_criterion_06_sec6_constants():
             mu = PiecewiseFn(
                 2, "last", {u: mu.pieces[u] * ind.pieces[u] for u in mu.pieces}
             )
-        c = scheme_constant(scheme, top.lam, top.vector, kappa=kappa, mu=mu)
+        c, _ = scheme_constant(scheme, pair, top, kappa=kappa, mu=mu)
         worst = max(worst, abs(c - want))
     ok = worst < 1e-10
     report(

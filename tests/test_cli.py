@@ -142,10 +142,13 @@ def test_spectrum_region_flags(capsys):
     mods = [row["abs_lambda"] for row in doc["rows"]]
     assert len(mods) == 14  # the winding number's count above 0.1
     assert all(m > 0.1 for m in mods)
-    for bad in ("0", "-1", "x"):
+    bad_flags = [("--min-modulus", bad) for bad in ("0", "-1", "x")]
+    bad_flags += [("--top", "-1")]
+    for flag, bad in bad_flags:
         with pytest.raises(SystemExit) as exc:
-            main(["spectrum", "--preset", "sec5-1", "--min-modulus", bad])
+            main(["spectrum", "--preset", "sec5-1", flag, bad])
         assert exc.value.code == 2
+    assert "argument --top: must be nonnegative, got '-1'" in capsys.readouterr().err
     with pytest.raises(SystemExit):
         main(["spectrum", "--preset", "sec5-1", "--real-range", "0.5:2"])
 

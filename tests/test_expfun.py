@@ -367,27 +367,19 @@ def test_apply_J_swaps_cells_by_word_reversal():
 def test_inner_products_sec51(spectra):
     scheme = preset_scheme("sec5-1")
     pair, points = spectra["sec5-1"]
-    top = points[0]
-    phi = eigenfunction_pieces(pair, top.lam, top.vector)
-    psi = adjoint_eigenfunction(scheme, phi)
-    p1, p2, p3 = inner_products(phi, psi, kappa_piecewise(scheme), mu_piecewise(scheme))
+    c, (p1, p2, p3) = scheme_constant(scheme, pair, points[0])
     assert abs(p1 - 0.6020376937) < 1e-8
     assert abs(p2 - 0.6020376937) < 1e-8
     assert abs(p3 - 0.3647767214) < 1e-8
-    c = asymptotic_constant(phi, psi, kappa_piecewise(scheme), mu_piecewise(scheme))
     assert abs(c - 0.9936198319) < 1e-7
 
 
 def test_inner_products_sec52(spectra):
     scheme = preset_scheme("sec5-2")
     pair, points = spectra["sec5-2"]
-    top = points[0]
-    phi = eigenfunction_pieces(pair, top.lam, top.vector)
-    psi = adjoint_eigenfunction(scheme, phi)
-    p1, p2, p3 = inner_products(phi, psi, kappa_piecewise(scheme), mu_piecewise(scheme))
+    c, (p1, p2, p3) = scheme_constant(scheme, pair, points[0])
     assert abs(p1 - 0.2798342976) < 1e-8
     assert abs(p3 - 0.0878970625) < 1e-8
-    c = asymptotic_constant(phi, psi, kappa_piecewise(scheme), mu_piecewise(scheme))
     assert abs(c - 0.8908970548) < 1e-7
 
 
@@ -421,7 +413,7 @@ def test_section6_refined_constants():
         if y is not None:
             ind = letter_indicator(2, y, "last")
             mu = PiecewiseFn(2, "last", {u: mu.pieces[u] * ind.pieces[u] for u in mu.pieces})
-        c = scheme_constant(scheme, top.lam, top.vector, kappa=kappa, mu=mu)
+        c, _ = scheme_constant(scheme, pair, top, kappa=kappa, mu=mu)
         assert abs(c - want) < 1e-10, (x, y)
 
 
@@ -438,7 +430,7 @@ def test_asymptotic_constant_degenerate_denominator():
     kappa = constant_piecewise(2, 1)
     mu = constant_piecewise(2, 1, which_variable="last")
     with pytest.raises(ValueError, match="simple"):
-        asymptotic_constant(phi, psi, kappa, mu)
+        asymptotic_constant(*inner_products(phi, psi, kappa, mu))
 
 
 def test_lemma_pairing_identity_random_f(spectra):
@@ -471,11 +463,13 @@ def test_constant_invariant_under_eigenfunction_scaling(spectra):
     phi = eigenfunction_pieces(pair, top.lam, top.vector)
     psi = adjoint_eigenfunction(scheme, phi)
     kappa, mu = kappa_piecewise(scheme), mu_piecewise(scheme)
-    base = asymptotic_constant(phi, psi, kappa, mu)
+    base = asymptotic_constant(*inner_products(phi, psi, kappa, mu))
     for _ in range(5):
         a = complex(rng.standard_normal(), rng.standard_normal())
         b = complex(rng.standard_normal(), rng.standard_normal())
-        scaled = asymptotic_constant(phi.scale(a), psi.scale(b), kappa, mu)
+        scaled = asymptotic_constant(
+            *inner_products(phi.scale(a), psi.scale(b), kappa, mu)
+        )
         assert abs(scaled - base) < 1e-10
 
 
@@ -557,14 +551,14 @@ def test_predict_alpha_examples(spectra):
     scheme = preset_scheme("sec6")
     pair, points = spectra["sec6"]
     top = points[0]
-    c = scheme_constant(scheme, top.lam, top.vector)
+    c, _ = scheme_constant(scheme, pair, top)
     pred = predict_alpha([(c, top.lam)], 10, 2)
     exact = dp_alpha(scheme, 10).value / Fraction(math.factorial(10))
     assert abs(pred - float(exact)) < 1e-7
     # all-ones: constant 1, eigenvalue 1
     ones = preset_scheme("all-ones")
     pair1, points1 = spectra["all-ones"]
-    c1 = scheme_constant(ones, points1[0].lam, points1[0].vector)
+    c1, _ = scheme_constant(ones, pair1, points1[0])
     assert abs(predict_alpha([(c1, points1[0].lam)], 7, 2) - 1.0) < 1e-10
 
 
@@ -572,7 +566,7 @@ def test_predict_alpha_sec51_relative_error(spectra):
     scheme = preset_scheme("sec5-1")
     pair, points = spectra["sec5-1"]
     top = points[0]
-    c = scheme_constant(scheme, top.lam, top.vector)
+    c, _ = scheme_constant(scheme, pair, top)
     n = 14
     pred = predict_alpha([(c, top.lam)], n, 3)
     exact = float(dp_alpha(scheme, n).value / Fraction(math.factorial(n)))

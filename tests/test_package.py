@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import doctest
 import os
 import subprocess
 import sys
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import descentsum
+import descentsum.words
 
 SRC = str(Path(descentsum.__file__).resolve().parent.parent)
 
@@ -82,3 +84,11 @@ def test_star_import_binds_every_public_name():
 def test_unknown_attribute_raises_naming_it():
     with pytest.raises(AttributeError, match="no_such_name"):
         descentsum.no_such_name
+
+
+def test_readme_session_and_words_doctests():
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    session = doctest.testfile(str(readme), module_relative=False)
+    assert session.failed == 0 and session.attempted == 11
+    words = doctest.testmod(descentsum.words)
+    assert words.failed == 0 and words.attempted == 7
