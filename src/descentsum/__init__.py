@@ -51,6 +51,7 @@ __version__ = "0.1.0"
 _LAZY = {
     **dict.fromkeys(
         (
+            "Asymptotics",
             "ExpPoly",
             "PiecewiseFn",
             "adjoint_eigenfunction",
@@ -58,6 +59,7 @@ _LAZY = {
             "apply_J",
             "apply_operator",
             "asymptotic_constant",
+            "asymptotics",
             "constant_piecewise",
             "eigenfunction_pieces",
             "inner_products",
@@ -87,6 +89,7 @@ _LAZY = {
 _LAZY_MODULES = frozenset(_LAZY.values())
 
 __all__ = [
+    "Asymptotics",
     "BRUTE_FORCE_CAP",
     "ExpPoly",
     "PRESETS",
@@ -102,6 +105,7 @@ __all__ = [
     "apply_J",
     "apply_operator",
     "asymptotic_constant",
+    "asymptotics",
     "brute_force_alpha",
     "brute_force_alpha_direct",
     "build_transfer",

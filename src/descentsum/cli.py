@@ -22,9 +22,9 @@ import sys
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial
+from math import factorial, isfinite
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import Callable, Sequence
 
 from .exact import (
     BRUTE_FORCE_CAP,
@@ -36,12 +36,9 @@ from .exact import (
     section6_recursion,
     verify_genfun_equation,
 )
-from .expfun import alpha_by_operator_iteration, predict_alpha, scheme_constant
+from .expfun import alpha_by_operator_iteration, asymptotics, predict_alpha
 from .presets import PRESETS, preset_scheme
-from .words import SchemeParseError, WeightScheme, load_scheme, symmetry_defect
-
-if TYPE_CHECKING:
-    from .spectral import SpectralPoint, TransferPair
+from .words import SchemeParseError, WeightScheme, load_scheme
 
 __all__ = ["main"]
 
@@ -65,7 +62,7 @@ class RunReport:
     scheme_label: str
     params: dict
     columns: list[str]
-    rows: list[dict]
+    rows: list[Sequence]  # one value per column, in column order
     summary: list[str] = field(default_factory=list)
 
 
@@ -98,7 +95,7 @@ def _emit(report: RunReport, fmt: str) -> None:
             "params": {k: _json_cell(v) for k, v in report.params.items()},
             "columns": report.columns,
             "rows": [
-                {col: _json_cell(row[col]) for col in report.columns}
+                {col: _json_cell(v) for col, v in zip(report.columns, row)}
                 for row in report.rows
             ],
             "summary": report.summary,
@@ -108,10 +105,9 @@ def _emit(report: RunReport, fmt: str) -> None:
     if fmt == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(report.columns)
-        for row in report.rows:
-            writer.writerow([_fmt_cell(row[col]) for col in report.columns])
+        writer.writerows([_fmt_cell(v) for v in row] for row in report.rows)
         return
-    cells = [[_fmt_cell(row[col]) for col in report.columns] for row in report.rows]
+    cells = [[_fmt_cell(v) for v in row] for row in report.rows]
     widths = [
         max(len(col), *(len(r[i]) for r in cells)) if cells else len(col)
         for i, col in enumerate(report.columns)
@@ -142,45 +138,9 @@ def _resolve_scheme(args) -> tuple[WeightScheme, str]:
     raise UsageFailure("one of --scheme FILE or --preset NAME is required")
 
 
-def _spectrum(
-    scheme: WeightScheme, min_modulus: float
-) -> tuple[TransferPair, list[SpectralPoint]]:
-    """The scheme's transfer pair and its eigenvalues above min_modulus.
-
-    spectral, and numpy with it, is imported here: only the float routes
-    (spectrum, constants, verify) pay for it.
-    """
-    from .spectral import build_transfer, eigenvalues
-
-    pair = build_transfer(scheme)
-    return pair, eigenvalues(pair, min_modulus)
-
-
-def _truncate_points(
-    points: list[SpectralPoint], top: int
-) -> tuple[list[SpectralPoint], float | None]:
-    """Keep the top-k by modulus without splitting a conjugate pair.
-
-    Returns the kept points and the modulus of the first excluded one
-    (None when nothing is excluded).
-    """
-    if top <= 0 or top >= len(points):
-        return points, None
-    k = top
-    last, nxt = points[k - 1].lam, points[k].lam
-    if last.imag != 0 and nxt == last.conjugate():
-        k += 1
-    if k >= len(points):
-        return points, None
-    return points[:k], abs(points[k].lam)
-
-
 def _spectrum_report(command: str, label: str, params: dict, points) -> RunReport:
     columns = ["lambda_re", "lambda_im", "abs_lambda", "simple", "residual"]
-    rows = [
-        dict(zip(columns, (p.lam.real, p.lam.imag, abs(p.lam), p.simple, p.residual)))
-        for p in points
-    ]
+    rows = [(p.lam.real, p.lam.imag, abs(p.lam), p.simple, p.residual) for p in points]
     return RunReport(command, label, params, columns, rows)
 
 
@@ -189,37 +149,12 @@ _CONSTANT_PARTS = ("lambda", "const", "phi_mu", "kappa_psi", "phi_psi")
 _CONSTANT_COLUMNS = [f"{name}_{part}" for name in _CONSTANT_PARTS for part in ("re", "im")]
 
 
-def _constants_for_points(
-    scheme: WeightScheme,
-    pair: TransferPair,
-    points: list[SpectralPoint],
-    skipped: list[tuple[SpectralPoint, str]] | None = None,
-) -> list[dict]:
-    """Constant rows per point; degenerate points go to ``skipped`` if given."""
-    rows = []
-    for p in points:
-        try:
-            const, pairings = scheme_constant(scheme, pair, p)
-        except ValueError as exc:
-            if skipped is None:
-                raise CheckFailure(f"at lambda = {p.lam:.12g}: {exc}") from None
-            skipped.append((p, str(exc)))
-            continue
-        row = {}
-        for name, value in zip(_CONSTANT_PARTS, (p.lam, const, *pairings)):
-            row[f"{name}_re"], row[f"{name}_im"] = complex(value).real, complex(value).imag
-        rows.append(row)
-    return rows
-
-
 # --- subcommands ---
 
 
 def _cmd_oracle(args) -> tuple[RunReport, list[str]]:
     scheme, label = _resolve_scheme(args)
     n = args.n
-    if n < 0:
-        raise UsageFailure("--n must be nonnegative")
     start, end = args.start, args.end
     methods: list[str] = []
     if args.method == "all":
@@ -231,7 +166,7 @@ def _cmd_oracle(args) -> tuple[RunReport, list[str]]:
     else:
         methods.append(args.method)
 
-    rows: list[dict] = []
+    rows: list[tuple] = []
     failures: list[str] = []
     values: dict[str, Fraction] = {}
     for method in methods:
@@ -245,14 +180,7 @@ def _cmd_oracle(args) -> tuple[RunReport, list[str]]:
         except ValueError as exc:
             raise UsageFailure(str(exc)) from None
         values[method] = value
-        rows.append(
-            {
-                "n": n,
-                "method": method,
-                "alpha": value,
-                "alpha_over_n_factorial": float(value / factorial(n)),
-            }
-        )
+        rows.append((n, method, value, float(value / factorial(n))))
     summary = []
     if args.method == "all":
         agree = len(set(values.values())) == 1
@@ -273,22 +201,21 @@ def _cmd_oracle(args) -> tuple[RunReport, list[str]]:
 
 def _cmd_spectrum(args) -> tuple[RunReport, list[str]]:
     scheme, label = _resolve_scheme(args)
-    _, points = _spectrum(scheme, args.min_modulus)
-    points, _ = _truncate_points(points, args.top)
+    points = asymptotics(scheme, args.min_modulus, args.top).points
     params = {"min_modulus": args.min_modulus, "top": args.top}
     return _spectrum_report("spectrum", label, params, points), []
 
 
 def _cmd_constants(args) -> tuple[RunReport, list[str]]:
     scheme, label = _resolve_scheme(args)
-    defect = symmetry_defect(scheme)
-    if defect is not None:
-        raise CheckFailure(
-            f"constants need a reversal-symmetric scheme: {defect}"
-        )
-    pair, points = _spectrum(scheme, args.min_modulus)
-    points, _ = _truncate_points(points, args.top)
-    rows = _constants_for_points(scheme, pair, points)
+    terms, refused, _ = asymptotics(scheme, args.min_modulus, args.top).constants()
+    if refused:
+        p, reason = refused[0]
+        raise CheckFailure(f"at lambda = {p.lam:.12g}: {reason}")
+    rows = [
+        [z for v in map(complex, (p.lam, const, *pairings)) for z in (v.real, v.imag)]
+        for p, const, pairings in terms
+    ]
     report = RunReport(
         command="constants",
         scheme_label=label,
@@ -306,42 +233,30 @@ def _cmd_verify(args) -> tuple[RunReport, list[str]]:
     if n_max < m:
         raise UsageFailure(f"--n-max must be at least m = {m}")
     tol = args.tol
-    if tol <= 0:
-        raise UsageFailure("--tol must be positive")
 
-    defect = symmetry_defect(scheme)
-    pair, points = _spectrum(scheme, args.min_modulus)
-    if defect is not None:
+    analysis = asymptotics(scheme, args.min_modulus, args.top)
+    if analysis.defect is not None:
         print(
-            f"note: scheme is not reversal-symmetric ({defect}); "
+            f"note: scheme is not reversal-symmetric ({analysis.defect}); "
             "constants are unavailable, showing the spectrum only",
             file=sys.stderr,
         )
-        return _spectrum_report("verify", label, {"mode": "spectrum-only"}, points), []
+        params = {"mode": "spectrum-only"}
+        return _spectrum_report("verify", label, params, analysis.points), []
 
-    points, r_hat = _truncate_points(points, args.top)
-    skipped: list[tuple[SpectralPoint, str]] = []
-    crows = _constants_for_points(scheme, pair, points, skipped)
-    for p, msg in skipped:
+    found, refused, r_hat = analysis.constants()
+    for p, msg in refused:
         print(
             f"note: no constant at lambda = {p.lam:.12g} ({msg}); "
             "treating it as excluded",
             file=sys.stderr,
         )
-        worst = abs(p.lam)
-        r_hat = worst if r_hat is None else max(r_hat, worst)
-    terms = [
-        (
-            complex(row["const_re"], row["const_im"]),
-            complex(row["lambda_re"], row["lambda_im"]),
-        )
-        for row in crows
-    ]
+    terms = [(complex(const), complex(p.lam)) for p, const, _ in found]
     # reference decay scale when every found eigenvalue is in the prediction:
     # remaining-spectrum contributions shrink at least factorially
     ref_base = max(2.0, 2.0 * float(scheme.max_abs_weight()))
 
-    rows: list[dict] = []
+    rows: list[tuple] = []
     failures: list[str] = []
     prev_err: float | None = None
     for n in range(m, n_max + 1):
@@ -354,16 +269,7 @@ def _cmd_verify(args) -> tuple[RunReport, list[str]]:
         else:
             bound = tol * ref_base**n / factorial(n + 1)
         bound = max(bound, PREDICTION_RTOL * float(exact_norm))
-        rows.append(
-            {
-                "n": n,
-                "alpha": exact,
-                "alpha_over_n_factorial": float(exact_norm),
-                "predicted": predicted,
-                "abs_error": err,
-                "bound": bound,
-            }
-        )
+        rows.append((n, exact, float(exact_norm), predicted, err, bound))
         if n >= m + 5:
             if err > bound:
                 failures.append(
@@ -392,17 +298,17 @@ def _cmd_verify(args) -> tuple[RunReport, list[str]]:
             "min_modulus": args.min_modulus,
         },
         columns=[
-            "n",
-            "alpha",
-            "alpha_over_n_factorial",
-            "predicted",
-            "abs_error",
-            "bound",
+            "n", "alpha", "alpha_over_n_factorial", "predicted", "abs_error", "bound"
         ],
         rows=rows,
         summary=summary,
     )
     return report, failures
+
+
+# sequence columns checked against the generating function and a
+# nearest-integer formula
+_CHECKED_KEYS = ("aa", "ab", "bb", "total")
 
 
 def _cmd_sequence(args) -> tuple[RunReport, list[str]]:
@@ -416,7 +322,7 @@ def _cmd_sequence(args) -> tuple[RunReport, list[str]]:
         raise UsageFailure("--n-max must be at least 4")
     scheme = preset_scheme("sec6")
     coeffs = genfun_coeffs(n_max)
-    rows: list[dict] = []
+    rows: list[list] = []
     failures: list[str] = []
     for n in range(2, n_max + 1):
         rec = section6_recursion(n)
@@ -434,25 +340,16 @@ def _cmd_sequence(args) -> tuple[RunReport, list[str]]:
             and dp["total"] == rec["total"]
         )
         der_ok = rec["bb"] == derangements(n)
-        gen_ok = all(coeffs[key][n] == rec[key] for key in ("aa", "ab", "bb", "total"))
-        row = {
-            "n": n,
-            "aa": rec["aa"],
-            "ab": rec["ab"],
-            "ba": rec["ab"],
-            "bb": rec["bb"],
-            "total": rec["total"],
-            "dp_ok": dp_ok,
-            "derangement_ok": der_ok,
-            "genfun_ok": gen_ok,
-        }
-        for key in ("aa", "ab", "bb", "total"):
+        gen_ok = all(coeffs[key][n] == rec[key] for key in _CHECKED_KEYS)
+        row = [n, rec["aa"], rec["ab"], rec["ab"], rec["bb"], rec["total"],
+               dp_ok, der_ok, gen_ok]
+        for key in _CHECKED_KEYS:
             try:
                 near = nearest_integer_formula(n, key)
             except ValueError:
-                row[f"nearest_{key}"] = "-"
+                row.append("-")
                 continue
-            row[f"nearest_{key}"] = "ok" if near == rec[key] else "fail"
+            row.append("ok" if near == rec[key] else "fail")
             if near != rec[key]:
                 failures.append(
                     f"n={n}: nearest-integer formula for {key} gave {near}, "
@@ -484,21 +381,8 @@ def _cmd_sequence(args) -> tuple[RunReport, list[str]]:
         command="sequence",
         scheme_label="sec6",
         params={"n_max": n_max},
-        columns=[
-            "n",
-            "aa",
-            "ab",
-            "ba",
-            "bb",
-            "total",
-            "dp_ok",
-            "derangement_ok",
-            "genfun_ok",
-            "nearest_aa",
-            "nearest_ab",
-            "nearest_bb",
-            "nearest_total",
-        ],
+        columns=["n", "aa", "ab", "ba", "bb", "total", "dp_ok", "derangement_ok",
+                 "genfun_ok", *(f"nearest_{key}" for key in _CHECKED_KEYS)],
         rows=rows,
         summary=summary,
     )
@@ -529,8 +413,10 @@ def _add_format_flag(sp: argparse.ArgumentParser) -> None:
 
 def _positive_float(text: str) -> float:
     value = float(text)
-    if not value > 0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+    if not (value > 0 and isfinite(value)):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite positive number, got {text!r}"
+        )
     return value
 
 
@@ -575,7 +461,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "oracle", help="exact alpha_n by up to three independent routes"
     )
     _add_scheme_flags(oracle)
-    oracle.add_argument("--n", type=int, required=True, help="permutation length")
+    oracle.add_argument(
+        "--n", type=_nonnegative_int, required=True, help="permutation length"
+    )
     oracle.add_argument(
         "--method",
         choices=("dp", "brute", "operator", "all"),
@@ -617,7 +505,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     verify.add_argument(
         "--tol",
-        type=float,
+        type=_positive_float,
         default=3.0,
         help="multiplier on the decay bound (default 3)",
     )

@@ -12,6 +12,10 @@ ExpPoly -- finite sums c * x^k * exp(mu x) -- so antiderivatives, products,
 the end-point reflection J, and integrals over the cells are all closed form.
 Coefficients stay exact rationals when the inputs are rational polynomials
 (the operator-iteration route relies on that); otherwise they are complex.
+
+asymptotics() is the analysis entry point: a scheme's spectrum, truncated
+to the top eigenvalues, with the symmetry gate and, on request, one
+constant per eigenvalue.
 """
 
 from __future__ import annotations
@@ -26,8 +30,9 @@ import cmath
 from .exact import WeightedCount, _check_refinement
 from .words import WeightScheme, all_words, symmetry_defect
 
-# numpy and linalg are imported by eigenfunction_pieces, the one function
-# that needs them, so the exact operator-iteration route runs without numpy
+# numpy, linalg and spectral are imported by eigenfunction_pieces and
+# asymptotics, the functions that need them, so the exact
+# operator-iteration route runs without numpy
 if TYPE_CHECKING:
     import numpy as np
 
@@ -48,6 +53,8 @@ __all__ = [
     "adjoint_eigenfunction",
     "asymptotic_constant",
     "scheme_constant",
+    "Asymptotics",
+    "asymptotics",
     "predict_alpha",
     "apply_operator",
     "alpha_by_operator_iteration",
@@ -532,6 +539,72 @@ def scheme_constant(
         mu = mu_piecewise(scheme)
     pairings = inner_products(phi, psi, kappa, mu)
     return asymptotic_constant(*pairings), pairings
+
+
+@dataclass(frozen=True)
+class Asymptotics:
+    """A scheme's kept eigenvalues, with what their constants need.
+
+    ``points`` are the eigenvalues kept, by falling modulus; ``r_hat`` is the
+    modulus of the largest one left out by truncation (None when none is);
+    ``defect`` names a weight pair that breaks reversal symmetry (None when
+    the scheme is symmetric and constants are available).
+    """
+
+    scheme: WeightScheme
+    pair: TransferPair
+    points: tuple[SpectralPoint, ...]
+    r_hat: float | None
+    defect: str | None
+
+    def constants(
+        self,
+    ) -> tuple[
+        list[tuple[SpectralPoint, complex, tuple[complex, complex, complex]]],
+        list[tuple[SpectralPoint, str]],
+        float | None,
+    ]:
+        """(point, constant, pairings) per kept point, (point, reason) per
+        point scheme_constant refuses, and r_hat widened by the refused ones.
+
+        Raises ValueError when the scheme is not reversal-symmetric.
+        """
+        if self.defect is not None:
+            raise ValueError(
+                f"constants need a reversal-symmetric scheme: {self.defect}"
+            )
+        terms, refused, r_hat = [], [], self.r_hat
+        for p in self.points:
+            try:
+                const, pairings = scheme_constant(self.scheme, self.pair, p)
+            except ValueError as exc:
+                refused.append((p, str(exc)))
+                r_hat = abs(p.lam) if r_hat is None else max(r_hat, abs(p.lam))
+                continue
+            terms.append((p, const, pairings))
+        return terms, refused, r_hat
+
+
+def asymptotics(scheme: WeightScheme, r_min: float, top: int = 0) -> Asymptotics:
+    """The scheme's eigenvalues above r_min, kept to the top K by modulus.
+
+    top = K > 0 keeps the K largest, or K + 1 when the K-th is non-real and
+    its conjugate comes next, so a conjugate pair is never split; top <= 0
+    keeps all.  Constants are computed only when the record is asked for
+    them.  spectral, and numpy with it, is imported here: only the float
+    routes pay for it.
+    """
+    from .spectral import build_transfer, eigenvalues
+
+    pair = build_transfer(scheme)
+    points = eigenvalues(pair, r_min)
+    k = min(top, len(points)) if top > 0 else len(points)
+    if 0 < k < len(points):
+        last, nxt = points[k - 1].lam, points[k].lam
+        if last.imag != 0 and nxt == last.conjugate():
+            k += 1
+    r_hat = abs(points[k].lam) if k < len(points) else None
+    return Asymptotics(scheme, pair, tuple(points[:k]), r_hat, symmetry_defect(scheme))
 
 
 def predict_alpha(

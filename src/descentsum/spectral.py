@@ -275,11 +275,12 @@ def eigenvalues(pair: TransferPair, r_min: float) -> list[SpectralPoint]:
 
     Real eigenvalues have an imaginary part of exactly 0; every non-real one
     is reported with its exact conjugate and the conjugated vector.  An
-    r_min at or below the overflow floor is raised above it, with a warning.
-    The result is sorted by falling modulus.
+    r_min at or below the overflow floor is raised above it, with a warning;
+    a nonpositive or non-finite r_min raises ValueError.  The result is
+    sorted by falling modulus.
     """
-    if not r_min > 0:
-        raise ValueError(f"need r_min > 0, got {r_min}")
+    if not 0 < r_min < np.inf:
+        raise ValueError(f"need a finite r_min > 0, got {r_min}")
     floor = pair.overflow_floor()
     if r_min <= floor:
         r_min = floor * 1.01 + 1e-12

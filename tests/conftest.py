@@ -2,7 +2,7 @@
 
 import pytest
 
-from descentsum import build_transfer, eigenvalues, preset_scheme
+from descentsum import asymptotics, preset_scheme
 
 PRESET_NAMES = (
     "sec5-1",
@@ -26,8 +26,8 @@ SYMMETRIC_PRESETS = (
 
 def full_spectrum(scheme):
     """Every eigenvalue with |lambda| > 0.05, sorted by descending modulus."""
-    pair = build_transfer(scheme)
-    return pair, eigenvalues(pair, 0.05)
+    analysis = asymptotics(scheme, 0.05)
+    return analysis.pair, analysis.points
 
 
 @pytest.fixture(scope="session")

@@ -24,6 +24,7 @@ from descentsum import (
     all_words,
     alpha_by_operator_iteration,
     apply_J,
+    asymptotics,
     brute_force_alpha,
     build_transfer,
     constant_piecewise,
@@ -65,9 +66,9 @@ def report(ok, label, detail):
 def spectrum_with_constant(name):
     t0 = perf_counter()
     scheme = preset_scheme(name)
-    pair = build_transfer(scheme)
-    points = eigenvalues(pair, 0.05)
+    analysis = asymptotics(scheme, 0.05)
     elapsed = perf_counter() - t0
+    pair, points = analysis.pair, analysis.points
     top = points[0]
     const, pairings = scheme_constant(scheme, pair, top)
     return SimpleNamespace(

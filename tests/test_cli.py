@@ -142,7 +142,7 @@ def test_spectrum_region_flags(capsys):
     mods = [row["abs_lambda"] for row in doc["rows"]]
     assert len(mods) == 14  # the winding number's count above 0.1
     assert all(m > 0.1 for m in mods)
-    bad_flags = [("--min-modulus", bad) for bad in ("0", "-1", "x")]
+    bad_flags = [("--min-modulus", bad) for bad in ("0", "-1", "x", "inf")]
     bad_flags += [("--top", "-1")]
     for flag, bad in bad_flags:
         with pytest.raises(SystemExit) as exc:
@@ -215,18 +215,37 @@ def test_library_errors_are_check_failures(capsys, monkeypatch):
         assert out == ""
 
 
-def test_verify_spectrum_only_fallback_for_asymmetric(capsys):
+def test_verify_spectrum_only_fallback_for_asymmetric(tmp_path, capsys):
     # no-peaks is not reversal-symmetric; verify degrades with a note
     rc, out, err = run(capsys, "verify", "--preset", "no-peaks")
     assert rc == 0
     assert "spectrum only" in err or "spectrum-only" in out + err
+    # the fallback keeps the same eigenvalues as spectrum under --top
+    f = tmp_path / "lop.scheme"
+    f.write_text("m = 3\nwt aab = 0\n")
+    for top, count in (("0", 11), ("1", 1)):
+        _, spec, _ = run(capsys, "spectrum", "--scheme", str(f), "--top", top)
+        rc, out, err = run(capsys, "verify", "--scheme", str(f), "--top", top)
+        assert rc == 0 and "spectrum only" in err
+        _, rows = table_rows(out)
+        assert len(rows) == count
+        assert out == spec
 
 
 def test_verify_validation(capsys):
     rc, _, err = run(capsys, "verify", "--preset", "sec6", "--n-max", "1")
     assert rc == 2
-    rc, _, err = run(capsys, "verify", "--preset", "sec6", "--tol", "-1")
-    assert rc == 2
+    for bad in ("-1", "0", "nan", "inf", "-inf"):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--preset", "sec6", f"--tol={bad}"])
+        assert exc.value.code == 2
+    err = capsys.readouterr().err
+    for bad in ("nan", "-inf"):
+        assert f"argument --tol: must be a finite positive number, got '{bad}'" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", "--preset", "sec6", "--n", "-1"])
+    assert exc.value.code == 2
+    assert "argument --n: must be nonnegative, got '-1'" in capsys.readouterr().err
 
 
 def test_sequence_default(capsys):

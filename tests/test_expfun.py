@@ -17,6 +17,7 @@ from descentsum import (
     apply_J,
     apply_operator,
     asymptotic_constant,
+    asymptotics,
     brute_force_alpha,
     build_transfer,
     constant_piecewise,
@@ -431,6 +432,10 @@ def test_asymptotic_constant_degenerate_denominator():
     mu = constant_piecewise(2, 1, which_variable="last")
     with pytest.raises(ValueError, match="simple"):
         asymptotic_constant(*inner_products(phi, psi, kappa, mu))
+    # the guard sits at 1e-10: just under it refuses, just over it divides
+    with pytest.raises(ValueError, match="tolerance 1e-10"):
+        asymptotic_constant(2.0, 3.0, 5e-11j)
+    assert asymptotic_constant(2.0, 3.0, 2e-10) == pytest.approx(3e10, rel=1e-15)
 
 
 def test_lemma_pairing_identity_random_f(spectra):
@@ -544,6 +549,57 @@ def test_operator_iteration_exact_type():
     got = alpha_by_operator_iteration(preset_scheme("sec6"), 9)
     assert isinstance(got.value, Fraction)
     assert got.value == dp_alpha(preset_scheme("sec6"), 9).value
+
+
+def test_asymptotics_truncates_without_splitting_a_conjugate_pair(spectra):
+    scheme = preset_scheme("sec5-1")
+    _, every = spectra["sec5-1"]
+    full = asymptotics(scheme, 0.05)
+    assert [p.lam for p in full.points] == [p.lam for p in every]
+    assert full.r_hat is None and full.defect is None
+    assert len(asymptotics(scheme, 0.05, top=len(every)).points) == len(every)
+    # the 2nd and 3rd eigenvalues are a conjugate pair: top 2 keeps both
+    two = asymptotics(scheme, 0.05, top=2)
+    assert [p.lam for p in two.points] == [p.lam for p in every[:3]]
+    assert two.r_hat == abs(every[3].lam)
+    one = asymptotics(scheme, 0.05, top=1)
+    assert len(one.points) == 1 and one.r_hat == abs(every[1].lam)
+
+
+def test_asymptotics_computes_constants_only_when_asked(monkeypatch):
+    import descentsum.expfun as expfun
+
+    calls = []
+    real = expfun.scheme_constant
+
+    def counted(scheme, pair, point):
+        calls.append(point.lam)
+        if len(calls) == 2:
+            raise ValueError("refused for the test")
+        return real(scheme, pair, point)
+
+    monkeypatch.setattr(expfun, "scheme_constant", counted)
+    scheme = preset_scheme("sec5-1")
+    analysis = asymptotics(scheme, 0.05, top=4)
+    assert calls == []
+    terms, refused, r_hat = analysis.constants()
+    assert [p.lam for p, _, _ in terms] == [
+        analysis.points[i].lam for i in (0, 2, 3)
+    ]
+    const, pairings = real(scheme, analysis.pair, analysis.points[0])
+    assert terms[0][1:] == (const, pairings)
+    # a refused point is excluded, so it widens r_hat past the truncation's
+    assert [(p.lam, why) for p, why in refused] == [
+        (analysis.points[1].lam, "refused for the test")
+    ]
+    assert analysis.r_hat < r_hat == abs(analysis.points[1].lam)
+
+
+def test_asymptotics_symmetry_gate():
+    analysis = asymptotics(preset_scheme("no-peaks"), 0.05)
+    assert analysis.defect == "wt(ab) = 0 differs from wt(ba) = 1"
+    with pytest.raises(ValueError, match="reversal-symmetric scheme: wt\\(ab\\)"):
+        analysis.constants()
 
 
 def test_predict_alpha_examples(spectra):

@@ -164,7 +164,7 @@ def test_find_real_roots_sec6():
 
 def test_find_real_roots_validation_and_clipping():
     pair = build_transfer(preset_scheme("sec6"))
-    for r_min in (0.0, -0.1, float("nan")):
+    for r_min in (0.0, -0.1, float("nan"), float("inf")):
         with pytest.raises(ValueError):
             eigenvalues(pair, r_min)
     # clipped to the floor; f = exp(-z)(1 - z) falls under float64 rounding
