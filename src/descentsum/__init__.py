@@ -14,35 +14,10 @@ package.  The names of expfun, linalg and spectral resolve on first access
 
 import importlib
 
-from .exact import (
-    BRUTE_FORCE_CAP,
-    WeightedCount,
-    brute_force_alpha,
-    brute_force_alpha_direct,
-    count_barred,
-    derangements,
-    double_descents,
-    dp_alpha,
-    genfun_coeffs,
-    nearest_integer_formula,
-    section6_recursion,
-    verify_genfun_equation,
-    wt_of_permutation,
-)
-from .presets import PRESETS, preset_scheme
-from .words import (
-    SchemeParseError,
-    WeightScheme,
-    all_words,
-    descent_word,
-    dump_scheme,
-    is_symmetric,
-    load_scheme,
-    pattern_set,
-    reverse_complement,
-    standardize,
-    symmetry_defect,
-)
+from . import exact, presets, words
+from .exact import *
+from .presets import *
+from .words import *
 
 __version__ = "0.1.0"
 
@@ -64,7 +39,6 @@ _LAZY = {
             "eigenfunction_pieces",
             "inner_products",
             "kappa_piecewise",
-            "letter_indicator",
             "mu_piecewise",
             "polytope_integral",
             "predict_alpha",
@@ -88,63 +62,7 @@ _LAZY = {
 }
 _LAZY_MODULES = frozenset(_LAZY.values())
 
-__all__ = [
-    "Asymptotics",
-    "BRUTE_FORCE_CAP",
-    "ExpPoly",
-    "PRESETS",
-    "PiecewiseFn",
-    "SchemeParseError",
-    "SpectralPoint",
-    "TransferPair",
-    "WeightScheme",
-    "WeightedCount",
-    "adjoint_eigenfunction",
-    "all_words",
-    "alpha_by_operator_iteration",
-    "apply_J",
-    "apply_operator",
-    "asymptotic_constant",
-    "asymptotics",
-    "brute_force_alpha",
-    "brute_force_alpha_direct",
-    "build_transfer",
-    "constant_piecewise",
-    "count_barred",
-    "derangements",
-    "descent_word",
-    "det",
-    "det_M_product_check",
-    "det_P",
-    "double_descents",
-    "dp_alpha",
-    "dump_scheme",
-    "eigenfunction_pieces",
-    "eigenvalues",
-    "gamma",
-    "genfun_coeffs",
-    "inner_products",
-    "is_simple",
-    "is_symmetric",
-    "kappa_piecewise",
-    "letter_indicator",
-    "load_scheme",
-    "mat_exp",
-    "mu_piecewise",
-    "nearest_integer_formula",
-    "nullspace_vector",
-    "pattern_set",
-    "polytope_integral",
-    "predict_alpha",
-    "preset_scheme",
-    "reverse_complement",
-    "scheme_constant",
-    "section6_recursion",
-    "standardize",
-    "symmetry_defect",
-    "verify_genfun_equation",
-    "wt_of_permutation",
-]
+__all__ = sorted({*exact.__all__, *presets.__all__, *words.__all__, *_LAZY})
 
 
 def __getattr__(name: str):

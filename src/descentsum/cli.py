@@ -38,7 +38,7 @@ from .exact import (
 )
 from .expfun import alpha_by_operator_iteration, asymptotics, predict_alpha
 from .presets import PRESETS, preset_scheme
-from .words import SchemeParseError, WeightScheme, load_scheme
+from .words import SchemeParseError, WeightScheme, load_scheme, restrict_ends
 
 __all__ = ["main"]
 
@@ -156,6 +156,13 @@ def _cmd_oracle(args) -> tuple[RunReport, list[str]]:
     scheme, label = _resolve_scheme(args)
     n = args.n
     start, end = args.start, args.end
+    if start or end:
+        try:
+            scheme = restrict_ends(scheme, start, end)
+        except ValueError as exc:
+            raise UsageFailure(str(exc)) from None
+        if n < 2:
+            raise UsageFailure("start/end refinements require n >= 2")
     methods: list[str] = []
     if args.method == "all":
         methods.append("dp")
@@ -176,7 +183,7 @@ def _cmd_oracle(args) -> tuple[RunReport, list[str]]:
             "operator": alpha_by_operator_iteration,
         }[method]
         try:
-            value = fn(scheme, n, start=start, end=end).value
+            value = fn(scheme, n).value
         except ValueError as exc:
             raise UsageFailure(str(exc)) from None
         values[method] = value
@@ -241,7 +248,11 @@ def _cmd_verify(args) -> tuple[RunReport, list[str]]:
             "constants are unavailable, showing the spectrum only",
             file=sys.stderr,
         )
-        params = {"mode": "spectrum-only"}
+        params = {
+            "mode": "spectrum-only",
+            "min_modulus": args.min_modulus,
+            "top": args.top,
+        }
         return _spectrum_report("verify", label, params, analysis.points), []
 
     found, refused, r_hat = analysis.constants()
@@ -321,18 +332,14 @@ def _cmd_sequence(args) -> tuple[RunReport, list[str]]:
     if n_max < 4:
         raise UsageFailure("--n-max must be at least 4")
     scheme = preset_scheme("sec6")
+    refined = {x + y: restrict_ends(scheme, x, y) for x in "ab" for y in "ab"}
     coeffs = genfun_coeffs(n_max)
     rows: list[list] = []
     failures: list[str] = []
     for n in range(2, n_max + 1):
         rec = section6_recursion(n)
-        dp = {
-            "aa": dp_alpha(scheme, n, "a", "a").value,
-            "ab": dp_alpha(scheme, n, "a", "b").value,
-            "ba": dp_alpha(scheme, n, "b", "a").value,
-            "bb": dp_alpha(scheme, n, "b", "b").value,
-            "total": dp_alpha(scheme, n).value,
-        }
+        dp = {key: dp_alpha(s, n).value for key, s in refined.items()}
+        dp["total"] = dp_alpha(scheme, n).value
         dp_ok = (
             dp["aa"] == rec["aa"]
             and dp["ab"] == rec["ab"] == dp["ba"]

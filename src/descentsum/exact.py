@@ -8,7 +8,10 @@ else: brute-force enumeration over S_n, grouped by descent word, and
 de Bruijn's prefix-sum recurrence (dp_alpha), which keeps one list of
 weights over the ranks of the last entry per descent-word suffix.  The third,
 operator iteration in exact rationals, is expfun.alpha_by_operator_iteration;
-no route is written in terms of another.  The module also carries the exact
+no route is written in terms of another.  Each route takes only (scheme, n):
+a count restricted to a first or last descent letter is the count of the
+scheme with its boundary weights zeroed off that letter
+(words.restrict_ends).  The module also carries the exact
 closed-form machinery available for the scheme with wt(aa) = 0, wt(bb) = 2:
 recursions, nearest-integer formulas, and generating-function coefficients.
 """
@@ -27,9 +30,11 @@ from .words import WeightScheme, all_words, descent_word
 BRUTE_FORCE_CAP = 10
 
 __all__ = [
+    "BRUTE_FORCE_CAP",
     "WeightedCount",
     "wt_of_permutation",
     "brute_force_alpha",
+    "brute_force_alpha_direct",
     "dp_alpha",
     "derangements",
     "section6_recursion",
@@ -37,6 +42,7 @@ __all__ = [
     "genfun_coeffs",
     "verify_genfun_equation",
     "count_barred",
+    "double_descents",
 ]
 
 
@@ -108,31 +114,13 @@ def _word_multiplicities(n: int) -> dict[str, int]:
     }
 
 
-def _check_refinement(m: int, n: int, start: str | None, end: str | None) -> None:
-    if start is None and end is None:
-        return
-    if m != 2:
-        raise ValueError("start/end refinements are defined only for m = 2")
-    if n < 2:
-        raise ValueError("start/end refinements require n >= 2")
-    for letter in (start, end):
-        if letter is not None and letter not in ("a", "b"):
-            raise ValueError(f"letter must be 'a' or 'b', got {letter!r}")
-
-
-def brute_force_alpha(
-    scheme: WeightScheme,
-    n: int,
-    start: str | None = None,
-    end: str | None = None,
-) -> WeightedCount:
+def brute_force_alpha(scheme: WeightScheme, n: int) -> WeightedCount:
     """alpha_n by enumerating all n! permutations.
 
     The sum is accumulated per descent word (the weight of a permutation
     depends only on its word), which rearranges but does not change the
     defining sum.  Intended as the ground-truth oracle; n is capped at
-    BRUTE_FORCE_CAP -- use dp_alpha for larger n.  ``start``/``end``
-    restrict to words with the given first/last letter (m = 2, n >= 2 only).
+    BRUTE_FORCE_CAP -- use dp_alpha for larger n.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -140,15 +128,10 @@ def brute_force_alpha(
         raise ValueError(
             f"n = {n} exceeds the brute-force cap {BRUTE_FORCE_CAP}; use dp_alpha"
         )
-    _check_refinement(scheme.m, n, start, end)
     if n < scheme.m:
         return WeightedCount(n, Fraction(factorial(n)))
     total = Fraction(0)
     for word, count in _word_multiplicities(n).items():
-        if start is not None and word[0] != start:
-            continue
-        if end is not None and word[-1] != end:
-            continue
         w = _wt_of_word(scheme, word)
         if w:
             total += count * w
@@ -174,12 +157,7 @@ def brute_force_alpha_direct(scheme: WeightScheme, n: int) -> WeightedCount:
     return WeightedCount(n, total)
 
 
-def dp_alpha(
-    scheme: WeightScheme,
-    n: int,
-    start: str | None = None,
-    end: str | None = None,
-) -> WeightedCount:
+def dp_alpha(scheme: WeightScheme, n: int) -> WeightedCount:
     """alpha_n by the insertion dynamic program, exactly.
 
     Permutations are built by appending entries on the right; the state is
@@ -192,15 +170,10 @@ def dp_alpha(
     18, 1970); it costs O(2^(m-1) n^2) additions.  Exact big-integer
     arithmetic is used when every weight is an integer, exact rationals
     otherwise.
-
-    ``start``/``end`` restrict to permutations whose descent word begins or
-    ends with the given letter.  These refined counts are defined only for
-    m = 2 and n >= 2.
     """
     m = scheme.m
     if n < 0:
         raise ValueError("n must be nonnegative")
-    _check_refinement(m, n, start, end)
     if n == 0:
         return WeightedCount(0, Fraction(1))
 
@@ -226,8 +199,6 @@ def dp_alpha(
             below = list(accumulate(weights, initial=zero))
             from_r = list(accumulate(reversed(weights), initial=zero))[::-1]
             for letter, sums in (("a", below), ("b", from_r)):
-                if i == 1 and start is not None and letter != start:
-                    continue
                 grown = suffix + letter
                 factor = None
                 if len(grown) == m:  # a full window just closed
@@ -246,8 +217,6 @@ def dp_alpha(
         states = nxt
     total = zero
     for suffix, weights in states.items():
-        if end is not None and (not suffix or suffix[-1] != end):
-            continue
         weight = sum(weights, zero)
         if n >= m:
             weight = weight * wt2[suffix[len(suffix) - (m - 1) :] if m > 1 else ""]

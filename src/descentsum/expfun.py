@@ -15,23 +15,28 @@ Coefficients stay exact rationals when the inputs are rational polynomials
 
 asymptotics() is the analysis entry point: a scheme's spectrum, truncated
 to the top eigenvalues, with the symmetry gate and, on request, one
-constant per eigenvalue.
+constant per eigenvalue.  The gate asks only that the window weights be
+invariant under word reversal: the boundary weights wt1 and wt2 enter the
+constants only through kappa and mu in the pairings, so they are free, and
+a count restricted to a first or last descent letter (words.restrict_ends)
+gets its constant like any other scheme.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import comb, factorial
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 import cmath
 
-from .exact import WeightedCount, _check_refinement
+from .exact import WeightedCount
 from .words import WeightScheme, all_words, symmetry_defect
 
-# numpy, linalg and spectral are imported by eigenfunction_pieces and
-# asymptotics, the functions that need them, so the exact
+# numpy, linalg and spectral are imported by eigenfunction_pieces and the
+# Asymptotics record, where they are needed, so the exact
 # operator-iteration route runs without numpy
 if TYPE_CHECKING:
     import numpy as np
@@ -60,7 +65,6 @@ __all__ = [
     "alpha_by_operator_iteration",
     "kappa_piecewise",
     "mu_piecewise",
-    "letter_indicator",
     "constant_piecewise",
 ]
 
@@ -348,26 +352,6 @@ def mu_piecewise(scheme: WeightScheme) -> PiecewiseFn:
     )
 
 
-def letter_indicator(m: int, letter: str, which_variable: str) -> PiecewiseFn:
-    """Indicator of cells whose word starts (first) or ends (last) with letter."""
-    if letter not in ("a", "b"):
-        raise ValueError("letter must be 'a' or 'b'")
-    if m < 2:
-        raise ValueError("letter indicators need m >= 2")
-
-    def hit(u: str) -> bool:
-        return (u[0] if which_variable == "first" else u[-1]) == letter
-
-    return PiecewiseFn(
-        m,
-        which_variable,
-        {
-            u: ExpPoly.constant(Fraction(1)) if hit(u) else ExpPoly.zero()
-            for u in all_words(m - 1)
-        },
-    )
-
-
 def eigenfunction_pieces(
     pair: TransferPair, lam: complex, vector: np.ndarray
 ) -> PiecewiseFn:
@@ -483,14 +467,20 @@ def inner_products(
     )
 
 
+def _window_defect(scheme: WeightScheme) -> str | None:
+    """symmetry_defect of the window weights alone, boundary weights aside."""
+    return symmetry_defect(WeightScheme(scheme.m, scheme.wt))
+
+
 def adjoint_eigenfunction(scheme: WeightScheme, phi: PiecewiseFn) -> PiecewiseFn:
     """The adjoint eigenfunction psi = J(phi).
 
-    Valid only when the scheme is symmetric under word reversal (then J
-    conjugates the operator into its adjoint); any other scheme is refused
-    with a diagnostic naming the offending weight pair.
+    Valid only when the window weights are symmetric under word reversal
+    (then J conjugates the operator into its adjoint; the boundary weights
+    play no part in the operator); any other scheme is refused with a
+    diagnostic naming the offending weight pair.
     """
-    defect = symmetry_defect(scheme)
+    defect = _window_defect(scheme)
     if defect is not None:
         raise ValueError(
             "adjoint eigenfunctions via the J reflection need a "
@@ -516,28 +506,20 @@ def asymptotic_constant(p_phi_mu, p_kappa_psi, p_phi_psi) -> complex:
 
 
 def scheme_constant(
-    scheme: WeightScheme,
-    pair: TransferPair,
-    point: SpectralPoint,
-    kappa: PiecewiseFn | None = None,
-    mu: PiecewiseFn | None = None,
+    scheme: WeightScheme, pair: TransferPair, point: SpectralPoint
 ) -> tuple[complex, tuple[complex, complex, complex]]:
     """One eigenvalue's asymptotic constant and the three pairings behind it.
 
     The eigenfunction phi of point.vector, its adjoint psi = J(phi), the
-    pairings (<phi, mu>, <kappa, conj(psi)>, <phi, conj(psi)>), and their
-    ratio, for the scheme's transfer pair.  kappa and mu default to the
-    scheme's initial and final weight functions.  Raises ValueError when
-    the scheme is not reversal-symmetric, the eigenspaces cannot be
-    classified, or the denominator pairing vanishes.
+    pairings (<phi, mu>, <kappa, conj(psi)>, <phi, conj(psi)>) with the
+    scheme's boundary weight functions kappa and mu, and their ratio, for
+    the scheme's transfer pair.  Raises ValueError when the window weights
+    are not reversal-symmetric, the eigenspaces cannot be classified, or
+    the denominator pairing vanishes.
     """
     phi = eigenfunction_pieces(pair, point.lam, point.vector)
     psi = adjoint_eigenfunction(scheme, phi)
-    if kappa is None:
-        kappa = kappa_piecewise(scheme)
-    if mu is None:
-        mu = mu_piecewise(scheme)
-    pairings = inner_products(phi, psi, kappa, mu)
+    pairings = inner_products(phi, psi, kappa_piecewise(scheme), mu_piecewise(scheme))
     return asymptotic_constant(*pairings), pairings
 
 
@@ -545,17 +527,47 @@ def scheme_constant(
 class Asymptotics:
     """A scheme's kept eigenvalues, with what their constants need.
 
-    ``points`` are the eigenvalues kept, by falling modulus; ``r_hat`` is the
-    modulus of the largest one left out by truncation (None when none is);
-    ``defect`` names a weight pair that breaks reversal symmetry (None when
-    the scheme is symmetric and constants are available).
+    ``points`` are the eigenvalues above ``r_min`` kept, by falling modulus;
+    ``r_hat`` is the modulus of the largest one left out by truncation (None
+    when none is).  ``defect`` names a window-weight pair that breaks
+    reversal symmetry (None when the window weights are symmetric and
+    constants are available; the boundary weights wt1 and wt2 are free).
+    The transfer pair and the one eigenvalue search behind ``points`` and
+    ``r_hat`` are made on first access, and spectral, with numpy, is
+    imported then: a refused constants() call pays for neither.
     """
 
     scheme: WeightScheme
-    pair: TransferPair
-    points: tuple[SpectralPoint, ...]
-    r_hat: float | None
+    r_min: float
+    top: int
     defect: str | None
+
+    @cached_property
+    def pair(self) -> TransferPair:
+        from .spectral import build_transfer
+
+        return build_transfer(self.scheme)
+
+    @cached_property
+    def _kept(self) -> tuple[tuple[SpectralPoint, ...], float | None]:
+        from .spectral import eigenvalues
+
+        points = eigenvalues(self.pair, self.r_min)
+        k = min(self.top, len(points)) if self.top > 0 else len(points)
+        if 0 < k < len(points):
+            last, nxt = points[k - 1].lam, points[k].lam
+            if last.imag != 0 and nxt == last.conjugate():
+                k += 1
+        r_hat = abs(points[k].lam) if k < len(points) else None
+        return tuple(points[:k]), r_hat
+
+    @property
+    def points(self) -> tuple[SpectralPoint, ...]:
+        return self._kept[0]
+
+    @property
+    def r_hat(self) -> float | None:
+        return self._kept[1]
 
     def constants(
         self,
@@ -567,7 +579,8 @@ class Asymptotics:
         """(point, constant, pairings) per kept point, (point, reason) per
         point scheme_constant refuses, and r_hat widened by the refused ones.
 
-        Raises ValueError when the scheme is not reversal-symmetric.
+        Raises ValueError, before any eigenvalue search, when the window
+        weights are not reversal-symmetric.
         """
         if self.defect is not None:
             raise ValueError(
@@ -590,21 +603,10 @@ def asymptotics(scheme: WeightScheme, r_min: float, top: int = 0) -> Asymptotics
 
     top = K > 0 keeps the K largest, or K + 1 when the K-th is non-real and
     its conjugate comes next, so a conjugate pair is never split; top <= 0
-    keeps all.  Constants are computed only when the record is asked for
-    them.  spectral, and numpy with it, is imported here: only the float
-    routes pay for it.
+    keeps all.  The eigenvalues are searched for when the record is first
+    asked for them, and constants only when it is asked for those.
     """
-    from .spectral import build_transfer, eigenvalues
-
-    pair = build_transfer(scheme)
-    points = eigenvalues(pair, r_min)
-    k = min(top, len(points)) if top > 0 else len(points)
-    if 0 < k < len(points):
-        last, nxt = points[k - 1].lam, points[k].lam
-        if last.imag != 0 and nxt == last.conjugate():
-            k += 1
-    r_hat = abs(points[k].lam) if k < len(points) else None
-    return Asymptotics(scheme, pair, tuple(points[:k]), r_hat, symmetry_defect(scheme))
+    return Asymptotics(scheme, r_min, top, _window_defect(scheme))
 
 
 def predict_alpha(
@@ -656,35 +658,20 @@ def apply_operator(scheme: WeightScheme, f: PiecewiseFn) -> PiecewiseFn:
     return PiecewiseFn(m, "first", pieces)
 
 
-def alpha_by_operator_iteration(
-    scheme: WeightScheme,
-    n: int,
-    start: str | None = None,
-    end: str | None = None,
-) -> WeightedCount:
+def alpha_by_operator_iteration(scheme: WeightScheme, n: int) -> WeightedCount:
     """alpha_n as n! <T^(n-m)(kappa), mu>, in exact rational arithmetic.
 
     Iterates of T on the piecewise-constant kappa stay rational polynomials,
     and the closing pairing is a rational polytope integral, so the result is
-    an exact Fraction.  Requires n >= m.  ``start``/``end`` restrict to
-    descent words with the given first/last letter by zeroing kappa and mu
-    off the matching cells (m = 2, n >= 2 only, matching the other oracles).
+    an exact Fraction.  Requires n >= m.
     """
     m = scheme.m
     if n < m:
         raise ValueError(f"operator iteration needs n >= m = {m}")
-    _check_refinement(m, n, start, end)
     f = kappa_piecewise(scheme)
-    if start is not None:
-        ind = letter_indicator(m, start, "first")
-        f = PiecewiseFn(m, "first", {u: f.pieces[u] * ind.pieces[u] for u in f.pieces})
     for _ in range(n - m):
         f = apply_operator(scheme, f)
-    mu = mu_piecewise(scheme)
-    if end is not None:
-        ind = letter_indicator(m, end, "last")
-        mu = PiecewiseFn(m, "last", {u: mu.pieces[u] * ind.pieces[u] for u in mu.pieces})
-    total = _pairing(f, mu)  # mu is rational, conjugation is a no-op
+    total = _pairing(f, mu_piecewise(scheme))  # mu is rational, conjugation is a no-op
     if not isinstance(total, (int, Fraction)):
         raise AssertionError("operator iteration left the exact path")
     return WeightedCount(n, Fraction(factorial(n)) * total)

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from .words import WeightScheme, load_scheme
 
+__all__ = ["PRESETS", "preset_scheme"]
+
 PRESETS: dict[str, str] = {
     # windows of length 3: no three consecutive ascents or descents
     "sec5-1": "m = 3\nwt aaa = 0\nwt bbb = 0\n",

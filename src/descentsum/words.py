@@ -29,6 +29,8 @@ __all__ = [
     "standardize",
     "reverse_complement",
     "is_symmetric",
+    "symmetry_defect",
+    "restrict_ends",
     "pattern_set",
     "load_scheme",
     "dump_scheme",
@@ -137,10 +139,12 @@ def is_symmetric(scheme: WeightScheme) -> bool:
     """True when the scheme is invariant under reading words backwards.
 
     The reflection pi -> (n+1-pi_n, ..., n+1-pi_1) reverses the descent word,
-    so a scheme with wt(w) = wt(reversed w) for every window (and
-    wt1(u) = wt2(reversed u) on the boundary) has the property that the
-    adjoint of its transfer operator is conjugate to the operator itself via
-    the apply_J reflection; the asymptotic-constant pipeline relies on this.
+    so a scheme with wt(w) = wt(reversed w) for every window and
+    wt1(u) = wt2(reversed u) on the boundary gives every permutation and its
+    reflection the same weight.  The asymptotic constants need only the
+    window half: then the apply_J reflection conjugates the transfer
+    operator into its adjoint, and the boundary weights enter the constants
+    only through the pairings, so they are free.
     """
     return symmetry_defect(scheme) is None
 
@@ -154,6 +158,32 @@ def symmetry_defect(scheme: WeightScheme) -> str | None:
         if v != scheme.wt2[u[::-1]]:
             return f"wt1({u}) = {v} differs from wt2({u[::-1]}) = {scheme.wt2[u[::-1]]}"
     return None
+
+
+def restrict_ends(
+    scheme: WeightScheme, start: Letter | None = None, end: Letter | None = None
+) -> WeightScheme:
+    """The scheme restricted to descent words that begin with ``start`` and
+    end with ``end`` (None leaves that end free).
+
+    The restriction is a change of boundary weights: wt1 is zeroed on the
+    words that do not start with ``start``, wt2 on those that do not end
+    with ``end``.  Defined for m = 2, where the boundary words are the first
+    and the last letter; it acts on counts with n >= 2.
+    """
+    if start is None and end is None:
+        return scheme
+    if scheme.m != 2:
+        raise ValueError("start/end refinements are defined only for m = 2")
+    for letter in (start, end):
+        if letter not in (None, "a", "b"):
+            raise ValueError(f"letter must be 'a' or 'b', got {letter!r}")
+    return WeightScheme(
+        scheme.m,
+        scheme.wt,
+        {u: v if start in (None, u[0]) else 0 for u, v in scheme.wt1.items()},
+        {u: v if end in (None, u[-1]) else 0 for u, v in scheme.wt2.items()},
+    )
 
 
 def pattern_set(words: Iterable[str]) -> set[tuple[int, ...]]:

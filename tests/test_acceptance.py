@@ -40,13 +40,12 @@ from descentsum import (
     genfun_coeffs,
     inner_products,
     is_simple,
-    kappa_piecewise,
-    letter_indicator,
     mat_exp,
     mu_piecewise,
     nearest_integer_formula,
     polytope_integral,
     preset_scheme,
+    restrict_ends,
     scheme_constant,
     section6_recursion,
     verify_genfun_equation,
@@ -218,19 +217,7 @@ def test_criterion_06_sec6_constants():
     }
     worst = 0.0
     for (x, y), want in targets.items():
-        kappa = kappa_piecewise(scheme)
-        mu = mu_piecewise(scheme)
-        if x is not None:
-            ind = letter_indicator(2, x, "first")
-            kappa = PiecewiseFn(
-                2, "first", {u: kappa.pieces[u] * ind.pieces[u] for u in kappa.pieces}
-            )
-        if y is not None:
-            ind = letter_indicator(2, y, "last")
-            mu = PiecewiseFn(
-                2, "last", {u: mu.pieces[u] * ind.pieces[u] for u in mu.pieces}
-            )
-        c, _ = scheme_constant(scheme, pair, top, kappa=kappa, mu=mu)
+        c, _ = scheme_constant(restrict_ends(scheme, x, y), pair, top)
         worst = max(worst, abs(c - want))
     ok = worst < 1e-10
     report(
@@ -324,10 +311,10 @@ def test_criterion_09_sec6_exact_sequences():
     checks = 0
     for n in range(2, 21):
         rec = section6_recursion(n)
-        assert rec["aa"] == dp_alpha(scheme, n, start="a", end="a").value
-        assert rec["ab"] == dp_alpha(scheme, n, start="a", end="b").value
-        assert rec["ab"] == dp_alpha(scheme, n, start="b", end="a").value
-        assert rec["bb"] == dp_alpha(scheme, n, start="b", end="b").value
+        assert rec["aa"] == dp_alpha(restrict_ends(scheme, "a", "a"), n).value
+        assert rec["ab"] == dp_alpha(restrict_ends(scheme, "a", "b"), n).value
+        assert rec["ab"] == dp_alpha(restrict_ends(scheme, "b", "a"), n).value
+        assert rec["bb"] == dp_alpha(restrict_ends(scheme, "b", "b"), n).value
         assert rec["total"] == dp_alpha(scheme, n).value
         assert rec["bb"] == derangements(n)
         for key in ("aa", "ab", "bb", "total"):

@@ -58,6 +58,12 @@ def test_oracle_single_method_and_refinement(capsys):
     assert rc == 0
     _, rows = table_rows(out)
     assert rows[0]["alpha"] == "2"
+    rc, _, err = run(capsys, "oracle", "--preset", "sec6", "--n", "1", "--end", "b")
+    assert rc == 2
+    assert "error: start/end refinements require n >= 2" in err
+    rc, _, err = run(capsys, "oracle", "--preset", "sec5-1", "--n", "5", "--start", "a")
+    assert rc == 2
+    assert "error: start/end refinements are defined only for m = 2" in err
 
 
 def test_oracle_brute_example(capsys):
@@ -169,6 +175,48 @@ def test_constants_refuse_asymmetric_scheme(tmp_path, capsys):
     assert "symmetric" in err
 
 
+def test_constants_refuse_before_any_eigenvalue_search(tmp_path, capsys, monkeypatch):
+    import descentsum.spectral as spectral
+
+    calls = []
+    monkeypatch.setattr(spectral, "eigenvalues", lambda *args: calls.append(args))
+    f = tmp_path / "lop.scheme"
+    f.write_text("m = 3\nwt aab = 0\n")
+    for source, defect in (
+        (["--scheme", str(f)], "wt(aab) = 0 differs from wt(baa) = 1"),
+        (["--preset", "no-peaks"], "wt(ab) = 0 differs from wt(ba) = 1"),
+    ):
+        rc, out, err = run(capsys, "constants", *source)
+        assert rc == 1 and out == ""
+        assert (
+            f"check failed: constants need a reversal-symmetric scheme: {defect}\n"
+            in err
+        )
+    assert calls == []
+
+
+def test_boundary_weights_need_no_symmetry(tmp_path, capsys):
+    # symmetric windows, lopsided boundary weights: constants and verify run
+    f = tmp_path / "ends.scheme"
+    f.write_text(
+        "m = 3\nwt aaa = 0\nwt bbb = 0\n"
+        "wt1 aa = 1/2\nwt1 ab = 2\nwt2 ba = -1\nwt2 bb = 3\n"
+    )
+    rc, out, err = run(capsys, "verify", "--scheme", str(f), "--n-max", "24")
+    assert rc == 0, err
+    assert "spectrum only" not in err
+    _, rows = table_rows(out)
+    assert [int(r["n"]) for r in rows] == list(range(3, 25))
+    assert all(float(r["abs_error"]) <= float(r["bound"]) for r in rows)
+    assert float(rows[-1]["abs_error"]) < 1e-15
+    # one constant per eigenvalue of sec5-1, whose windows these are
+    rc, out, _ = run(capsys, "constants", "--scheme", str(f))
+    assert rc == 0
+    _, rows = table_rows(out)
+    _, spec = table_rows(run(capsys, "spectrum", "--preset", "sec5-1")[1])
+    assert [r["lambda_re"] for r in rows] == [r["lambda_re"] for r in spec]
+
+
 def test_verify_sec51_top1(capsys):
     rc, out, _ = run(capsys, "verify", "--preset", "sec5-1", "--top", "1")
     assert rc == 0
@@ -230,6 +278,13 @@ def test_verify_spectrum_only_fallback_for_asymmetric(tmp_path, capsys):
         _, rows = table_rows(out)
         assert len(rows) == count
         assert out == spec
+    # the json record names the flags that chose those rows
+    rc, out, _ = run(capsys, "verify", "--scheme", str(f), "--top", "1",
+                     "--min-modulus", "0.2", "--format", "json")
+    assert rc == 0
+    assert json.loads(out)["params"] == {
+        "mode": "spectrum-only", "min_modulus": 0.2, "top": 1
+    }
 
 
 def test_verify_validation(capsys):

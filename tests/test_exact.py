@@ -1,9 +1,12 @@
 """Exact counting oracles: brute force, insertion DP, recursions, closed forms."""
 
+from collections import Counter
 from fractions import Fraction
-from itertools import combinations, permutations
+from functools import lru_cache
+from itertools import combinations, permutations, product
 from math import factorial
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +15,7 @@ from descentsum import (
     BRUTE_FORCE_CAP,
     WeightScheme,
     all_words,
+    alpha_by_operator_iteration,
     brute_force_alpha,
     brute_force_alpha_direct,
     count_barred,
@@ -23,6 +27,7 @@ from descentsum import (
     is_symmetric,
     nearest_integer_formula,
     preset_scheme,
+    restrict_ends,
     section6_recursion,
     verify_genfun_equation,
     wt_of_permutation,
@@ -123,7 +128,7 @@ def test_brute_force_grouped_equals_direct():
 
 def test_dp_examples():
     sec6 = preset_scheme("sec6")
-    assert dp_alpha(sec6, 3, start="b", end="b").value == 2
+    assert dp_alpha(restrict_ends(sec6, "b", "b"), 3).value == 2
     assert dp_alpha(sec6, 4).value == 26
     for n in range(1, 8):
         assert dp_alpha(preset_scheme("all-ones"), n).value == factorial(n)
@@ -139,11 +144,10 @@ def test_dp_equals_brute_on_presets():
 def test_dp_refinement_validation():
     sec6 = preset_scheme("sec6")
     with pytest.raises(ValueError, match="m = 2"):
-        dp_alpha(preset_scheme("sec5-1"), 5, start="a")
-    with pytest.raises(ValueError, match="n >= 2"):
-        dp_alpha(sec6, 1, end="b")
-    with pytest.raises(ValueError):
-        dp_alpha(sec6, 4, start="c")
+        restrict_ends(preset_scheme("sec5-1"), start="a")
+    with pytest.raises(ValueError, match="letter must be 'a' or 'b'"):
+        restrict_ends(sec6, start="c")
+    assert restrict_ends(preset_scheme("sec5-1")) == preset_scheme("sec5-1")
 
 
 def test_refinements_partition_the_total():
@@ -155,7 +159,7 @@ def test_refinements_partition_the_total():
     for s in schemes:
         for n in range(2, 10):
             parts = [
-                dp_alpha(s, n, start=x, end=y).value
+                dp_alpha(restrict_ends(s, x, y), n).value
                 for x in "ab"
                 for y in "ab"
             ]
@@ -168,8 +172,8 @@ def test_refinements_cross_symmetry():
         s = preset_scheme(name)
         assert is_symmetric(s)
         for n in range(2, 9):
-            assert dp_alpha(s, n, start="a", end="b").value == dp_alpha(
-                s, n, start="b", end="a"
+            assert dp_alpha(restrict_ends(s, "a", "b"), n).value == dp_alpha(
+                restrict_ends(s, "b", "a"), n
             ).value
 
 
@@ -202,10 +206,53 @@ def test_dp_refinements_equal_brute_on_random_schemes(data):
     for n in range(2, 9):
         for start in (None, "a", "b"):
             for end in (None, "a", "b"):
+                r = restrict_ends(s, start, end)
                 assert (
-                    dp_alpha(s, n, start=start, end=end).value
-                    == brute_force_alpha(s, n, start=start, end=end).value
+                    dp_alpha(r, n).value == brute_force_alpha(r, n).value
                 ), (n, start, end)
+
+
+@lru_cache(maxsize=None)
+def words_of_S_n(n):
+    """How many permutations of S_n have each descent word, by itertools."""
+    return Counter(
+        "".join("a" if p[i] < p[i + 1] else "b" for i in range(n - 1))
+        for p in permutations(range(n))
+    )
+
+
+def filtered_alpha(scheme, n, start, end):
+    """alpha_n of an m = 2 scheme over the permutations whose descent word
+    begins with start and ends with end (None: either letter)."""
+    total = Fraction(0)
+    for word, count in words_of_S_n(n).items():
+        if start not in (None, word[0]) or end not in (None, word[-1]):
+            continue
+        weight = scheme.wt1[word[0]] * scheme.wt2[word[-1]]
+        for i in range(n - 2):
+            weight *= scheme.wt[word[i : i + 2]]
+        total += count * weight
+    return total
+
+
+def assert_restricted_oracles_filter(scheme):
+    for n in range(2, 10):
+        for start, end in product((None, "a", "b"), repeat=2):
+            want = filtered_alpha(scheme, n, start, end)
+            r = restrict_ends(scheme, start, end)
+            for oracle in (dp_alpha, brute_force_alpha, alpha_by_operator_iteration):
+                assert oracle(r, n).value == want, (oracle.__name__, n, start, end)
+
+
+@pytest.mark.parametrize("name", ["sec6", "no-peaks", "alternating", "all-ones"])
+def test_restricted_presets_equal_filtered_enumeration(name):
+    assert_restricted_oracles_filter(preset_scheme(name))
+
+
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_restricted_random_schemes_equal_filtered_enumeration(data):
+    assert_restricted_oracles_filter(random_scheme(2, data))
 
 
 def test_derangements_table():
@@ -215,7 +262,7 @@ def test_derangements_table():
 def test_derangements_match_descent_refinement():
     sec6 = preset_scheme("sec6")
     for n in range(2, 15):
-        assert dp_alpha(sec6, n, start="b", end="b").value == derangements(n)
+        assert dp_alpha(restrict_ends(sec6, "b", "b"), n).value == derangements(n)
 
 
 def test_section6_recursion_seeds_and_values():
@@ -233,10 +280,10 @@ def test_section6_recursion_matches_dp():
     sec6 = preset_scheme("sec6")
     for n in [*range(2, 41), *range(50, 151, 10)]:
         rec = section6_recursion(n)
-        assert rec["aa"] == dp_alpha(sec6, n, start="a", end="a").value
-        assert rec["bb"] == dp_alpha(sec6, n, start="b", end="b").value
-        assert rec["ab"] == dp_alpha(sec6, n, start="a", end="b").value
-        assert rec["ab"] == dp_alpha(sec6, n, start="b", end="a").value
+        assert rec["aa"] == dp_alpha(restrict_ends(sec6, "a", "a"), n).value
+        assert rec["bb"] == dp_alpha(restrict_ends(sec6, "b", "b"), n).value
+        assert rec["ab"] == dp_alpha(restrict_ends(sec6, "a", "b"), n).value
+        assert rec["ab"] == dp_alpha(restrict_ends(sec6, "b", "a"), n).value
         assert rec["total"] == dp_alpha(sec6, n).value, n
 
 
@@ -244,7 +291,8 @@ def test_nearest_integer_examples():
     assert nearest_integer_formula(4, "bb") == 9
     assert nearest_integer_formula(4, "total") == 26
     sec6 = preset_scheme("sec6")
-    assert nearest_integer_formula(8, "aa") == dp_alpha(sec6, 8, start="a", end="a").value
+    aa = restrict_ends(sec6, "a", "a")
+    assert nearest_integer_formula(8, "aa") == dp_alpha(aa, 8).value
 
 
 def test_nearest_integer_thresholds():
@@ -265,6 +313,25 @@ def test_nearest_integer_matches_recursion_through_20():
         for which, n0 in thresholds.items():
             if n >= n0:
                 assert nearest_integer_formula(n, which) == rec[which], (n, which)
+
+
+def test_nearest_integer_is_the_nearest_integer():
+    thresholds = {"aa": 8, "ab": 3, "bb": 2, "total": 4}
+    coeffs = genfun_coeffs(40)
+    with mpmath.workdps(80):  # 40! has 48 digits: the fractional part keeps 30
+        e = mpmath.e
+        constants = {
+            "aa": e - 4 + 4 / e, "ab": 1 - 2 / e, "bb": 1 / e, "total": e - 2 + 1 / e
+        }
+        for which, c in constants.items():
+            for n in range(thresholds[which], 41):
+                value = nearest_integer_formula(n, which)
+                assert value == coeffs[which][n], (which, n)
+                assert abs(c * mpmath.factorial(n) - value) < 0.5, (which, n)
+        # below the thresholds rounding c * n! misses the count
+        for which, n in (("aa", 7), ("ab", 2), ("total", 3)):
+            miss = abs(constants[which] * mpmath.factorial(n) - coeffs[which][n])
+            assert 0.5 < miss < 1, (which, n)
 
 
 def test_genfun_coeffs_examples():

@@ -26,11 +26,11 @@ from descentsum import (
     eigenvalues,
     inner_products,
     kappa_piecewise,
-    letter_indicator,
     mu_piecewise,
     polytope_integral,
     predict_alpha,
     preset_scheme,
+    restrict_ends,
     scheme_constant,
     WeightScheme,
 )
@@ -184,11 +184,14 @@ def test_kappa_mu_and_indicator_builders():
     mu = mu_piecewise(s)
     assert mu.which_variable == "last"
     assert mu.pieces["b"] == ExpPoly.constant(5)
-    ind = letter_indicator(3, "b", "last")
-    assert ind.pieces["ab"] == ExpPoly.constant(1)
-    assert ind.pieces["ba"].is_zero
+    # a restricted scheme's boundary functions are indicator-weighted
+    ind = mu_piecewise(restrict_ends(s, end="b"))
+    assert ind.pieces["b"] == ExpPoly.constant(5)
+    assert ind.pieces["a"].is_zero
+    first = kappa_piecewise(restrict_ends(s, start="b"))
+    assert first.pieces["a"].is_zero and first.pieces["b"] == ExpPoly.constant(1)
     with pytest.raises(ValueError):
-        letter_indicator(1, "a", "first")
+        restrict_ends(WeightScheme(m=1), start="a")
 
 
 # --------------------------------------------------- polytope integration
@@ -389,7 +392,7 @@ def test_inner_products_sec6_exact_targets():
     pair = build_transfer(scheme)
     phi = eigenfunction_pieces(pair, 1.0, np.array([1.0, 2.0]))
     psi = adjoint_eigenfunction(scheme, phi)
-    ind_b = letter_indicator(2, "b", "last")
+    ind_b = mu_piecewise(restrict_ends(scheme, end="b"))
     p_phi_1b, _, p_phi_psi = inner_products(phi, psi, kappa_piecewise(scheme), ind_b)
     assert abs(p_phi_1b - 1 / E) < 1e-12
     assert abs(p_phi_psi - 1 / E) < 1e-12
@@ -406,15 +409,7 @@ def test_section6_refined_constants():
         (None, None): E - 2 + 1 / E,
     }
     for (x, y), want in targets.items():
-        kappa = kappa_piecewise(scheme)
-        mu = mu_piecewise(scheme)
-        if x is not None:
-            ind = letter_indicator(2, x, "first")
-            kappa = PiecewiseFn(2, "first", {u: kappa.pieces[u] * ind.pieces[u] for u in kappa.pieces})
-        if y is not None:
-            ind = letter_indicator(2, y, "last")
-            mu = PiecewiseFn(2, "last", {u: mu.pieces[u] * ind.pieces[u] for u in mu.pieces})
-        c, _ = scheme_constant(scheme, pair, top, kappa=kappa, mu=mu)
+        c, _ = scheme_constant(restrict_ends(scheme, x, y), pair, top)
         assert abs(c - want) < 1e-10, (x, y)
 
 
@@ -537,12 +532,12 @@ def test_operator_iteration_refinements():
     for n in range(2, 8):
         for x in "ab":
             for y in "ab":
+                r = restrict_ends(s, x, y)
                 assert (
-                    alpha_by_operator_iteration(s, n, start=x, end=y).value
-                    == dp_alpha(s, n, start=x, end=y).value
+                    alpha_by_operator_iteration(r, n).value == dp_alpha(r, n).value
                 )
     with pytest.raises(ValueError, match="m = 2"):
-        alpha_by_operator_iteration(preset_scheme("sec5-1"), 5, start="a")
+        restrict_ends(preset_scheme("sec5-1"), start="a")
 
 
 def test_operator_iteration_exact_type():
@@ -600,6 +595,27 @@ def test_asymptotics_symmetry_gate():
     assert analysis.defect == "wt(ab) = 0 differs from wt(ba) = 1"
     with pytest.raises(ValueError, match="reversal-symmetric scheme: wt\\(ab\\)"):
         analysis.constants()
+    # the gate reads the window weights only: boundary weights are free
+    lopsided_ends = WeightScheme(m=2, wt={"aa": 0, "bb": 2}, wt1={"a": 3}, wt2={"a": -1})
+    analysis = asymptotics(lopsided_ends, 0.05)
+    assert analysis.defect is None
+    (point, const, _), = analysis.constants()[0]
+    assert const == scheme_constant(lopsided_ends, analysis.pair, point)[0]
+
+
+def test_asymptotics_searches_eigenvalues_once_on_first_access(monkeypatch):
+    import descentsum.spectral as spectral
+
+    calls = []
+    real = spectral.eigenvalues
+    monkeypatch.setattr(
+        spectral, "eigenvalues", lambda *args: calls.append(args) or real(*args)
+    )
+    analysis = asymptotics(preset_scheme("sec5-1"), 0.05, top=1)
+    assert calls == []
+    assert len(analysis.points) == 1 and analysis.r_hat is not None
+    analysis.constants()
+    assert len(calls) == 1
 
 
 def test_predict_alpha_examples(spectra):

@@ -19,6 +19,7 @@ from descentsum import (
     load_scheme,
     pattern_set,
     preset_scheme,
+    restrict_ends,
     reverse_complement,
     standardize,
     symmetry_defect,
@@ -129,6 +130,16 @@ def test_is_symmetric_couples_wt1_to_wt2():
     # reversal swaps the boundary tables, so a lone wt2 entry also breaks it
     msg = symmetry_defect(WeightScheme(m=2, wt2={"b": 3}))
     assert "wt1" in msg or "wt2" in msg
+
+
+def test_restrict_ends_zeroes_boundary_weights():
+    s = WeightScheme(m=2, wt={"aa": 0}, wt1={"a": 3, "b": Fraction(1, 2)}, wt2={"a": -1})
+    r = restrict_ends(s, start="b", end="a")
+    assert r.wt == s.wt
+    assert r.wt1 == {"a": 0, "b": Fraction(1, 2)}
+    assert r.wt2 == {"a": -1, "b": 0}
+    assert restrict_ends(s, end="b").wt1 == s.wt1
+    assert restrict_ends(s) is s
 
 
 def test_pattern_set_examples():
