@@ -161,8 +161,8 @@ def _cmd_oracle(args) -> tuple[RunReport, list[str]]:
             scheme = restrict_ends(scheme, start, end)
         except ValueError as exc:
             raise UsageFailure(str(exc)) from None
-        if n < 2:
-            raise UsageFailure("start/end refinements require n >= 2")
+        if n < scheme.m:
+            raise UsageFailure(f"start/end refinements require n >= {scheme.m}")
     methods: list[str] = []
     if args.method == "all":
         methods.append("dp")

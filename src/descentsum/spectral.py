@@ -22,6 +22,19 @@ of f in the disc |z| < 1/r, so the winding number of f on that circle counts
 them, and contour moments of f'/f locate them (Delves & Lyness, Math. Comp.
 21, 1967; Kravanja & Van Barel, Computing the Zeros of Analytic Functions,
 LNM 1727, 2000).
+
+f'/f is evaluated in a basis W that splits C into one block T_i per cluster
+of its eigenvalues.  Removing the cluster's centre c leaves N = T_i - cI,
+nilpotent of some index p (exactly 0 on a 1 x 1 block; p <= 4 on the no-runs
+schemes up to m = 7), so every contour point needs only scalar factors
+times the powers of N, which are computed once per pair:
+
+    exp(zT_i) = e^(zc) sum_{j<p} (zN)^j / j!
+    z gamma(zT_i) = z sum_{j<p} (zN)^j psi_j(zc),  psi_j(x) = int_0^1 t^j e^(tx) dt / j!
+
+A block that stays non-nilpotent once its centre is removed, and the single
+block used when W is ill-conditioned, fall back to linalg's scaling and
+squaring on that block alone.
 """
 
 from __future__ import annotations
@@ -29,10 +42,11 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .linalg import _EXP_NORM_LIMIT, _exp_and_gamma, det, gamma
+from .linalg import _EXP_NORM_LIMIT, MAX_DIM, _exp_and_gamma, det, gamma
 from .linalg import invariant_subspaces, mat_exp, nullspace_vector
 from .words import WeightScheme, all_words
 
@@ -47,7 +61,15 @@ _NEWTON_STEPS = 50
 _NEWTON_TOL = 1e-10  # largest last Newton step of a zero, relative to |z|
 _STEP_IN = 0.98  # a circle whose count does not settle moves in by this factor
 _SAME_TOL = 1e-5  # polished zeros this close, relative to |z|, are one zero
-_STACK_BYTES = 2**16  # one stacked (points, d, d) array; bounds peak memory
+_TIE_TOL = 1e-12  # moduli this close, relative, sort by |angle|
+_STACK_BYTES = 2**16  # one (points, d, d) or (points, p, clusters) array: bounds memory
+_NILPOTENT_TOL = 1e-12  # relative size of a change of T that counts as rounding
+_INV_FACTORIAL = 1 / np.cumprod([1.0, *range(1, MAX_DIM + 1)])
+_PSI_TERMS = 18  # Taylor terms of psi_j on |x| < 1: truncation error below 1e-17
+_PSI_SERIES = (  # [i, j] -> 1 / (i! j! (i + j + 1))
+    _INV_FACTORIAL[:_PSI_TERMS, None] * _INV_FACTORIAL[None, :]
+    / (np.arange(_PSI_TERMS)[:, None] + np.arange(MAX_DIM + 1)[None, :] + 1)
+)
 
 __all__ = [
     "TransferPair",
@@ -82,14 +104,15 @@ class TransferPair:
         return norm / _EXP_NORM_LIMIT
 
     @cached_property
-    def _blocks(self) -> tuple[np.ndarray, ...]:
+    def _blocks(self) -> _Blocks:
         """B and C = A - B in a basis W of generalized eigenspaces of C.
 
-        Returns W^-1 B W; the block-diagonal T = W^-1 C W, one block per
-        cluster of eigenvalues within _CLUSTER_TOL; per column the centre c
-        of its cluster (0 for a cluster at 0); and the inverse of T with
-        the blocks where c = 0 taken as I.  When W is ill-conditioned,
-        T = C and c = 0.
+        T = W^-1 C W keeps one diagonal block T_i per cluster of eigenvalues
+        within _CLUSTER_TOL.  The centre c_i of a cluster is the mean of its
+        eigenvalues, tr(T_i)/k_i, so N_i = T_i - c_i I is exactly 0 on a
+        1 x 1 block; a larger cluster at 0 has c_i = 0.  A block whose N_i
+        is not nilpotent (see _nilpotent_powers) is a fallback block.  When
+        W is ill-conditioned, the one block T = C with c = 0 is used.
         """
         C, d = self.A - self.B, self.dim
         tol = _CLUSTER_TOL * max(1.0, float(np.linalg.norm(C, 1)))
@@ -102,11 +125,57 @@ class TransferPair:
             clusters, W = [(0j, d)], np.eye(d)
         sizes = [k for _, k in clusters]
         label = np.repeat(np.arange(len(sizes)), sizes)
-        c = np.repeat([0j if abs(rep) <= tol else rep for rep, _ in clusters], sizes)
         Winv = np.linalg.inv(W)
         T = np.where(label[:, None] == label[None, :], Winv @ C @ W, 0)
-        flat = (c == 0)[:, None] & (c == 0)[None, :]
-        return Winv @ self.B @ W, T, c, np.linalg.inv(np.where(flat, np.eye(d), T))
+        spans = [slice(b - k, b) for b, k in zip(np.cumsum(sizes), sizes)]
+        centre = np.array([
+            0j if k > 1 and abs(rep) <= tol else np.trace(T[s, s]) / k
+            for (rep, k), s in zip(clusters, spans)
+        ])
+        scale, powers, fallback = np.linalg.norm(T, 1), [np.eye(d, dtype=complex)], []
+        for s, c in zip(spans, centre):
+            chain = _nilpotent_powers(T[s, s] - c * np.eye(s.stop - s.start), scale)
+            if chain is None:
+                fallback.append(s)
+            for j, power in enumerate(chain or [], 1):
+                if j == len(powers):
+                    powers.append(np.zeros((d, d), dtype=complex))
+                powers[j][s, s] = power
+        flat = (centre[label] == 0)[:, None] & (centre[label] == 0)[None, :]
+        Tinv = np.linalg.inv(np.where(flat, np.eye(d), T))
+        return _Blocks(
+            Winv @ self.B @ W, T, Tinv, label, centre, np.array(powers), tuple(fallback)
+        )
+
+
+class _Blocks(NamedTuple):
+    """What the contour kernel needs of a pair that does not depend on z."""
+
+    B: np.ndarray  # W^-1 B W
+    T: np.ndarray  # W^-1 (A - B) W, block-diagonal
+    Tinv: np.ndarray  # inverse of T with its blocks where c = 0 taken as I
+    label: np.ndarray  # per column, the index of its cluster
+    centre: np.ndarray  # per cluster, its centre c_i
+    powers: np.ndarray  # (p, d, d): I, then N^j, each block zero past its index
+    fallback: tuple[slice, ...]  # the blocks whose N_i is not nilpotent
+
+
+def _nilpotent_powers(N: np.ndarray, scale: float) -> list[np.ndarray] | None:
+    """[N, ..., N^(p-1)] for the nilpotency index p of N, or None.
+
+    p is the first power with ||N^p||_1 <= _NILPOTENT_TOL scale ||N||_1^(p-1):
+    N^p is no larger than a change of N by _NILPOTENT_TOL scale, the
+    rounding level of a block of a matrix of norm scale, can make it.  None
+    when no p up to the size of N qualifies.
+    """
+    norm, powers = np.linalg.norm(N, 1), [np.eye(len(N))]
+    while len(powers) <= len(N):
+        power = powers[-1] @ N
+        bound = _NILPOTENT_TOL * scale * norm ** (len(powers) - 1)
+        if np.linalg.norm(power, 1) <= bound:
+            return powers[1:]
+        powers.append(power)
+    return None
 
 
 @dataclass(frozen=True)
@@ -141,24 +210,77 @@ def build_transfer(scheme: WeightScheme) -> TransferPair:
     return TransferPair(m=m, A=A, B=B)
 
 
-def _kernel(pair: TransferPair, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Stacks N, R over a 1-d array z with f'(z)/f(z) = -tr(N^-1 R).
+def _kernel(
+    pair: TransferPair, z: np.ndarray
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Stacks M, R with f'(z)/f(z) = -tr(M^-1 R), _STACK_BYTES of z at a time.
 
-    In the basis W, M(z) = I - B' z gamma(zT) and B exp(zC) = B' exp(zT),
+    In the basis W, M(z) = I - B' z gamma(zT) and R = B exp(zC) = B' exp(zT),
     with B' = W^-1 B W.  Where a block's centre c has Re(zc) > 1, its
     columns in both are multiplied by exp(-zc): the trace is unchanged, but
     the entries stay bounded, so f'/f keeps its digits much further out
     than with the growing exponentials of M itself.
+
+    Both matrix functions have a closed form on a block T_i = cI + N with
+    N^p = 0:
+
+        exp(z(T_i - shift)) = exp(z(c - shift)) sum_{j<p} (zN)^j / j!
+        z gamma(zT_i) = z sum_{j<p} (zN)^j psi_j(zc)
+
+    with psi_j(x) = int_0^1 t^j e^(tx) dt / j! (see _psi).  The scalar
+    factors are computed per cluster, for as many points at once as fit
+    _STACK_BYTES in a (points, p, clusters) array, so a stack only weights
+    the precomputed powers of N.  A fallback block gets both from
+    linalg._exp_and_gamma on that block alone.
     """
-    Bw, T, c, Tinv = pair._blocks
-    zs, eye = z[:, None, None], np.eye(pair.dim)
-    grows = (z[:, None] * c).real > 1
-    shift = np.where(grows, c, 0)[:, None, :]
-    E, G = _exp_and_gamma(zs * (T - shift * eye))  # exp(zT - z shift): bounded
-    S = np.exp(-zs * shift) * eye
-    # exp(-zc) z gamma(zT) = (exp(z(T - c)) - exp(-zc)) T^-1 on a growing block
-    Psi = np.where(grows[:, None, :], (E - S) @ Tinv, zs * G)
-    return S - Bw @ Psi, Bw @ E
+    Bw, T, Tinv, label, centre, powers, fallback = pair._blocks
+    p, eye = len(powers), np.eye(pair.dim)
+    chunk = max(1, _STACK_BYTES // (16 * pair.dim**2))  # points per (d, d) stack
+    piece = chunk * max(1, pair.dim**2 // (p * len(centre)))  # per (p, clusters)
+    for start in range(0, len(z), piece):
+        zp = z[start : start + piece]
+        x = zp[:, None] * centre
+        grows = x.real > 1
+        shift = np.where(grows, centre, 0)
+        e = np.exp(np.where(grows, 0, x))  # exp(z(c - shift))
+        s = np.exp(-zp[:, None] * shift)  # exp(-z shift)
+        zj = zp[:, None] ** np.arange(p)
+        e_coef = zj * _INV_FACTORIAL[:p]  # of N^j in exp(z(T - c))
+        g_coef = (zp[:, None] * zj)[:, :, None] * _psi(x, p)  # of N^j in z gamma(zT)
+        for a in range(0, len(zp), chunk):
+            b = slice(a, a + chunk)
+            E = (e_coef[b] @ powers.reshape(p, -1)).reshape(-1, *T.shape)
+            E *= e[b, None, label]
+            G = np.einsum("njc,jrc->nrc", g_coef[b][:, :, label], powers)
+            zs = zp[b, None, None]
+            for f in fallback:
+                c = shift[b, label[f.start], None, None]
+                E[:, f, f], G[:, f, f] = _exp_and_gamma(zs * (T[f, f] - c * eye[f, f]))
+                G[:, f, f] *= zs
+            S = s[b, None, label] * eye
+            if grows[b].any():
+                # growing: exp(-zc) z gamma(zT) = (exp(z(T - c)) - exp(-zc)) T^-1
+                G = np.where(grows[b, None, label], (E - S) @ Tinv, G)
+            yield S - Bw @ G, Bw @ E
+
+
+def _psi(x: np.ndarray, p: int) -> np.ndarray:
+    """psi_j(x) = int_0^1 t^j e^(tx) dt / j! for j < p, on a new axis 1.
+
+    psi_0(x) = expm1(x)/x, and psi_j = (e^x/j! - psi_(j-1))/x by parts,
+    which loses few digits for |x| >= 1.  Below that the Taylor series
+    psi_j(x) = sum_i x^i / (i! j! (i + j + 1)) is used, so psi_j(0) = 1/(j+1)!.
+    (psi_j is not the phi_(j+1) of exponential integrators.)
+    """
+    small = np.abs(x) < 1
+    xs, series = np.where(small, x, 0)[:, None], _PSI_SERIES[-1, :p, None]
+    for row in _PSI_SERIES[-2::-1, :p, None]:  # Horner
+        series = series * xs + row
+    big = np.where(small, 1, x)
+    ex, psi = np.exp(big), [np.expm1(big) / big]
+    for j in range(1, p):
+        psi.append((ex * _INV_FACTORIAL[j] - psi[-1]) / big)
+    return np.where(small[:, None], series, np.stack(psi, axis=1))
 
 
 def _P(pair: TransferPair, lam: complex) -> np.ndarray:
@@ -183,12 +305,10 @@ def det_P(pair: TransferPair, lam: complex) -> complex:
 
 def _log_derivative(pair: TransferPair, zs: np.ndarray) -> np.ndarray:
     """f'(z)/f(z) = -tr(M(z)^-1 B exp(zC)) at every z of a 1-d array."""
-    chunk = max(1, _STACK_BYTES // (16 * pair.dim**2))
-    pieces = (zs[i : i + chunk] for i in range(0, len(zs), chunk))
     # where f is not resolved in float64 the values come out non-finite,
     # which the callers reject
     with np.errstate(all="ignore"):
-        return np.concatenate([_trace_solve(*_kernel(pair, z)) for z in pieces])
+        return np.concatenate([_trace_solve(*stacks) for stacks in _kernel(pair, zs)])
 
 
 def _trace_solve(M: np.ndarray, BE: np.ndarray):
@@ -277,7 +397,10 @@ def eigenvalues(pair: TransferPair, r_min: float) -> list[SpectralPoint]:
     is reported with its exact conjugate and the conjugated vector.  An
     r_min at or below the overflow floor is raised above it, with a warning;
     a nonpositive or non-finite r_min raises ValueError.  The result is
-    sorted by falling modulus.
+    sorted by falling modulus, except that a run of moduli each within
+    _TIE_TOL (relative) of the one before is sorted by |angle|, the lower
+    half plane first: a pair +-lambda is equal in modulus only to rounding,
+    and a conjugate pair stays adjacent.
     """
     if not 0 < r_min < np.inf:
         raise ValueError(f"need a finite r_min > 0, got {r_min}")
@@ -323,7 +446,20 @@ def eigenvalues(pair: TransferPair, r_min: float) -> list[SpectralPoint]:
         else:
             p = _make_point(pair, 1 / z)
             points += [p, replace(p, lam=p.lam.conjugate(), vector=p.vector.conj())]
-    return sorted(points, key=lambda p: (-abs(p.lam), np.angle(p.lam)))
+    # a pair +-lambda is equal in modulus only to rounding: runs of moduli
+    # that agree to _TIE_TOL sort by |angle|, which keeps conjugates adjacent
+    runs: list[list[SpectralPoint]] = []
+    for p in sorted(points, key=lambda p: -abs(p.lam)):
+        if runs and abs(p.lam) >= abs(runs[-1][-1].lam) * (1 - _TIE_TOL):
+            runs[-1].append(p)
+        else:
+            runs.append([p])
+    return [p for run in runs for p in sorted(run, key=_angle_key)]
+
+
+def _angle_key(p: SpectralPoint) -> tuple[float, float]:
+    angle = float(np.angle(p.lam))
+    return abs(angle), angle
 
 
 def _settled_circle(pair: TransferPair, radius: float, lo: float) -> _Circle | None:

@@ -168,13 +168,14 @@ def restrict_ends(
 
     The restriction is a change of boundary weights: wt1 is zeroed on the
     words that do not start with ``start``, wt2 on those that do not end
-    with ``end``.  Defined for m = 2, where the boundary words are the first
-    and the last letter; it acts on counts with n >= 2.
+    with ``end``.  Defined for m >= 2, where the boundary words are the
+    first and the last m - 1 letters; it acts on counts with n >= m, since
+    shorter permutations carry no weights.
     """
     if start is None and end is None:
         return scheme
-    if scheme.m != 2:
-        raise ValueError("start/end refinements are defined only for m = 2")
+    if scheme.m < 2:
+        raise ValueError("start/end refinements are defined only for m >= 2")
     for letter in (start, end):
         if letter not in (None, "a", "b"):
             raise ValueError(f"letter must be 'a' or 'b', got {letter!r}")

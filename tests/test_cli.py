@@ -61,9 +61,17 @@ def test_oracle_single_method_and_refinement(capsys):
     rc, _, err = run(capsys, "oracle", "--preset", "sec6", "--n", "1", "--end", "b")
     assert rc == 2
     assert "error: start/end refinements require n >= 2" in err
-    rc, _, err = run(capsys, "oracle", "--preset", "sec5-1", "--n", "5", "--start", "a")
+    rc, out, _ = run(capsys, "oracle", "--preset", "sec5-1", "--n", "5", "--start", "a")
+    assert rc == 0
+    _, rows = table_rows(out)
+    assert [r["alpha"] for r in rows] == ["51"] * 3  # half of alpha_5 = 102
+    rc, _, err = run(capsys, "oracle", "--preset", "sec5-1", "--n", "2", "--end", "b")
     assert rc == 2
-    assert "error: start/end refinements are defined only for m = 2" in err
+    assert "error: start/end refinements require n >= 3" in err
+    rc, _, err = run(capsys, "oracle", "--preset", "no-descents", "--n", "5",
+                     "--start", "a")
+    assert rc == 2
+    assert "error: start/end refinements are defined only for m >= 2" in err
 
 
 def test_oracle_brute_example(capsys):

@@ -143,8 +143,8 @@ def test_dp_equals_brute_on_presets():
 
 def test_dp_refinement_validation():
     sec6 = preset_scheme("sec6")
-    with pytest.raises(ValueError, match="m = 2"):
-        restrict_ends(preset_scheme("sec5-1"), start="a")
+    with pytest.raises(ValueError, match="m >= 2"):
+        restrict_ends(preset_scheme("no-descents"), start="a")
     with pytest.raises(ValueError, match="letter must be 'a' or 'b'"):
         restrict_ends(sec6, start="c")
     assert restrict_ends(preset_scheme("sec5-1")) == preset_scheme("sec5-1")
@@ -222,21 +222,21 @@ def words_of_S_n(n):
 
 
 def filtered_alpha(scheme, n, start, end):
-    """alpha_n of an m = 2 scheme over the permutations whose descent word
-    begins with start and ends with end (None: either letter)."""
-    total = Fraction(0)
+    """alpha_n (n >= m >= 2) over the permutations whose descent word begins
+    with start and ends with end (None: either letter)."""
+    m, total = scheme.m, Fraction(0)
     for word, count in words_of_S_n(n).items():
         if start not in (None, word[0]) or end not in (None, word[-1]):
             continue
-        weight = scheme.wt1[word[0]] * scheme.wt2[word[-1]]
-        for i in range(n - 2):
-            weight *= scheme.wt[word[i : i + 2]]
+        weight = scheme.wt1[word[: m - 1]] * scheme.wt2[word[n - m :]]
+        for i in range(n - m):
+            weight *= scheme.wt[word[i : i + m]]
         total += count * weight
     return total
 
 
-def assert_restricted_oracles_filter(scheme):
-    for n in range(2, 10):
+def assert_restricted_oracles_filter(scheme, lengths=range(2, 10)):
+    for n in lengths:
         for start, end in product((None, "a", "b"), repeat=2):
             want = filtered_alpha(scheme, n, start, end)
             r = restrict_ends(scheme, start, end)
@@ -253,6 +253,17 @@ def test_restricted_presets_equal_filtered_enumeration(name):
 @given(data=st.data())
 def test_restricted_random_schemes_equal_filtered_enumeration(data):
     assert_restricted_oracles_filter(random_scheme(2, data))
+
+
+def test_restricted_m3_scheme_equals_filtered_enumeration():
+    # signed, not reversal-symmetric, boundary weights on both ends
+    scheme = WeightScheme(
+        m=3,
+        wt={"aab": Fraction(1, 2), "bba": 3, "aba": 0},
+        wt1={"ab": 2, "bb": Fraction(-1, 3)},
+        wt2={"ba": -1, "aa": Fraction(5, 2)},
+    )
+    assert_restricted_oracles_filter(scheme, range(3, 8))
 
 
 def test_derangements_table():

@@ -536,8 +536,8 @@ def test_operator_iteration_refinements():
                 assert (
                     alpha_by_operator_iteration(r, n).value == dp_alpha(r, n).value
                 )
-    with pytest.raises(ValueError, match="m = 2"):
-        restrict_ends(preset_scheme("sec5-1"), start="a")
+    with pytest.raises(ValueError, match="m >= 2"):
+        restrict_ends(preset_scheme("no-descents"), start="a")
 
 
 def test_operator_iteration_exact_type():

@@ -15,12 +15,14 @@ import descentsum.words
 
 SRC = str(Path(descentsum.__file__).resolve().parent.parent)
 
-# runs the CLI in a fresh interpreter, then reports whether numpy was loaded
+# runs the CLI in a fresh interpreter, then reports whether numpy and scipy
+# (not a dependency: nothing may import it) were loaded
 _PROBE = (
     "import sys\n"
     "from descentsum.cli import main\n"
     "rc = main(sys.argv[1:])\n"
-    "print('numpy loaded:', 'numpy' in sys.modules, 'exit:', rc, file=sys.stderr)\n"
+    "print('numpy loaded:', 'numpy' in sys.modules, 'scipy loaded:',\n"
+    "      'scipy' in sys.modules, 'exit:', rc, file=sys.stderr)\n"
 )
 
 
@@ -50,7 +52,8 @@ def test_import_leaves_numpy_unloaded(module):
     ids=["oracle-dp", "oracle-operator", "sequence"],
 )
 def test_exact_routes_run_without_numpy(argv):
-    assert _fresh("-c", _PROBE, *argv) == "numpy loaded: False exit: 0"
+    want = "numpy loaded: False scipy loaded: False exit: 0"
+    assert _fresh("-c", _PROBE, *argv) == want
 
 
 @pytest.mark.parametrize(
@@ -62,7 +65,8 @@ def test_exact_routes_run_without_numpy(argv):
     ids=["spectrum", "oracle-brute"],
 )
 def test_float_routes_load_numpy(argv):
-    assert _fresh("-c", _PROBE, *argv) == "numpy loaded: True exit: 0"
+    want = "numpy loaded: True scipy loaded: False exit: 0"
+    assert _fresh("-c", _PROBE, *argv) == want
 
 
 def test_every_public_name_resolves_and_is_listed():

@@ -4,13 +4,16 @@ import cmath
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
+import descentsum.linalg as linalg
 import descentsum.spectral as spectral
 
 from descentsum import (
     WeightScheme,
+    all_words,
     build_transfer,
     det_M_product_check,
     det_P,
@@ -19,6 +22,7 @@ from descentsum import (
     load_scheme,
     preset_scheme,
 )
+from descentsum.linalg import _exp_and_gamma
 
 TAU = math.sqrt((1 + math.sqrt(5)) / 2)
 SIGMA = math.sqrt((-1 + math.sqrt(5)) / 2)
@@ -302,6 +306,17 @@ def test_eigenvalues_no_runs_5():
     assert all(p.residual < 1e-9 for p in points)
 
 
+def test_eigenvalues_no_runs_6():
+    # m = 6: A - B has a 22-dimensional nilpotent block of index 3; the
+    # argument-principle count of benchmark/reference.py gives 32 above 0.1
+    text = "m = 6\nwt aaaaaa = 0\nwt bbbbbb = 0\n"
+    pair = build_transfer(load_scheme(text))
+    assert len(pair._blocks.powers) == 3 and pair._blocks.fallback == ()
+    points = eigenvalues(pair, 0.1)
+    assert len(points) == 32
+    assert all(p.simple for p in points)
+
+
 def test_residual_at_window_length_1():
     # m = 1 with wt(a) = 2, wt(b) = 1: P(lambda) = lambda (e^(1/lambda) - 2),
     # so the eigenvalues are 1/(log 2 + 2 pi i k); P is 1 x 1 here, where
@@ -324,6 +339,83 @@ def test_log_derivative_closed_forms():
     sec6 = build_transfer(preset_scheme("sec6"))
     w = z / 5
     assert np.allclose(spectral._log_derivative(sec6, w), -1 + 1 / (w - 1), rtol=1e-10)
+
+
+def dense_log_derivative(pair, z):
+    """f'/f and cond(M) by the whole-matrix formula the closed forms replace:
+    one linalg._exp_and_gamma on z(T - shift) over all of T."""
+    Bw, T, Tinv, label, centre, *_ = pair._blocks
+    c, eye, zs = centre[label], np.eye(pair.dim), z[:, None, None]
+    grows = (z[:, None] * c).real > 1
+    shift = np.where(grows, c, 0)[:, None, :]
+    with np.errstate(all="ignore"):
+        E, G = _exp_and_gamma(zs * (T - shift * eye))
+        S = np.exp(-zs * shift) * eye
+        Psi = np.where(grows[:, None, :], (E - S) @ Tinv, zs * G)
+        M = S - Bw @ Psi
+        trace = -np.trace(np.linalg.solve(M, Bw @ E), axis1=1, axis2=2)
+        return trace, np.linalg.cond(M)
+
+
+KERNEL_SCHEMES = {name: preset_scheme(name) for name in (
+    "sec5-1", "sec5-2", "sec6", "no-descents", "no-peaks", "alternating", "all-ones"
+)} | {
+    "no-runs-5": load_scheme("m = 5\nwt aaaaa = 0\nwt bbbbb = 0\n"),
+    "alternating-5x1": WeightScheme(
+        5, {w: int(all(w[i] != w[i + 1] for i in range(4))) for w in all_words(5)}
+    ),
+}
+# A - B has eigenvalues 0, 0, 1 and 1.01: a cluster tolerance above 0.01
+# merges the last two into one block that no centre makes nilpotent
+NEAR_PAIR = load_scheme("m = 3\nwt aba = 0\nwt abb = 0\nwt bbb = -101/100\n")
+
+
+@pytest.mark.parametrize("basis", ["clusters", "merged", "one-block"])
+def test_log_derivative_matches_the_dense_formula(basis, monkeypatch):
+    # 1e-12 relative, widened only by the rounding bound d eps cond(M) of the
+    # reference's own solve: where M is ill-conditioned (sec6 and no-peaks
+    # at |z| = 20, cond up to 1e16) neither formula resolves f'/f further
+    schemes = dict(KERNEL_SCHEMES, near=NEAR_PAIR)
+    if basis == "merged":
+        # the merged space is accepted as one generalized eigenspace only
+        # with a looser null space test
+        monkeypatch.setattr(spectral, "_CLUSTER_TOL", 0.05)
+        monkeypatch.setattr(linalg, "_JORDAN_TOL", 1e-4)
+        schemes = {"near": NEAR_PAIR}
+    if basis == "one-block":
+        monkeypatch.setattr(spectral, "_BASIS_COND", 0.5)
+    for name, scheme in schemes.items():
+        pair = build_transfer(scheme)
+        blocks = pair._blocks
+        if basis == "clusters":
+            assert blocks.fallback == (), name
+        elif basis == "merged":
+            assert len(blocks.centre) == 2 and blocks.fallback != ()
+        else:
+            assert len(blocks.centre) == 1
+            assert blocks.fallback != () or name in ("no-descents", "all-ones")
+        for radius in (10, 20):
+            z = radius * np.exp(2j * np.pi * (np.arange(64) + 0.3) / 64)
+            want, cond = dense_log_derivative(pair, z)
+            got = spectral._log_derivative(pair, z)
+            finite = np.isfinite(want)
+            assert finite.sum() >= 32, (name, radius)
+            tol = (1e-12 + pair.dim * np.finfo(float).eps * cond) * np.abs(want)
+            assert np.all(np.abs(got - want)[finite] <= tol[finite]), (name, radius)
+
+
+def test_psi_is_its_integral():
+    # psi_j(x) = int_0^1 t^j e^(tx) dt / j!, on both sides of |x| = 1 where
+    # the series hands over to the recurrence, and at 0
+    xs = np.array([0, 1e-9, 0.3 - 0.5j, 0.99j, -1.01, 1.5 + 2j, -7 + 1j, 30j, -40])
+    got = spectral._psi(xs[:, None], 4)[:, :, 0]
+    for x, row in zip(xs, got):
+        for j, value in enumerate(row):
+            with mpmath.workdps(30):
+                want = mpmath.quad(
+                    lambda t: t**j * mpmath.exp(t * complex(x)), [0, 1]
+                ) / math.factorial(j)
+            assert abs(value - complex(want)) <= 1e-14 * abs(complex(want)), (x, j)
 
 
 def test_transcendental_sums_at_top_roots():
@@ -369,11 +461,42 @@ def test_det_M_product_check():
 
 
 def test_spectrum_sorted_by_modulus(spectra):
+    tie = spectral._TIE_TOL
     for name in ("sec5-1", "sec5-2", "alternating"):
         _, points = spectra[name]
-        mods = [abs(p.lam) for p in points]
-        assert mods == sorted(mods, reverse=True)
+        # falling modulus; neighbours whose moduli agree to _TIE_TOL (a pair
+        # +-lambda, equal in modulus only to rounding) by |angle|, then angle
+        for a, b in zip(points, points[1:]):
+            if abs(b.lam) < abs(a.lam) * (1 - tie):
+                continue
+            assert abs(b.lam) <= abs(a.lam) * (1 + tie), name
+            key_a, key_b = (
+                (abs(np.angle(p.lam)), np.angle(p.lam)) for p in (a, b)
+            )
+            assert key_a <= key_b, name
         assert abs(points[0].lam.imag) < 1e-10  # dominant root is real
+    _, points = spectra["alternating"]
+    assert [p.lam.real > 0 for p in points[:4]] == [True, False, True, False]
+
+
+def test_ties_in_modulus_sort_by_angle(monkeypatch):
+    # +-lambda one ulp of modulus apart either way, then a real zero and a
+    # conjugate pair of one modulus: each run comes out by |angle|, the
+    # conjugates adjacent, and the next modulus after it
+    pair = build_transfer(preset_scheme("alternating"))
+    monkeypatch.setattr(spectral, "_MAX_PENCIL", 64)
+    monkeypatch.setattr(
+        spectral, "_make_point",
+        lambda pair, lam: spectral.SpectralPoint(lam, np.ones(1), True, 0.0),
+    )
+    half_pi = math.pi / 2
+    shorter = float(np.nextafter(half_pi, 0))
+    assert 1 / shorter != 1 / half_pi
+    for top in ([half_pi, -shorter], [shorter, -half_pi]):
+        zeros = top + [2j, 2.0, 3.0]
+        monkeypatch.setattr(spectral, "_annulus_zeros", lambda *args: zeros)
+        lams = [p.lam for p in eigenvalues(pair, 0.3)]
+        assert lams == [1 / top[0], 1 / top[1], 0.5, -0.5j, 0.5j, 1 / 3]
 
 
 def test_alternating_top_root_is_2_over_pi(spectra):
