@@ -419,7 +419,10 @@ def _add_format_flag(sp: argparse.ArgumentParser) -> None:
 
 
 def _positive_float(text: str) -> float:
-    value = float(text)
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
     if not (value > 0 and isfinite(value)):
         raise argparse.ArgumentTypeError(
             f"must be a finite positive number, got {text!r}"

@@ -13,6 +13,14 @@ the end-point reflection J, and integrals over the cells are all closed form.
 Coefficients stay exact rationals when the inputs are rational polynomials
 (the operator-iteration route relies on that); otherwise they are complex.
 
+An eigenfunction is exp((A - B)x/lambda) c on every cell.  It is read off
+the decomposition A - B = W T W^-1 that the transfer pair already holds for
+its contour kernel (spectral.TransferPair.blocks): a block T_i = c_i I + N_i
+with N_i^(p_i) = 0 contributes e^(c_i x/lambda) times a polynomial of
+degree below p_i, so no eigenvalue decomposes A - B again.  A block whose
+N_i is not nilpotent has no finite exponential-polynomial form: on a pair
+with such a block, eigenfunctions, and hence constants, are refused.
+
 asymptotics() is the analysis entry point: a scheme's spectrum, truncated
 to the top eigenvalues, with the symmetry gate and, on request, one
 constant per eigenvalue.  The gate asks only that the window weights be
@@ -35,7 +43,7 @@ import cmath
 from .exact import WeightedCount
 from .words import WeightScheme, all_words, symmetry_defect
 
-# numpy, linalg and spectral are imported by eigenfunction_pieces and the
+# numpy is imported by eigenfunction_pieces, and spectral by the
 # Asymptotics record, where they are needed, so the exact
 # operator-iteration route runs without numpy
 if TYPE_CHECKING:
@@ -44,9 +52,6 @@ if TYPE_CHECKING:
     from .spectral import SpectralPoint, TransferPair
 
 MU_MERGE_TOL = 1e-9
-# rounding splits a defective eigenvalue by ~eps^(1/blocksize), far above
-# eps itself; clustering must sit above that, kernel classification below
-_CLUSTER_TOL = 1e-4
 
 __all__ = [
     "ExpPoly",
@@ -357,52 +362,46 @@ def eigenfunction_pieces(
 ) -> PiecewiseFn:
     """The eigenfunction exp((A-B)/lambda * x) @ c, one ExpPoly per cell.
 
-    M = (A-B)/lambda is split into generalized eigenspaces: eigenvalues of M
-    within _CLUSTER_TOL (1e-4) times max(1, ||M||_1) of each other share
-    one.  On each space exp contributes exp(mu x) times a polynomial of
-    degree below the space's dimension.  Raises ValueError, naming the
-    tolerance, when the generalized eigenspaces cannot be classified at it.
+    It is read off the pair's decomposition A - B = W T W^-1
+    (TransferPair.blocks), whose block T_i = c_i I + N_i has N_i^(p_i) = 0.
+    With y = W^-1 c, W_i the columns of W and y_i the entries of y in
+    block i,
+
+        exp((A-B)x/lambda) c
+            = sum_i e^(c_i x/lambda) sum_{j<p_i} x^j W_i N_i^j y_i / (lambda^j j!)
+
+    so each block gives the exponent c_i/lambda with a polynomial of degree
+    below p_i.  A block whose N_i is not nilpotent (a fallback block of the
+    decomposition) has no such finite form: ValueError names it.
     """
     import numpy as np
 
-    from .linalg import invariant_subspaces
-
     if lam == 0:
         raise ValueError("lambda must be nonzero")
-    M = (pair.A - pair.B) / lam
-    d = M.shape[0]
+    d = pair.dim
     c = np.asarray(vector, dtype=complex)
     if c.shape != (d,):
         raise ValueError(f"vector must have shape ({d},)")
-    tol = _CLUSTER_TOL * max(1.0, float(np.linalg.norm(M, 1)))
-    clusters, S = invariant_subspaces(M, tol)
-    try:
-        y = np.linalg.solve(S, c)
-    except np.linalg.LinAlgError:
+    blocks = pair.blocks
+    if blocks.fallback:
+        s = blocks.fallback[0]
         raise ValueError(
-            "failed to classify the generalized eigenspaces at tolerance "
-            f"{tol:.3g}: basis is numerically singular"
-        ) from None
-    pieces_terms: list[list[tuple]] = [[] for _ in range(d)]
-    col = 0
-    for rep, mult in clusters:
-        cj = S[:, col : col + mult] @ y[col : col + mult]
-        col += mult
-        N = M - rep * np.eye(d)
-        vec = cj
-        for i in range(mult):
-            if i > 0:
-                vec = N @ vec
-            coefs = vec / factorial(i)
-            for idx in range(d):
-                if coefs[idx] != 0:
-                    pieces_terms[idx].append((complex(coefs[idx]), i, complex(rep)))
-    words = all_words(pair.m - 1)
-    return PiecewiseFn(
-        pair.m,
-        "first",
-        {words[idx]: ExpPoly(pieces_terms[idx]) for idx in range(d)},
-    )
+            f"the {s.stop - s.start}-dimensional generalized eigenspace of A - B "
+            f"at {complex(blocks.centre[blocks.label[s.start]]):.6g} is not "
+            "nilpotent once its centre is removed: the eigenfunction has no "
+            "exponential-polynomial form there"
+        )
+    p = len(blocks.powers)
+    scale = np.array([lam**j * factorial(j) for j in range(p)])
+    Ny = blocks.powers @ (blocks.Winv @ c) / scale[:, None]  # N^j y/(lambda^j j!)
+    terms: list[list[tuple]] = [[] for _ in range(d)]  # per cell
+    for i, centre in enumerate(blocks.centre):
+        inside = blocks.label == i
+        coefs = Ny[:, inside] @ blocks.W[:, inside].T  # (p, d); zero for j >= p_i
+        for (j, cell), coef in np.ndenumerate(coefs):
+            terms[cell].append((complex(coef), j, complex(centre / lam)))
+    cells = dict(zip(all_words(pair.m - 1), map(ExpPoly, terms)))
+    return PiecewiseFn(pair.m, "first", cells)
 
 
 def apply_J(f: PiecewiseFn) -> PiecewiseFn:
@@ -514,8 +513,9 @@ def scheme_constant(
     pairings (<phi, mu>, <kappa, conj(psi)>, <phi, conj(psi)>) with the
     scheme's boundary weight functions kappa and mu, and their ratio, for
     the scheme's transfer pair.  Raises ValueError when the window weights
-    are not reversal-symmetric, the eigenspaces cannot be classified, or
-    the denominator pairing vanishes.
+    are not reversal-symmetric, the pair's decomposition has a block with no
+    exponential-polynomial form (see eigenfunction_pieces), or the
+    denominator pairing vanishes.
     """
     phi = eigenfunction_pieces(pair, point.lam, point.vector)
     psi = adjoint_eigenfunction(scheme, phi)

@@ -27,7 +27,8 @@ f'/f is evaluated in a basis W that splits C into one block T_i per cluster
 of its eigenvalues.  Removing the cluster's centre c leaves N = T_i - cI,
 nilpotent of some index p (exactly 0 on a 1 x 1 block; p <= 4 on the no-runs
 schemes up to m = 7), so every contour point needs only scalar factors
-times the powers of N, which are computed once per pair:
+times the powers of N, which are computed once per pair (TransferPair.blocks,
+which the eigenfunctions of expfun read too):
 
     exp(zT_i) = e^(zc) sum_{j<p} (zN)^j / j!
     z gamma(zT_i) = z sum_{j<p} (zN)^j psi_j(zc),  psi_j(x) = int_0^1 t^j e^(tx) dt / j!
@@ -104,11 +105,13 @@ class TransferPair:
         return norm / _EXP_NORM_LIMIT
 
     @cached_property
-    def _blocks(self) -> _Blocks:
+    def blocks(self) -> _Blocks:
         """B and C = A - B in a basis W of generalized eigenspaces of C.
 
-        T = W^-1 C W keeps one diagonal block T_i per cluster of eigenvalues
-        within _CLUSTER_TOL.  The centre c_i of a cluster is the mean of its
+        The one decomposition of C that the contour kernel and the
+        eigenfunctions (expfun.eigenfunction_pieces) share.  T = W^-1 C W
+        keeps one diagonal block T_i per cluster of eigenvalues within
+        _CLUSTER_TOL.  The centre c_i of a cluster is the mean of its
         eigenvalues, tr(T_i)/k_i, so N_i = T_i - c_i I is exactly 0 on a
         1 x 1 block; a larger cluster at 0 has c_i = 0.  A block whose N_i
         is not nilpotent (see _nilpotent_powers) is a fallback block.  When
@@ -144,12 +147,14 @@ class TransferPair:
         flat = (centre[label] == 0)[:, None] & (centre[label] == 0)[None, :]
         Tinv = np.linalg.inv(np.where(flat, np.eye(d), T))
         return _Blocks(
-            Winv @ self.B @ W, T, Tinv, label, centre, np.array(powers), tuple(fallback)
+            Winv @ self.B @ W, T, Tinv, label, centre, np.array(powers),
+            tuple(fallback), W, Winv,
         )
 
 
 class _Blocks(NamedTuple):
-    """What the contour kernel needs of a pair that does not depend on z."""
+    """The decomposition of a pair, TransferPair.blocks: what the contour
+    kernel and the eigenfunctions need of it, none of which depends on z."""
 
     B: np.ndarray  # W^-1 B W
     T: np.ndarray  # W^-1 (A - B) W, block-diagonal
@@ -158,6 +163,8 @@ class _Blocks(NamedTuple):
     centre: np.ndarray  # per cluster, its centre c_i
     powers: np.ndarray  # (p, d, d): I, then N^j, each block zero past its index
     fallback: tuple[slice, ...]  # the blocks whose N_i is not nilpotent
+    W: np.ndarray  # columns: the generalized eigenspaces, cluster by cluster
+    Winv: np.ndarray  # W^-1
 
 
 def _nilpotent_powers(N: np.ndarray, scale: float) -> list[np.ndarray] | None:
@@ -233,7 +240,7 @@ def _kernel(
     the precomputed powers of N.  A fallback block gets both from
     linalg._exp_and_gamma on that block alone.
     """
-    Bw, T, Tinv, label, centre, powers, fallback = pair._blocks
+    Bw, T, Tinv, label, centre, powers, fallback, *_ = pair.blocks
     p, eye = len(powers), np.eye(pair.dim)
     chunk = max(1, _STACK_BYTES // (16 * pair.dim**2))  # points per (d, d) stack
     piece = chunk * max(1, pair.dim**2 // (p * len(centre)))  # per (p, clusters)

@@ -162,7 +162,12 @@ def test_spectrum_region_flags(capsys):
         with pytest.raises(SystemExit) as exc:
             main(["spectrum", "--preset", "sec5-1", flag, bad])
         assert exc.value.code == 2
-    assert "argument --top: must be nonnegative, got '-1'" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "argument --min-modulus: invalid float value: 'x'" in err
+    assert "argument --top: must be nonnegative, got '-1'" in err
+    with pytest.raises(SystemExit):
+        main(["verify", "--preset", "sec5-1", "--tol", "abc"])
+    assert "argument --tol: invalid float value: 'abc'" in capsys.readouterr().err
     with pytest.raises(SystemExit):
         main(["spectrum", "--preset", "sec5-1", "--real-range", "0.5:2"])
 
@@ -173,6 +178,25 @@ def test_constants_sec6_values(capsys):
     _, rows = table_rows(out)
     assert abs(float(rows[0]["const_re"]) - 1.0861612696) < 1e-9
     assert abs(float(rows[0]["phi_psi_re"]) - 0.0735758882) < 1e-9
+
+
+def test_constants_decompose_the_pair_once(capsys, monkeypatch):
+    # the contour kernel and every eigenfunction read one decomposition of
+    # A - B into generalized eigenspaces
+    import descentsum.linalg as linalg
+    import descentsum.spectral as spectral
+
+    calls, invariant_subspaces = [], linalg.invariant_subspaces
+
+    def counted(*args):
+        calls.append(args)
+        return invariant_subspaces(*args)
+
+    monkeypatch.setattr(linalg, "invariant_subspaces", counted)
+    monkeypatch.setattr(spectral, "invariant_subspaces", counted)
+    rc, out, _ = run(capsys, "constants", "--preset", "sec5-1")
+    assert rc == 0 and len(table_rows(out)[1]) == 26
+    assert len(calls) == 1
 
 
 def test_constants_refuse_asymmetric_scheme(tmp_path, capsys):

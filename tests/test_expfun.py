@@ -1,6 +1,7 @@
 """Exponential-polynomial algebra, eigenfunctions, pairings, and operator iteration."""
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import descentsum.linalg as linalg
+import descentsum.spectral as spectral
 from descentsum import (
     ExpPoly,
     PiecewiseFn,
@@ -26,6 +29,7 @@ from descentsum import (
     eigenvalues,
     inner_products,
     kappa_piecewise,
+    load_scheme,
     mu_piecewise,
     polytope_integral,
     predict_alpha,
@@ -34,6 +38,7 @@ from descentsum import (
     scheme_constant,
     WeightScheme,
 )
+from descentsum.cli import main
 
 E = math.e
 
@@ -285,19 +290,38 @@ def test_eigenfunction_validation():
         eigenfunction_pieces(pair, 1.0, np.array([1.0, 2.0, 3.0]))
 
 
-def test_eigenfunction_singular_basis_names_the_clustering_tolerance(monkeypatch):
-    pair = build_transfer(preset_scheme("sec6"))
-    lam = 0.25
-    norm = np.linalg.norm((pair.A - pair.B) / lam, 1)
-    assert norm > 1  # so the tolerance scales with the norm
-    tol = 1e-4 * norm
+# A - B has eigenvalues 3, 3.029 and a conjugate pair: a cluster tolerance
+# of 0.05 ||A - B||_1 merges the first two into one block that no centre
+# makes nilpotent.  The window weights are reversal-symmetric.
+SYMMETRIC_NEAR_PAIR = (
+    "m = 3\nwt aaa = 3\nwt aab = 0\nwt baa = 0\nwt aba = 1/2\n"
+    "wt abb = 3\nwt bba = 3\nwt bab = 3\nwt bbb = -1/2\n"
+)
 
-    def singular(*args):
-        raise np.linalg.LinAlgError("Singular matrix")
 
-    monkeypatch.setattr(np.linalg, "solve", singular)
-    with pytest.raises(ValueError, match=f"at tolerance {tol:.3g}: basis"):
-        eigenfunction_pieces(pair, lam, np.array([1.0, 2.0]))
+def test_eigenfunction_refuses_a_fallback_block(monkeypatch, tmp_path, capsys):
+    # the merged space is accepted as one generalized eigenspace only with a
+    # looser null space test, as in test_spectral's merged kernel case
+    monkeypatch.setattr(spectral, "_CLUSTER_TOL", 0.05)
+    monkeypatch.setattr(linalg, "_JORDAN_TOL", 1e-4)
+    refusal = (
+        "the 2-dimensional generalized eigenspace of A - B at 3.01456.* is not "
+        "nilpotent once its centre is removed"
+    )
+    analysis = asymptotics(load_scheme(SYMMETRIC_NEAR_PAIR), 0.5)
+    assert len(analysis.pair.blocks.fallback) == 1
+    top = analysis.points[0]
+    with pytest.raises(ValueError, match=refusal):
+        eigenfunction_pieces(analysis.pair, top.lam, top.vector)
+    terms, refused, r_hat = analysis.constants()
+    assert terms == [] and [p for p, _ in refused] == list(analysis.points)
+    assert all(re.match(refusal, reason) for _, reason in refused)
+    assert r_hat == abs(top.lam)
+    scheme_file = tmp_path / "near-pair.scheme"
+    scheme_file.write_text(SYMMETRIC_NEAR_PAIR)
+    assert main(["constants", "--scheme", str(scheme_file), "--min-modulus", "0.5"]) == 1
+    err = capsys.readouterr().err
+    assert re.search(re.escape(f"at lambda = {top.lam:.12g}: ") + refusal, err), err
 
 
 # ------------------------------------------------------------------- J
@@ -492,13 +516,24 @@ def test_apply_operator_eigen_residual_sec6():
 
 
 def test_apply_operator_eigen_residual_presets(spectra):
-    for name in ("sec5-1", "sec5-2", "sec6", "alternating"):
-        scheme = preset_scheme(name)
-        pair, points = spectra[name]
+    # no-runs-5: A - B has an 8-dimensional generalized eigenspace at 0 of
+    # nilpotency index 2, so its polynomial factors have degree at most 1
+    cases = {name: (preset_scheme(name), *spectra[name])
+             for name in ("sec5-1", "sec5-2", "sec6", "alternating")}
+    no_runs = asymptotics(load_scheme("m = 5\nwt aaaaa = 0\nwt bbbbb = 0\n"), 0.1)
+    cases["no-runs-5"] = (no_runs.scheme, no_runs.pair, no_runs.points)
+    for name, (scheme, pair, points) in cases.items():
+        blocks = pair.blocks
+        index = [sum(bool(N[blocks.label == i].any()) for N in blocks.powers)
+                 for i in range(len(blocks.centre))]
         for pt in points[:3]:
             phi = eigenfunction_pieces(pair, pt.lam, pt.vector)
+            for piece in phi.pieces.values():
+                for _, k, mu in piece.terms:
+                    block = np.argmin(np.abs(blocks.centre / pt.lam - complex(mu)))
+                    assert k < index[block], (name, pt.lam, k, mu)
             resid = (apply_operator(scheme, phi) - phi.scale(pt.lam)).max_coef()
-            assert resid < 1e-9, (name, pt.lam, resid)
+            assert resid < 1e-12, (name, pt.lam, resid)
 
 
 def test_apply_operator_iterated_pairing_matches_dp():

@@ -39,10 +39,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from descentsum import build_transfer, preset_scheme
+from descentsum import build_transfer, load_scheme, preset_scheme
 from descentsum.cli import main
 
-GOLDEN = Path(__file__).resolve().parent / "golden_cli.json"
+ROOT = Path(__file__).resolve().parent.parent  # scheme files are named from here
+GOLDEN = ROOT / "tests" / "golden_cli.json"
 
 PRESETS = ("sec5-1", "sec5-2", "sec6", "no-descents", "no-peaks", "alternating", "all-ones")
 
@@ -74,13 +75,24 @@ FLOAT_JOBS = [
     for name in PRESETS
 ] + [
     ["verify", "--preset", "no-peaks", "--format", "json"],
+    # a wide window: constants down to |lambda| = 0.1 at m = 5, where the
+    # generalized eigenspace of A - B at 0 is 8-dimensional, of index 2
+    ["constants", "--scheme", "tests/schemes/no-runs-5.scheme", "--min-modulus", "0.1"],
 ]
+
+
+def _flag(argv: list[str], name: str) -> str | None:
+    return argv[argv.index(name) + 1] if name in argv else None
 
 
 def run_cli(argv: list[str]) -> dict:
     out, err = io.StringIO(), io.StringIO()
+    args = list(argv)
+    if "--scheme" in args:  # a scheme file named from the repository root
+        at = args.index("--scheme") + 1
+        args[at] = str(ROOT / args[at])
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
+        code = main(args)
     stderr = "".join(
         line for line in err.getvalue().splitlines(keepends=True)
         if not line.startswith("elapsed:")
@@ -91,7 +103,7 @@ def run_cli(argv: list[str]) -> dict:
 _NUMBER = re.compile(r"-?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 _CELL = re.compile(rf"{_NUMBER.pattern}|true|false")
 _PAIRING_COLUMN = re.compile(r"(?:const|phi_mu|kappa_psi|phi_psi)_(?:re|im)")
-MIN_MODULUS = 0.05  # the CLI's default --min-modulus, which FLOAT_JOBS keep
+MIN_MODULUS = 0.05  # the CLI's default --min-modulus
 
 
 def _close(a: str, b: str, atol: float = 0.0) -> bool:
@@ -109,10 +121,13 @@ def assert_text_close(got: str, want: str, what: str, atol: float = 0.0) -> None
         assert _close(a, b, atol), f"{what}: {a} != {b}"
 
 
-def pairing_resolution(preset: str, modulus: float) -> float:
+def pairing_resolution(source: str, modulus: float) -> float:
     """eps e^(rho(A - B)/modulus): how well a constant at |lambda| = modulus
-    is known (see the module docstring)."""
-    pair = build_transfer(preset_scheme(preset))
+    is known (see the module docstring), for a preset name or a scheme file
+    named from the repository root."""
+    path = ROOT / source
+    scheme = load_scheme(path.read_text()) if path.is_file() else preset_scheme(source)
+    pair = build_transfer(scheme)
     rho = float(np.max(np.abs(np.linalg.eigvals(pair.A - pair.B))))
     return float(np.finfo(float).eps) * math.exp(rho / modulus)
 
@@ -170,15 +185,16 @@ def test_exact_commands_byte_identical(argv):
 def test_float_commands_match(argv):
     want = _golden()[" ".join(argv)]
     got = run_cli(argv)
-    preset = argv[argv.index("--preset") + 1]
+    source = _flag(argv, "--preset") or _flag(argv, "--scheme")
 
     def resolution(modulus):
-        return pairing_resolution(preset, modulus)
+        return pairing_resolution(source, modulus)
 
     assert got["exit"] == want["exit"]
     assert_output_close(got["stdout"], want["stdout"], "stdout", resolution)
     residue = "imaginary residue" in want["stderr"]
-    atol = resolution(MIN_MODULUS) if residue else 0.0
+    min_modulus = float(_flag(argv, "--min-modulus") or MIN_MODULUS)
+    atol = resolution(min_modulus) if residue else 0.0
     assert_text_close(got["stderr"], want["stderr"], "stderr", atol)
 
 

@@ -311,7 +311,7 @@ def test_eigenvalues_no_runs_6():
     # argument-principle count of benchmark/reference.py gives 32 above 0.1
     text = "m = 6\nwt aaaaaa = 0\nwt bbbbbb = 0\n"
     pair = build_transfer(load_scheme(text))
-    assert len(pair._blocks.powers) == 3 and pair._blocks.fallback == ()
+    assert len(pair.blocks.powers) == 3 and pair.blocks.fallback == ()
     points = eigenvalues(pair, 0.1)
     assert len(points) == 32
     assert all(p.simple for p in points)
@@ -344,7 +344,7 @@ def test_log_derivative_closed_forms():
 def dense_log_derivative(pair, z):
     """f'/f and cond(M) by the whole-matrix formula the closed forms replace:
     one linalg._exp_and_gamma on z(T - shift) over all of T."""
-    Bw, T, Tinv, label, centre, *_ = pair._blocks
+    Bw, T, Tinv, label, centre, *_ = pair.blocks
     c, eye, zs = centre[label], np.eye(pair.dim), z[:, None, None]
     grows = (z[:, None] * c).real > 1
     shift = np.where(grows, c, 0)[:, None, :]
@@ -386,7 +386,7 @@ def test_log_derivative_matches_the_dense_formula(basis, monkeypatch):
         monkeypatch.setattr(spectral, "_BASIS_COND", 0.5)
     for name, scheme in schemes.items():
         pair = build_transfer(scheme)
-        blocks = pair._blocks
+        blocks = pair.blocks
         if basis == "clusters":
             assert blocks.fallback == (), name
         elif basis == "merged":
