@@ -17,9 +17,10 @@ An eigenfunction is exp((A - B)x/lambda) c on every cell.  It is read off
 the decomposition A - B = W T W^-1 that the transfer pair already holds for
 its contour kernel (spectral.TransferPair.blocks): a block T_i = c_i I + N_i
 with N_i^(p_i) = 0 contributes e^(c_i x/lambda) times a polynomial of
-degree below p_i, so no eigenvalue decomposes A - B again.  A block whose
-N_i is not nilpotent has no finite exponential-polynomial form: on a pair
-with such a block, eigenfunctions, and hence constants, are refused.
+degree below p_i, so no eigenvalue decomposes A - B again.  When the
+generalized eigenspaces of A - B have no well-conditioned basis, the pair
+keeps A - B whole, with no such split: its eigenfunctions, and hence its
+constants, are refused.
 
 asymptotics() is the analysis entry point: a scheme's spectrum, truncated
 to the top eigenvalues, with the symmetry gate and, on request, one
@@ -371,8 +372,9 @@ def eigenfunction_pieces(
             = sum_i e^(c_i x/lambda) sum_{j<p_i} x^j W_i N_i^j y_i / (lambda^j j!)
 
     so each block gives the exponent c_i/lambda with a polynomial of degree
-    below p_i.  A block whose N_i is not nilpotent (a fallback block of the
-    decomposition) has no such finite form: ValueError names it.
+    below p_i.  The one-block basis, which the pair keeps when its
+    generalized eigenspaces have no well-conditioned basis, splits A - B
+    into no such blocks: ValueError says so.
     """
     import numpy as np
 
@@ -383,13 +385,10 @@ def eigenfunction_pieces(
     if c.shape != (d,):
         raise ValueError(f"vector must have shape ({d},)")
     blocks = pair.blocks
-    if blocks.fallback:
-        s = blocks.fallback[0]
+    if blocks.powers is None:
         raise ValueError(
-            f"the {s.stop - s.start}-dimensional generalized eigenspace of A - B "
-            f"at {complex(blocks.centre[blocks.label[s.start]]):.6g} is not "
-            "nilpotent once its centre is removed: the eigenfunction has no "
-            "exponential-polynomial form there"
+            "the generalized eigenspaces of A - B have no well-conditioned "
+            "basis: the eigenfunction is not split into exponential polynomials"
         )
     p = len(blocks.powers)
     scale = np.array([lam**j * factorial(j) for j in range(p)])

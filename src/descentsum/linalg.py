@@ -16,6 +16,7 @@ MAX_DIM = 64
 _EXP_NORM_LIMIT = 700.0  # exp overflows float64 shortly above e^709
 _TAYLOR_DEGREE = 18
 _JORDAN_TOL = 1e-8
+_NILPOTENT_TOL = 1e-12  # relative size of a change of a block that counts as rounding
 
 __all__ = ["mat_exp", "gamma", "det", "nullspace_vector", "invariant_subspaces"]
 
@@ -113,36 +114,64 @@ def nullspace_vector(M: np.ndarray, tol: float | None = None) -> np.ndarray:
 
 def invariant_subspaces(
     M: np.ndarray, tol: float
-) -> tuple[list[tuple[complex, int]], np.ndarray]:
-    """The generalized eigenspaces of M, one per cluster of its eigenvalues.
+) -> list[tuple[complex, np.ndarray, list[np.ndarray]]]:
+    """The generalized eigenspaces of M, each with the nilpotent part of M on it.
 
-    Eigenvalues within tol of each other, transitively, form one cluster (a
-    defective eigenvalue, split by rounding, is one cluster).  Returns the
-    clusters as (mean, multiplicity), sorted by real then imaginary part,
-    and a matrix whose consecutive column blocks span the null spaces of
-    (M - mean I)^multiplicity.  Raises ValueError when such a null space
-    does not have the cluster's dimension at tolerance 1e-8.
+    Eigenvalues within tol of each other, transitively, form a cluster (a
+    defective eigenvalue, split by rounding, is one cluster).  A cluster of
+    k eigenvalues with mean r spans the null space V of (M - rI)^k, on which
+    M acts as T = V^H M V = cI + N: the centre c is 0 when k > 1 and
+    |r| <= tol, tr(T)/k otherwise.  A cluster whose null space does not
+    have dimension k at _JORDAN_TOL, or whose N is not nilpotent (see
+    _nilpotent_powers), is several eigenvalues, not one Jordan structure:
+    it is split into its eigenvalues, each a 1 x 1 cluster with N = 0.
+
+    Returns (c, V, [N, ..., N^(p-1)]) per cluster, p the nilpotency index of
+    N, V with orthonormal columns, in the order of the real then imaginary
+    part of the cluster means (a split cluster's eigenvalues take its place).
     """
     M = _as_square(M)
-    d = M.shape[0]
     groups: list[list[complex]] = []
     for z in sorted(map(complex, np.linalg.eigvals(M)), key=lambda z: (z.real, z.imag)):
         near = [g for g in groups if any(abs(z - w) <= tol for w in g)]
         groups = [g for g in groups if all(g is not h for h in near)]
         groups.append([w for g in near for w in g] + [z])
-    clusters = sorted(
-        ((complex(sum(g) / len(g)), len(g)) for g in groups),
-        key=lambda t: (t[0].real, t[0].imag),
-    )
-    bases = []
-    for rep, mult in clusters:
-        _, sing, vh = np.linalg.svd(np.linalg.matrix_power(M - rep * np.eye(d), mult))
-        found = int(np.sum(sing <= _JORDAN_TOL * max(1.0, float(sing[0]))))
-        if found != mult:
-            raise ValueError(
-                f"failed to classify the generalized eigenspace at eigenvalue "
-                f"{rep:.6g} (tolerance {_JORDAN_TOL:g}): multiplicity {mult}, "
-                f"kernel dimension {found}"
-            )
-        bases.append(vh[d - mult :].conj().T)
-    return clusters, np.hstack(bases)
+    spaces = []
+    for g in sorted(groups, key=lambda g: (sum(g).real / len(g), sum(g).imag / len(g))):
+        space = _space(M, g, tol)
+        spaces += [_space(M, [z], tol) for z in g] if space[2] is None else [space]
+    return spaces
+
+
+def _space(
+    M: np.ndarray, group: list[complex], tol: float
+) -> tuple[complex, np.ndarray, list[np.ndarray] | None]:
+    """(c, V, powers of N) for one cluster, the powers None when it fails a
+    test of invariant_subspaces; a 1 x 1 cluster passes both."""
+    d, k, rep = M.shape[0], len(group), complex(sum(group) / len(group))
+    _, sing, vh = np.linalg.svd(np.linalg.matrix_power(M - rep * np.eye(d), k))
+    V = vh[d - k :].conj().T
+    T = V.conj().T @ M @ V
+    centre = 0j if k > 1 and abs(rep) <= tol else complex(np.trace(T)) / k
+    if k > 1 and np.sum(sing <= _JORDAN_TOL * max(1.0, float(sing[0]))) != k:
+        return centre, V, None
+    N = T - centre * np.eye(k)
+    return centre, V, _nilpotent_powers(N, float(np.linalg.norm(M, 1)))
+
+
+def _nilpotent_powers(N: np.ndarray, scale: float) -> list[np.ndarray] | None:
+    """[N, ..., N^(p-1)] for the nilpotency index p of N, or None.
+
+    p is the first power with ||N^p||_1 <= _NILPOTENT_TOL scale ||N||_1^(p-1):
+    N^p is no larger than a change of N by _NILPOTENT_TOL scale, the
+    rounding level of a block of a matrix of norm scale, can make it.  None
+    when no p up to the size of N qualifies.
+    """
+    norm, powers = np.linalg.norm(N, 1), [np.eye(len(N))]
+    while len(powers) <= len(N):
+        power = powers[-1] @ N
+        bound = _NILPOTENT_TOL * scale * norm ** (len(powers) - 1)
+        if np.linalg.norm(power, 1) <= bound:
+            return powers[1:]
+        powers.append(power)
+    return None

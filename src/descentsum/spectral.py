@@ -33,9 +33,10 @@ which the eigenfunctions of expfun read too):
     exp(zT_i) = e^(zc) sum_{j<p} (zN)^j / j!
     z gamma(zT_i) = z sum_{j<p} (zN)^j psi_j(zc),  psi_j(x) = int_0^1 t^j e^(tx) dt / j!
 
-A block that stays non-nilpotent once its centre is removed, and the single
-block used when W is ill-conditioned, fall back to linalg's scaling and
-squaring on that block alone.
+A cluster that is not one Jordan structure is split into its eigenvalues,
+each a 1 x 1 block (linalg.invariant_subspaces).  Only when W is
+ill-conditioned is C kept as one block, whose exponential and gamma come
+from linalg's scaling and squaring.
 """
 
 from __future__ import annotations
@@ -64,7 +65,6 @@ _STEP_IN = 0.98  # a circle whose count does not settle moves in by this factor
 _SAME_TOL = 1e-5  # polished zeros this close, relative to |z|, are one zero
 _TIE_TOL = 1e-12  # moduli this close, relative, sort by |angle|
 _STACK_BYTES = 2**16  # one (points, d, d) or (points, p, clusters) array: bounds memory
-_NILPOTENT_TOL = 1e-12  # relative size of a change of T that counts as rounding
 _INV_FACTORIAL = 1 / np.cumprod([1.0, *range(1, MAX_DIM + 1)])
 _PSI_TERMS = 18  # Taylor terms of psi_j on |x| < 1: truncation error below 1e-17
 _PSI_SERIES = (  # [i, j] -> 1 / (i! j! (i + j + 1))
@@ -106,50 +106,38 @@ class TransferPair:
 
     @cached_property
     def blocks(self) -> _Blocks:
-        """B and C = A - B in a basis W of generalized eigenspaces of C.
+        """B in a basis W of generalized eigenspaces of C = A - B.
 
         The one decomposition of C that the contour kernel and the
-        eigenfunctions (expfun.eigenfunction_pieces) share.  T = W^-1 C W
-        keeps one diagonal block T_i per cluster of eigenvalues within
-        _CLUSTER_TOL.  The centre c_i of a cluster is the mean of its
-        eigenvalues, tr(T_i)/k_i, so N_i = T_i - c_i I is exactly 0 on a
-        1 x 1 block; a larger cluster at 0 has c_i = 0.  A block whose N_i
-        is not nilpotent (see _nilpotent_powers) is a fallback block.  When
-        W is ill-conditioned, the one block T = C with c = 0 is used.
+        eigenfunctions (expfun.eigenfunction_pieces) share, from
+        linalg.invariant_subspaces with clusters of eigenvalues within
+        _CLUSTER_TOL: cluster by cluster, W holds orthonormal columns V_i on
+        which C acts as T_i = V_i^H C V_i = c_i I + N_i, N_i nilpotent, so
+        W^-1 C W is block-diagonal.  The centre c_i is tr(T_i)/k_i, so
+        N_i = 0 on a 1 x 1 block; a larger cluster at 0 has c_i = 0.  A
+        cluster that is not one Jordan structure has been split into 1 x 1
+        blocks.  When W is ill-conditioned (cond(W) > _BASIS_COND), W = I
+        keeps the one block T = C with c = 0, and powers is None: C is then
+        not split into a centre and a nilpotent part.
         """
         C, d = self.A - self.B, self.dim
         tol = _CLUSTER_TOL * max(1.0, float(np.linalg.norm(C, 1)))
-        try:
-            clusters, W = invariant_subspaces(C, tol)
-            usable = np.linalg.cond(W) <= _BASIS_COND
-        except ValueError:
-            usable = False
-        if not usable:
-            clusters, W = [(0j, d)], np.eye(d)
-        sizes = [k for _, k in clusters]
+        spaces = invariant_subspaces(C, tol)
+        W = np.hstack([V for _, V, _ in spaces])
+        if np.linalg.cond(W) > _BASIS_COND:
+            eye, label = np.eye(d, dtype=complex), np.zeros(d, dtype=int)
+            return _Blocks(self.B, label, np.zeros(1, complex), None, eye, eye)
+        sizes = [V.shape[1] for _, V, _ in spaces]
         label = np.repeat(np.arange(len(sizes)), sizes)
-        Winv = np.linalg.inv(W)
-        T = np.where(label[:, None] == label[None, :], Winv @ C @ W, 0)
-        spans = [slice(b - k, b) for b, k in zip(np.cumsum(sizes), sizes)]
-        centre = np.array([
-            0j if k > 1 and abs(rep) <= tol else np.trace(T[s, s]) / k
-            for (rep, k), s in zip(clusters, spans)
-        ])
-        scale, powers, fallback = np.linalg.norm(T, 1), [np.eye(d, dtype=complex)], []
-        for s, c in zip(spans, centre):
-            chain = _nilpotent_powers(T[s, s] - c * np.eye(s.stop - s.start), scale)
-            if chain is None:
-                fallback.append(s)
-            for j, power in enumerate(chain or [], 1):
+        powers = [np.eye(d, dtype=complex)]
+        for (_, _, chain), b, k in zip(spaces, np.cumsum(sizes), sizes):
+            for j, power in enumerate(chain, 1):
                 if j == len(powers):
                     powers.append(np.zeros((d, d), dtype=complex))
-                powers[j][s, s] = power
-        flat = (centre[label] == 0)[:, None] & (centre[label] == 0)[None, :]
-        Tinv = np.linalg.inv(np.where(flat, np.eye(d), T))
-        return _Blocks(
-            Winv @ self.B @ W, T, Tinv, label, centre, np.array(powers),
-            tuple(fallback), W, Winv,
-        )
+                powers[j][b - k : b, b - k : b] = power
+        Winv = np.linalg.inv(W)
+        centre = np.array([c for c, _, _ in spaces])
+        return _Blocks(Winv @ self.B @ W, label, centre, np.array(powers), W, Winv)
 
 
 class _Blocks(NamedTuple):
@@ -157,32 +145,11 @@ class _Blocks(NamedTuple):
     kernel and the eigenfunctions need of it, none of which depends on z."""
 
     B: np.ndarray  # W^-1 B W
-    T: np.ndarray  # W^-1 (A - B) W, block-diagonal
-    Tinv: np.ndarray  # inverse of T with its blocks where c = 0 taken as I
     label: np.ndarray  # per column, the index of its cluster
     centre: np.ndarray  # per cluster, its centre c_i
-    powers: np.ndarray  # (p, d, d): I, then N^j, each block zero past its index
-    fallback: tuple[slice, ...]  # the blocks whose N_i is not nilpotent
+    powers: np.ndarray | None  # (p, d, d): I, then N^j, each block zero past its index
     W: np.ndarray  # columns: the generalized eigenspaces, cluster by cluster
     Winv: np.ndarray  # W^-1
-
-
-def _nilpotent_powers(N: np.ndarray, scale: float) -> list[np.ndarray] | None:
-    """[N, ..., N^(p-1)] for the nilpotency index p of N, or None.
-
-    p is the first power with ||N^p||_1 <= _NILPOTENT_TOL scale ||N||_1^(p-1):
-    N^p is no larger than a change of N by _NILPOTENT_TOL scale, the
-    rounding level of a block of a matrix of norm scale, can make it.  None
-    when no p up to the size of N qualifies.
-    """
-    norm, powers = np.linalg.norm(N, 1), [np.eye(len(N))]
-    while len(powers) <= len(N):
-        power = powers[-1] @ N
-        bound = _NILPOTENT_TOL * scale * norm ** (len(powers) - 1)
-        if np.linalg.norm(power, 1) <= bound:
-            return powers[1:]
-        powers.append(power)
-    return None
 
 
 @dataclass(frozen=True)
@@ -232,50 +199,51 @@ def _kernel(
     N^p = 0:
 
         exp(z(T_i - shift)) = exp(z(c - shift)) sum_{j<p} (zN)^j / j!
-        z gamma(zT_i) = z sum_{j<p} (zN)^j psi_j(zc)
+        exp(-z shift) z gamma(zT_i) = z sum_{j<p} (zN)^j exp(-z shift) psi_j(zc)
 
-    with psi_j(x) = int_0^1 t^j e^(tx) dt / j! (see _psi).  The scalar
-    factors are computed per cluster, for as many points at once as fit
-    _STACK_BYTES in a (points, p, clusters) array, so a stack only weights
-    the precomputed powers of N.  A fallback block gets both from
-    linalg._exp_and_gamma on that block alone.
+    with psi_j(x) = int_0^1 t^j e^(tx) dt / j!, which _psi scales by e^-x
+    exactly where Re x > 1.  The scalar factors are computed per cluster,
+    for as many points at once as fit _STACK_BYTES in a (points, p,
+    clusters) array, so a stack only weights the precomputed powers of N.
+    The one-block basis (powers None) has centre 0, so nothing grows: it
+    gets both functions of zC from linalg._exp_and_gamma.
     """
-    Bw, T, Tinv, label, centre, powers, fallback, *_ = pair.blocks
-    p, eye = len(powers), np.eye(pair.dim)
+    Bw, label, centre, powers, *_ = pair.blocks
+    eye = np.eye(pair.dim)
     chunk = max(1, _STACK_BYTES // (16 * pair.dim**2))  # points per (d, d) stack
+    if powers is None:
+        for a in range(0, len(z), chunk):
+            zs = z[a : a + chunk, None, None]
+            E, G = _exp_and_gamma(zs * (pair.A - pair.B))
+            yield eye - Bw @ (zs * G), Bw @ E
+        return
+    p = len(powers)
     piece = chunk * max(1, pair.dim**2 // (p * len(centre)))  # per (p, clusters)
     for start in range(0, len(z), piece):
         zp = z[start : start + piece]
         x = zp[:, None] * centre
         grows = x.real > 1
-        shift = np.where(grows, centre, 0)
-        e = np.exp(np.where(grows, 0, x))  # exp(z(c - shift))
-        s = np.exp(-zp[:, None] * shift)  # exp(-z shift)
+        e = np.exp(np.where(grows, 0, x))  # exp(z(c - shift)), shift = c if it grows
+        s = np.exp(-np.where(grows, x, 0))  # exp(-z shift)
         zj = zp[:, None] ** np.arange(p)
         e_coef = zj * _INV_FACTORIAL[:p]  # of N^j in exp(z(T - c))
-        g_coef = (zp[:, None] * zj)[:, :, None] * _psi(x, p)  # of N^j in z gamma(zT)
+        g_coef = (zp[:, None] * zj)[:, :, None] * _psi(x, p)  # ... in s z gamma(zT)
         for a in range(0, len(zp), chunk):
             b = slice(a, a + chunk)
-            E = (e_coef[b] @ powers.reshape(p, -1)).reshape(-1, *T.shape)
+            E = (e_coef[b] @ powers.reshape(p, -1)).reshape(-1, *eye.shape)
             E *= e[b, None, label]
             G = np.einsum("njc,jrc->nrc", g_coef[b][:, :, label], powers)
-            zs = zp[b, None, None]
-            for f in fallback:
-                c = shift[b, label[f.start], None, None]
-                E[:, f, f], G[:, f, f] = _exp_and_gamma(zs * (T[f, f] - c * eye[f, f]))
-                G[:, f, f] *= zs
-            S = s[b, None, label] * eye
-            if grows[b].any():
-                # growing: exp(-zc) z gamma(zT) = (exp(z(T - c)) - exp(-zc)) T^-1
-                G = np.where(grows[b, None, label], (E - S) @ Tinv, G)
-            yield S - Bw @ G, Bw @ E
+            yield s[b, None, label] * eye - Bw @ G, Bw @ E
 
 
 def _psi(x: np.ndarray, p: int) -> np.ndarray:
-    """psi_j(x) = int_0^1 t^j e^(tx) dt / j! for j < p, on a new axis 1.
+    """psi_j(x) = int_0^1 t^j e^(tx) dt / j! for j < p, on a new axis 1,
+    times e^-x where Re x > 1.
 
     psi_0(x) = expm1(x)/x, and psi_j = (e^x/j! - psi_(j-1))/x by parts,
-    which loses few digits for |x| >= 1.  Below that the Taylor series
+    which loses few digits for |x| >= 1; where Re x > 1 the same recurrence
+    runs on e^-x psi_j, from -expm1(-x)/x with 1/j! in place of e^x/j!, so
+    nothing overflows.  Below |x| = 1 the Taylor series
     psi_j(x) = sum_i x^i / (i! j! (i + j + 1)) is used, so psi_j(0) = 1/(j+1)!.
     (psi_j is not the phi_(j+1) of exponential integrators.)
     """
@@ -284,7 +252,8 @@ def _psi(x: np.ndarray, p: int) -> np.ndarray:
     for row in _PSI_SERIES[-2::-1, :p, None]:  # Horner
         series = series * xs + row
     big = np.where(small, 1, x)
-    ex, psi = np.exp(big), [np.expm1(big) / big]
+    sign = np.where(big.real > 1, -1, 1)
+    ex, psi = np.exp(np.where(sign < 0, 0, big)), [sign * np.expm1(sign * big) / big]
     for j in range(1, p):
         psi.append((ex * _INV_FACTORIAL[j] - psi[-1]) / big)
     return np.where(small[:, None], series, np.stack(psi, axis=1))

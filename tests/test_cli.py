@@ -3,11 +3,15 @@
 import csv
 import io
 import json
+import warnings
+from pathlib import Path
 
 import pytest
 
 from descentsum import BRUTE_FORCE_CAP
 from descentsum.cli import main
+from descentsum.spectral import build_transfer
+from descentsum.words import load_scheme
 
 
 def run(capsys, *argv):
@@ -197,6 +201,49 @@ def test_constants_decompose_the_pair_once(capsys, monkeypatch):
     rc, out, _ = run(capsys, "constants", "--preset", "sec5-1")
     assert rc == 0 and len(table_rows(out)[1]) == 26
     assert len(calls) == 1
+
+
+# reversal-symmetric, m = 4: A - B has the simple eigenvalues 0.496815 and
+# 0.5, which the cluster tolerance of 1e-3 ||A - B||_1 merges into one
+# cluster that fails the null space test
+MERGED_SIMPLE_PAIR = (
+    "m = 4\nwt aaaa = 1/2\nwt aaab = 0\nwt aaba = -1/2\nwt aabb = 0\n"
+    "wt abaa = -1/2\nwt abab = 1/2\nwt abba = 1\nwt abbb = 3\nwt baaa = 0\n"
+    "wt baab = -1/2\nwt baba = 1/2\nwt babb = 2\nwt bbaa = 0\nwt bbab = 2\n"
+    "wt bbba = 3\nwt bbbb = 3\n"
+)
+
+
+def test_constants_of_a_merged_cluster_of_simple_eigenvalues(tmp_path, capsys):
+    f = tmp_path / "merged.scheme"
+    f.write_text(MERGED_SIMPLE_PAIR)
+    rc, out, err = run(capsys, "constants", "--scheme", str(f), "--top", "4",
+                       "--min-modulus", "0.1")
+    assert rc == 0, err
+    _, rows = table_rows(out)
+    assert len(rows) == 4
+    assert abs(float(rows[0]["lambda_re"]) - 1.37308301916) < 1e-10
+    assert abs(float(rows[0]["const_re"]) - 0.58884132657) < 1e-10
+
+
+def test_spectrum_where_a_cluster_is_not_one_jordan_block(capsys):
+    # m = 5: A - B has 16 simple eigenvalues, two of them 0.49938 and 0.5,
+    # which the cluster tolerance merges; split again, each is a 1 x 1 block
+    scheme = Path(__file__).parent / "schemes" / "cluster-split-5.scheme"
+    pair = build_transfer(load_scheme(scheme.read_text()))
+    assert pair.blocks.powers is not None and len(pair.blocks.centre) == pair.dim
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out, err = run(capsys, "spectrum", "--scheme", str(scheme),
+                           "--min-modulus", "0.1")
+    assert rc == 0, err
+    _, rows = table_rows(out)
+    assert len(rows) == 60
+    lams = [complex(float(r["lambda_re"]), float(r["lambda_im"])) for r in rows]
+    # 40-digit mpmath roots of det(I - z B gamma(zC)), lambda = 1/z
+    for want in (0.029963636136337 - 0.466548951482465j,
+                 -0.722272163234825 - 0.422965904837906j):
+        assert min(abs(lam - want) for lam in lams) <= 1e-11 * abs(want)
 
 
 def test_constants_refuse_asymmetric_scheme(tmp_path, capsys):

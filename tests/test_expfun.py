@@ -291,7 +291,7 @@ def test_eigenfunction_validation():
 
 
 # A - B has eigenvalues 3, 3.029 and a conjugate pair: a cluster tolerance
-# of 0.05 ||A - B||_1 merges the first two into one block that no centre
+# of 0.05 ||A - B||_1 merges the first two into one cluster that no centre
 # makes nilpotent.  The window weights are reversal-symmetric.
 SYMMETRIC_NEAR_PAIR = (
     "m = 3\nwt aaa = 3\nwt aab = 0\nwt baa = 0\nwt aba = 1/2\n"
@@ -300,16 +300,27 @@ SYMMETRIC_NEAR_PAIR = (
 
 
 def test_eigenfunction_refuses_a_fallback_block(monkeypatch, tmp_path, capsys):
-    # the merged space is accepted as one generalized eigenspace only with a
-    # looser null space test, as in test_spectral's merged kernel case
-    monkeypatch.setattr(spectral, "_CLUSTER_TOL", 0.05)
-    monkeypatch.setattr(linalg, "_JORDAN_TOL", 1e-4)
+    # the merged cluster passes the looser null space test of test_spectral's
+    # merged kernel case but not the nilpotency test: it is split into its
+    # eigenvalues again, and every constant stays what it is unmerged
+    scheme = load_scheme(SYMMETRIC_NEAR_PAIR)
+    unmerged = asymptotics(scheme, 0.5).constants()
+    with monkeypatch.context() as merge:
+        merge.setattr(spectral, "_CLUSTER_TOL", 0.05)
+        merge.setattr(linalg, "_JORDAN_TOL", 1e-4)
+        merged = asymptotics(scheme, 0.5).constants()
+    assert unmerged[1:] == merged[1:] == ([], None)
+    assert len(unmerged[0]) == len(merged[0]) == 6
+    for (p, c, _), (q, d, _) in zip(unmerged[0], merged[0]):
+        assert p.lam == q.lam and abs(c - d) <= 1e-12 * abs(c)
+    # only the one-block basis of an ill-conditioned W is refused
+    monkeypatch.setattr(spectral, "_BASIS_COND", 0.5)
     refusal = (
-        "the 2-dimensional generalized eigenspace of A - B at 3.01456.* is not "
-        "nilpotent once its centre is removed"
+        "the generalized eigenspaces of A - B have no well-conditioned basis: "
+        "the eigenfunction is not split into exponential polynomials"
     )
-    analysis = asymptotics(load_scheme(SYMMETRIC_NEAR_PAIR), 0.5)
-    assert len(analysis.pair.blocks.fallback) == 1
+    analysis = asymptotics(scheme, 0.5)
+    assert analysis.pair.blocks.powers is None
     top = analysis.points[0]
     with pytest.raises(ValueError, match=refusal):
         eigenfunction_pieces(analysis.pair, top.lam, top.vector)
