@@ -323,11 +323,6 @@ _CHECKED_KEYS = ("aa", "ab", "bb", "total")
 
 
 def _cmd_sequence(args) -> tuple[RunReport, list[str]]:
-    if getattr(args, "preset", None) not in (None, "sec6"):
-        raise UsageFailure(
-            "the sequence tables are specific to the sec6 preset "
-            "(two letters, wt(aa)=0, wt(bb)=2)"
-        )
     n_max = args.n_max
     if n_max < 4:
         raise UsageFailure("--n-max must be at least 4")
@@ -525,9 +520,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sequence = sub.add_parser(
         "sequence",
         help="integer sequences and identities of the wt(aa)=0, wt(bb)=2 scheme",
-    )
-    sequence.add_argument(
-        "--preset", metavar="NAME", help="must be sec6 when given"
     )
     sequence.add_argument(
         "--n-max", type=int, default=12, help="largest n in the table (default 12)"

@@ -75,7 +75,7 @@ def wt_of_permutation(scheme: WeightScheme, pi: Sequence[int]) -> Fraction:
 
 def _wt_of_word(scheme: WeightScheme, u: str) -> Fraction:
     m = scheme.m
-    value = scheme.wt1[u[: m - 1]] * scheme.wt2[u[len(u) - (m - 1) :] if m > 1 else ""]
+    value = scheme.wt1[u[: m - 1]] * scheme.wt2[u[len(u) - (m - 1) :]]
     for i in range(len(u) - m + 1):
         value *= scheme.wt[u[i : i + m]]
     return value
@@ -219,7 +219,7 @@ def dp_alpha(scheme: WeightScheme, n: int) -> WeightedCount:
     for suffix, weights in states.items():
         weight = sum(weights, zero)
         if n >= m:
-            weight = weight * wt2[suffix[len(suffix) - (m - 1) :] if m > 1 else ""]
+            weight = weight * wt2[suffix[len(suffix) - (m - 1) :]]
         total += weight
     return WeightedCount(n, Fraction(total))
 
@@ -285,7 +285,9 @@ def nearest_integer_formula(n: int, which: str) -> int:
     value is computed by the exact truncated series sum_{k<=n} coef(k)*n!/k!
     in big-integer arithmetic -- no floating point.  Below the per-refinement
     threshold (aa: 8, ab: 3, bb: 2, total: 4) the rounding claim does not
-    hold, so the call is refused.
+    hold, so the call is refused.  The series is the one genfun_coeffs
+    expands, so the value equals genfun_coeffs(n)[which][n]: the nearest_*
+    columns of the sequence command repeat its genfun_ok column.
     """
     if which not in _SEC6_KEYS:
         raise ValueError(f"which must be one of {_SEC6_KEYS}, got {which!r}")

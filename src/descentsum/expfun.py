@@ -77,10 +77,6 @@ __all__ = [
 _EXACT_TYPES = (int, Fraction)
 
 
-def _is_exact_scalar(v) -> bool:
-    return isinstance(v, _EXACT_TYPES)
-
-
 def _div_by_int(c, d: int):
     if isinstance(c, int):
         return Fraction(c, d)
@@ -97,47 +93,36 @@ class ExpPoly:
     """A finite sum of terms c * x^k * exp(mu x), canonically normalized.
 
     Terms with equal (k, mu) are merged, zero coefficients dropped, and
-    inexact exponents closer than 1e-9 are identified.  Coefficients and
+    exponents closer than MU_MERGE_TOL are identified.  Coefficients and
     exponents are exact (int/Fraction) or inexact (float/complex); mixing the
-    two coerces the whole polynomial to inexact.
+    two promotes by Python's number rules (Fraction * complex is complex), so
+    a polynomial built from exact terms alone stays exact.
     """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms: Iterable[tuple] = ()) -> None:
-        merged: dict = {}
+        by_degree: dict[int, dict] = {}  # k -> {mu: coefficient}
         for c, k, mu in terms:
             if k < 0:
                 raise ValueError("degree must be nonnegative")
-            if not _is_exact_scalar(mu) and abs(complex(mu)) <= MU_MERGE_TOL:
+            if abs(mu) <= MU_MERGE_TOL and not isinstance(mu, _EXACT_TYPES):
                 mu = 0  # keep near-zero exponents on the polynomial branch
-            key = (k, mu)
-            merged[key] = merged.get(key, 0) + c
-        # identify inexact exponents that agree to MU_MERGE_TOL
-        exact_keys = [key for key in merged if _is_exact_scalar(key[1])]
-        inexact_keys = [key for key in merged if not _is_exact_scalar(key[1])]
-        inexact_keys.sort(
-            key=lambda key: (key[0], complex(key[1]).real, complex(key[1]).imag)
-        )
-        out: dict = {key: merged[key] for key in exact_keys}
-        rep_for_degree: dict[int, list] = {}
-        for k, mu in inexact_keys:
-            reps = rep_for_degree.setdefault(k, [])
-            z = complex(mu)
-            for rep in reps:
-                if abs(z - rep) <= MU_MERGE_TOL:
-                    out[(k, rep)] = out.get((k, rep), 0) + merged[(k, mu)]
-                    break
-            else:
-                reps.append(z)
-                out[(k, z)] = out.get((k, z), 0) + merged[(k, mu)]
-        cleaned = tuple(
+            row = by_degree.setdefault(k, {})
+            if mu not in row:  # exact first: equal values hash equal across types
+                mu = next((kept for kept in row if abs(kept - mu) <= MU_MERGE_TOL), mu)
+            row[mu] = row.get(mu, 0) + c
+        self.terms = tuple(
             sorted(
-                ((c, k, mu) for (k, mu), c in out.items() if c != 0),
-                key=lambda t: (t[1], complex(t[2]).real, complex(t[2]).imag),
+                (
+                    (c, k, mu)
+                    for k, row in by_degree.items()
+                    for mu, c in row.items()
+                    if c != 0
+                ),
+                key=lambda t: (t[1], t[2].real, t[2].imag),
             )
         )
-        self.terms = cleaned
 
     # --- constructors ---
 
@@ -162,13 +147,8 @@ class ExpPoly:
     @property
     def is_exact(self) -> bool:
         return all(
-            _is_exact_scalar(c) and _is_exact_scalar(mu) for c, _, mu in self.terms
-        )
-
-    def as_inexact(self) -> "ExpPoly":
-        return ExpPoly(
-            (complex(c), k, mu if _is_exact_scalar(mu) and mu == 0 else complex(mu))
-            for c, k, mu in self.terms
+            isinstance(c, _EXACT_TYPES) and isinstance(mu, _EXACT_TYPES)
+            for c, _, mu in self.terms
         )
 
     def max_coef(self) -> float:
@@ -176,16 +156,10 @@ class ExpPoly:
 
     # --- ring operations ---
 
-    def _paired(self, other: "ExpPoly") -> tuple["ExpPoly", "ExpPoly"]:
-        if self.is_exact != other.is_exact:
-            return self.as_inexact(), other.as_inexact()
-        return self, other
-
     def __add__(self, other: "ExpPoly") -> "ExpPoly":
         if not isinstance(other, ExpPoly):
             return NotImplemented
-        a, b = self._paired(other)
-        return ExpPoly(a.terms + b.terms)
+        return ExpPoly(self.terms + other.terms)
 
     def __neg__(self) -> "ExpPoly":
         return ExpPoly((-c, k, mu) for c, k, mu in self.terms)
@@ -196,18 +170,15 @@ class ExpPoly:
     def scale(self, s) -> "ExpPoly":
         if s == 0:
             return ExpPoly.zero()
-        if self.is_exact and not _is_exact_scalar(s):
-            return self.as_inexact().scale(complex(s))
         return ExpPoly((c * s, k, mu) for c, k, mu in self.terms)
 
     def __mul__(self, other: "ExpPoly") -> "ExpPoly":
         if not isinstance(other, ExpPoly):
             return NotImplemented
-        a, b = self._paired(other)
         return ExpPoly(
             (c1 * c2, k1 + k2, mu1 + mu2)
-            for c1, k1, mu1 in a.terms
-            for c2, k2, mu2 in b.terms
+            for c1, k1, mu1 in self.terms
+            for c2, k2, mu2 in other.terms
         )
 
     # --- calculus ---
@@ -633,7 +604,8 @@ def apply_operator(scheme: WeightScheme, f: PiecewiseFn) -> PiecewiseFn:
 
     On the cell P_w (w = uy) the result is
     wt(a u y) * integral_0^{x_1} f|_{P_{au}} + wt(b u y) * integral_{x_1}^1 f|_{P_{bu}},
-    a function of the first coordinate again.  Exact on rational inputs.
+    a function of the first coordinate again, with au = (aw)[:m-1] and
+    bu = (bw)[:m-1] (the empty word at m = 1).  Exact on rational inputs.
     """
     if f.which_variable != "first":
         raise ValueError("operator input must be a first-variable function")
@@ -641,19 +613,12 @@ def apply_operator(scheme: WeightScheme, f: PiecewiseFn) -> PiecewiseFn:
         raise ValueError("dimension mismatch between scheme and function")
     m = scheme.m
     pieces: dict[str, ExpPoly] = {}
-    if m == 1:
-        F = f.pieces[""].antiderivative()
-        up = F.scale(scheme.wt["a"])
-        down = (ExpPoly.constant(F.at_one()) - F).scale(scheme.wt["b"])
-        pieces[""] = up + down
-    else:
-        for w in all_words(m - 1):
-            u = w[:-1]
-            Fa = f.pieces["a" + u].antiderivative()
-            Fb = f.pieces["b" + u].antiderivative()
-            up = Fa.scale(scheme.wt["a" + w])
-            down = (ExpPoly.constant(Fb.at_one()) - Fb).scale(scheme.wt["b" + w])
-            pieces[w] = up + down
+    for w in all_words(m - 1):
+        Fa = f.pieces[("a" + w)[: m - 1]].antiderivative()
+        Fb = f.pieces[("b" + w)[: m - 1]].antiderivative()
+        up = Fa.scale(scheme.wt["a" + w])
+        down = (ExpPoly.constant(Fb.at_one()) - Fb).scale(scheme.wt["b" + w])
+        pieces[w] = up + down
     return PiecewiseFn(m, "first", pieces)
 
 

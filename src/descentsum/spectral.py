@@ -173,14 +173,10 @@ def build_transfer(scheme: WeightScheme) -> TransferPair:
     d = 2 ** (m - 1)
     A = np.zeros((d, d), dtype=complex)
     B = np.zeros((d, d), dtype=complex)
-    if m == 1:
-        A[0, 0] = float(scheme.wt["a"])
-        B[0, 0] = float(scheme.wt["b"])
-    else:
-        index = {w: i for i, w in enumerate(all_words(m - 1))}
-        for w in all_words(m - 1):
-            A[index[w], index["a" + w[:-1]]] = float(scheme.wt["a" + w])
-            B[index[w], index["b" + w[:-1]]] = float(scheme.wt["b" + w])
+    index = {w: i for i, w in enumerate(all_words(m - 1))}
+    for w in all_words(m - 1):
+        A[index[w], index[("a" + w)[: m - 1]]] = float(scheme.wt["a" + w])
+        B[index[w], index[("b" + w)[: m - 1]]] = float(scheme.wt["b" + w])
     return TransferPair(m=m, A=A, B=B)
 
 

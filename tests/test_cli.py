@@ -397,8 +397,9 @@ def test_sequence_default(capsys):
 
 
 def test_sequence_rejects_other_presets(capsys):
-    rc, _, err = run(capsys, "sequence", "--preset", "sec5-1")
-    assert rc == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["sequence", "--preset", "sec5-1"])
+    assert exc.value.code == 2
 
 
 def test_sequence_n_max_validation(capsys):

@@ -327,6 +327,8 @@ def test_nearest_integer_matches_recursion_through_20():
 
 
 def test_nearest_integer_is_the_nearest_integer():
+    # nearest_integer_formula sums the truncated series that genfun_coeffs
+    # expands, so the thresholds are checked by rounding c * n! itself
     thresholds = {"aa": 8, "ab": 3, "bb": 2, "total": 4}
     coeffs = genfun_coeffs(40)
     with mpmath.workdps(80):  # 40! has 48 digits: the fractional part keeps 30
@@ -336,12 +338,14 @@ def test_nearest_integer_is_the_nearest_integer():
         }
         for which, c in constants.items():
             for n in range(thresholds[which], 41):
-                value = nearest_integer_formula(n, which)
-                assert value == coeffs[which][n], (which, n)
-                assert abs(c * mpmath.factorial(n) - value) < 0.5, (which, n)
-        # below the thresholds rounding c * n! misses the count
+                want = section6_recursion(n)[which]
+                rounded = int(mpmath.nint(c * mpmath.factorial(n)))
+                assert rounded == nearest_integer_formula(n, which) == want, (which, n)
+                assert coeffs[which][n] == want, (which, n)
+        # below the thresholds rounding c * n! misses the count by one (bb
+        # holds from n = 2, where the counts start)
         for which, n in (("aa", 7), ("ab", 2), ("total", 3)):
-            miss = abs(constants[which] * mpmath.factorial(n) - coeffs[which][n])
+            miss = abs(constants[which] * mpmath.factorial(n) - section6_recursion(n)[which])
             assert 0.5 < miss < 1, (which, n)
 
 

@@ -58,9 +58,12 @@ def test_normalization_merges_and_drops():
 
 
 def test_normalization_merges_close_exponents():
-    f = ExpPoly([(1.0, 0, 1.0), (1.0, 0, 1.0 + 1e-12)])
-    assert len(f.terms) == 1
-    assert abs(f.terms[0][0] - 2.0) < 1e-12
+    for f in (
+        ExpPoly([(1.0, 0, 1.0), (1.0, 0, 1.0 + 1e-12)]),
+        ExpPoly([(1, 0, Fraction(1, 2)), (1.0, 0, 0.5 + 1e-12)]),  # exact + inexact
+    ):
+        assert len(f.terms) == 1
+        assert abs(f.terms[0][0] - 2.0) < 1e-12
 
 
 def test_normalization_snaps_tiny_exponents_to_zero():
@@ -74,7 +77,9 @@ def test_normalization_snaps_tiny_exponents_to_zero():
 def test_exactness_tracking():
     f = ExpPoly([(Fraction(1, 3), 2, 0)])
     assert f.is_exact
-    assert not f.as_inexact().is_exact
+    mixed = f + ExpPoly([(0.5, 2, 0)])
+    assert not mixed.is_exact
+    assert mixed.terms == ((Fraction(1, 3) + 0.5, 2, 0),)
     assert not ExpPoly([(0.5, 1, 0)]).is_exact
     # integer exponents keep the exact flag
     assert ExpPoly([(1, 0, -1)]).is_exact
@@ -590,6 +595,19 @@ def test_operator_iteration_exact_type():
     got = alpha_by_operator_iteration(preset_scheme("sec6"), 9)
     assert isinstance(got.value, Fraction)
     assert got.value == dp_alpha(preset_scheme("sec6"), 9).value
+
+
+def test_oracles_and_transfer_pair_at_window_length_one():
+    # at m = 1 every index word is empty; alpha_n sums the Eulerian numbers
+    # weighted 2 per ascent and 1/2 per descent, times wt1 * wt2 = 1
+    s = load_scheme("m = 1\nwt a = 2\nwt b = 1/2\nwt1 = 3\nwt2 = 1/3\n")
+    for n in range(1, 10):
+        want = dp_alpha(s, n).value
+        assert brute_force_alpha(s, n).value == want, n
+        assert alpha_by_operator_iteration(s, n).value == want, n
+    assert dp_alpha(s, 7).value == Fraction(606033, 64)
+    pair = build_transfer(s)
+    assert pair.A.tolist() == [[2]] and pair.B.tolist() == [[0.5]]
 
 
 def test_asymptotics_truncates_without_splitting_a_conjugate_pair(spectra):
