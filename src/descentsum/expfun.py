@@ -195,11 +195,8 @@ class ExpPoly:
                     sign = -1 if (k - j) % 2 else 1
                     ratio = factorial(k) // factorial(j)
                     out.append((c * sign * ratio / mu ** (k - j + 1), j, mu))
-        F = ExpPoly(out)
-        f0 = F.at_zero()
-        if f0 != 0:
-            F = F + ExpPoly.constant(-f0)
-        return F
+        out.append((-sum((c for c, k, _ in out if k == 0), start=0), 0, 0))  # F(0) = 0
+        return ExpPoly(out)
 
     def at_zero(self):
         return sum((c for c, k, _ in self.terms if k == 0), start=0)
@@ -612,13 +609,16 @@ def apply_operator(scheme: WeightScheme, f: PiecewiseFn) -> PiecewiseFn:
     if f.m != scheme.m:
         raise ValueError("dimension mismatch between scheme and function")
     m = scheme.m
+    F = {u: piece.antiderivative() for u, piece in f.pieces.items()}
     pieces: dict[str, ExpPoly] = {}
     for w in all_words(m - 1):
-        Fa = f.pieces[("a" + w)[: m - 1]].antiderivative()
-        Fb = f.pieces[("b" + w)[: m - 1]].antiderivative()
-        up = Fa.scale(scheme.wt["a" + w])
-        down = (ExpPoly.constant(Fb.at_one()) - Fb).scale(scheme.wt["b" + w])
-        pieces[w] = up + down
+        Fa, Fb = F[("a" + w)[: m - 1]], F[("b" + w)[: m - 1]]
+        wa, wb = scheme.wt["a" + w], scheme.wt["b" + w]
+        terms = [(c * wa, k, mu) for c, k, mu in Fa.terms] if wa else []
+        if wb:  # wb * (Fb(1) - Fb)
+            terms += [(-c * wb, k, mu) for c, k, mu in Fb.terms]
+            terms.append((wb * Fb.at_one(), 0, 0))
+        pieces[w] = ExpPoly(terms)
     return PiecewiseFn(m, "first", pieces)
 
 

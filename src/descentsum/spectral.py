@@ -21,7 +21,11 @@ f'/f = -tr(M^-1 B exp(zC)).  The eigenvalues with |lambda| > r are the zeros
 of f in the disc |z| < 1/r, so the winding number of f on that circle counts
 them, and contour moments of f'/f locate them (Delves & Lyness, Math. Comp.
 21, 1967; Kravanja & Van Barel, Computing the Zeros of Analytic Functions,
-LNM 1727, 2000).
+LNM 1727, 2000).  A and B are real, so f(conj z) = conj f(z): f'/f is
+evaluated on the upper half of each circle only, and the lower half is its
+conjugate.  Only the r <= d/2 columns of B of the words that start with b
+are nonzero, so B = B[:, cols] I[cols] and each point needs one d x d solve
+with r right-hand sides: f'/f = -tr(I[cols] exp(zC) M^-1 B[:, cols]).
 
 f'/f is evaluated in a basis W that splits C into one block T_i per cluster
 of its eigenvalues.  Removing the cluster's centre c leaves N = T_i - cI,
@@ -139,6 +143,17 @@ class TransferPair:
         centre = np.array([c for c, _, _ in spaces])
         return _Blocks(Winv @ self.B @ W, label, centre, np.array(powers), W, Winv)
 
+    @cached_property
+    def _factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """U, B' N^j and V^T N^j (N^0 = I, the N^j of blocks.powers) for the
+        contour kernel, where B' = W^-1 B W = U V^T through the r nonzero
+        columns of B: U = W^-1 B[:, cols] (d x r), V^T = W[cols] (r x d).
+        The one-block basis has only N^0."""
+        Bw, _, _, powers, W, Winv = self.blocks
+        cols = np.flatnonzero(self.B.any(axis=0))
+        powers = np.eye(self.dim)[None] if powers is None else powers
+        return Winv @ self.B[:, cols], Bw @ powers, W[cols] @ powers
+
 
 class _Blocks(NamedTuple):
     """The decomposition of a pair, TransferPair.blocks: what the contour
@@ -183,13 +198,17 @@ def build_transfer(scheme: WeightScheme) -> TransferPair:
 def _kernel(
     pair: TransferPair, z: np.ndarray
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Stacks M, R with f'(z)/f(z) = -tr(M^-1 R), _STACK_BYTES of z at a time.
+    """Stacks M, L with f'(z)/f(z) = -tr(L M^-1 U), _STACK_BYTES of z at a time.
 
-    In the basis W, M(z) = I - B' z gamma(zT) and R = B exp(zC) = B' exp(zT),
-    with B' = W^-1 B W.  Where a block's centre c has Re(zc) > 1, its
-    columns in both are multiplied by exp(-zc): the trace is unchanged, but
-    the entries stay bounded, so f'/f keeps its digits much further out
-    than with the growing exponentials of M itself.
+    In the basis W, M(z) = I - B' z gamma(zT) and f'/f = -tr(M^-1 B' exp(zT)),
+    with B' = W^-1 B W.  Only the r columns of B of the words that start
+    with b are nonzero (r <= d/2), so B' = U V^T with U = W^-1 B[:, cols]
+    and V^T = W[cols] (TransferPair._factors), and f'/f = -tr(L M^-1 U)
+    with L = V^T exp(zT): one d x d solve with r right-hand sides.  Where a
+    block's centre c has Re(zc) > 1, its columns in M and L are multiplied
+    by exp(-zc): the trace is unchanged, but the entries stay bounded, so
+    f'/f keeps its digits much further out than with the growing
+    exponentials of M itself.
 
     Both matrix functions have a closed form on a block T_i = cI + N with
     N^p = 0:
@@ -200,18 +219,20 @@ def _kernel(
     with psi_j(x) = int_0^1 t^j e^(tx) dt / j!, which _psi scales by e^-x
     exactly where Re x > 1.  The scalar factors are computed per cluster,
     for as many points at once as fit _STACK_BYTES in a (points, p,
-    clusters) array, so a stack only weights the precomputed powers of N.
-    The one-block basis (powers None) has centre 0, so nothing grows: it
-    gets both functions of zC from linalg._exp_and_gamma.
+    clusters) array, so a stack is p column-weighted sums of the
+    precomputed B' N^j and V^T N^j.  The one-block basis (powers None) has
+    centre 0, so nothing grows: it gets both functions of zC from
+    linalg._exp_and_gamma.
     """
-    Bw, label, centre, powers, *_ = pair.blocks
+    _, label, centre, powers, *_ = pair.blocks
+    _, BN, VN = pair._factors
     eye = np.eye(pair.dim)
     chunk = max(1, _STACK_BYTES // (16 * pair.dim**2))  # points per (d, d) stack
     if powers is None:
         for a in range(0, len(z), chunk):
             zs = z[a : a + chunk, None, None]
             E, G = _exp_and_gamma(zs * (pair.A - pair.B))
-            yield eye - Bw @ (zs * G), Bw @ E
+            yield eye - BN[0] @ (zs * G), VN[0] @ E
         return
     p = len(powers)
     piece = chunk * max(1, pair.dim**2 // (p * len(centre)))  # per (p, clusters)
@@ -222,14 +243,15 @@ def _kernel(
         e = np.exp(np.where(grows, 0, x))  # exp(z(c - shift)), shift = c if it grows
         s = np.exp(-np.where(grows, x, 0))  # exp(-z shift)
         zj = zp[:, None] ** np.arange(p)
-        e_coef = zj * _INV_FACTORIAL[:p]  # of N^j in exp(z(T - c))
-        g_coef = (zp[:, None] * zj)[:, :, None] * _psi(x, p)  # ... in s z gamma(zT)
+        # per cluster, the weight of N^j in exp(z(T - shift)) and in
+        # exp(-z shift) z gamma(zT)
+        e_coef = (zj * _INV_FACTORIAL[:p])[:, :, None] * e[:, None, :]
+        g_coef = (zp[:, None] * zj)[:, :, None] * _psi(x, p)
         for a in range(0, len(zp), chunk):
             b = slice(a, a + chunk)
-            E = (e_coef[b] @ powers.reshape(p, -1)).reshape(-1, *eye.shape)
-            E *= e[b, None, label]
-            G = np.einsum("njc,jrc->nrc", g_coef[b][:, :, label], powers)
-            yield s[b, None, label] * eye - Bw @ G, Bw @ E
+            ec, gc = e_coef[b][:, :, None, label], g_coef[b][:, :, None, label]
+            M = s[b, None, label] * eye - sum(BN[j] * gc[:, j] for j in range(p))
+            yield M, sum(VN[j] * ec[:, j] for j in range(p))
 
 
 def _psi(x: np.ndarray, p: int) -> np.ndarray:
@@ -277,20 +299,21 @@ def det_P(pair: TransferPair, lam: complex) -> complex:
 
 def _log_derivative(pair: TransferPair, zs: np.ndarray) -> np.ndarray:
     """f'(z)/f(z) = -tr(M(z)^-1 B exp(zC)) at every z of a 1-d array."""
+    U = pair._factors[0]
     # where f is not resolved in float64 the values come out non-finite,
     # which the callers reject
     with np.errstate(all="ignore"):
-        return np.concatenate([_trace_solve(*stacks) for stacks in _kernel(pair, zs)])
+        return np.concatenate([_trace_solve(M, U, L) for M, L in _kernel(pair, zs)])
 
 
-def _trace_solve(M: np.ndarray, BE: np.ndarray):
-    """-tr(M^-1 BE) per matrix of a stack; infinite where M is exactly singular."""
+def _trace_solve(M: np.ndarray, U: np.ndarray, L: np.ndarray):
+    """-tr(L M^-1 U) per matrix of a stack; infinite where M is exactly singular."""
     try:
-        return -np.trace(np.linalg.solve(M, BE), axis1=-2, axis2=-1)
+        return -np.einsum("...rd,...dr->...", L, np.linalg.solve(M, U))
     except np.linalg.LinAlgError:  # z is exactly a zero of f
         if M.ndim == 2:
             return complex(np.inf)
-        return np.array([_trace_solve(m, be) for m, be in zip(M, BE)])
+        return np.array([_trace_solve(m, U, l) for m, l in zip(M, L)])
 
 
 def _make_point(pair: TransferPair, lam: complex) -> SpectralPoint:
@@ -316,37 +339,59 @@ def is_simple(pair: TransferPair, lam: complex, vector: np.ndarray) -> bool:
 class _Circle:
     """Samples of z f'(z)/f(z) on |z| = radius.
 
-    The points double until the winding number (the mean of the samples) is
-    within _COUNT_TOL of an integer and moves less than that between the last
-    two samplings; ``count`` is that integer, or None when no sampling up to
-    _MAX_CONTOUR_POINTS settles: a zero lies too close to the circle, or f
-    is not resolved in float64 there.  Radius 0 gives the empty disc.
+    The n points radius e^(2 pi i j/n) double until the winding number (the
+    mean of the samples) is within _COUNT_TOL of an integer and moves less
+    than that between the last two samplings; ``count`` is that integer, or
+    None when no sampling up to _MAX_CONTOUR_POINTS settles: a zero lies too
+    close to the circle, or f is not resolved in float64 there.
+
+    A and B are real, so f(conj z) = conj f(z).  The grid is closed under
+    conjugation, with its points on the real axis exactly real, and f'/f is
+    evaluated only on its upper half, 0 <= arg z <= pi: n/2 + 1 points of n.
+    Each point off the axis stands for its conjugate too, with twice the
+    quadrature weight, so the mean and the moments come out real.  Radius 0
+    gives the empty disc: count 0, no samples, zero moments.
     """
 
     def __init__(self, pair: TransferPair, radius: float):
         self.radius = radius
-        self.count = None
+        self.count = 0 if radius == 0 else None
+        self.z = self.zg = np.zeros(0, dtype=complex)  # the upper half
+        self.weight = np.zeros(0)  # 1/n on the real axis, 2/n off it
+        if radius == 0:
+            return
         n = _CONTOUR_POINTS
-        self.z = radius * np.exp(2j * np.pi * np.arange(n) / n)
         with np.errstate(all="ignore"):  # non-finite samples leave count None
-            self.zg = self.z * _log_derivative(pair, self.z)
+            self._sample(pair, np.arange(n // 2 + 1), n)
             while self.count is None and 2 * n <= _MAX_CONTOUR_POINTS:
-                coarse = self.zg.mean()
-                mid = self.z * np.exp(1j * np.pi / n)
-                self.z = np.concatenate([self.z, mid])
-                self.zg = np.concatenate([self.zg, mid * _log_derivative(pair, mid)])
+                coarse = self.mean()
                 n *= 2
-                fine = self.zg.mean()
+                self._sample(pair, np.arange(1, n // 2, 2), n)
+                fine = self.mean()
                 if not np.isfinite(fine):
                     break
-                nearest = round(fine.real)
+                nearest = round(fine)
                 if max(abs(fine - coarse), abs(fine - nearest)) <= _COUNT_TOL:
                     self.count = nearest
+
+    def _sample(self, pair: TransferPair, j: np.ndarray, n: int) -> None:
+        """Adds the points radius e^(2 pi i j/n), 0 <= j <= n/2, making the
+        grid n points: the weights of the points already sampled halve."""
+        on_axis = 2 * j % n == 0
+        z = self.radius * np.exp(2j * np.pi * j / n)
+        z[on_axis] = z[on_axis].real
+        self.z = np.concatenate([self.z, z])
+        self.zg = np.concatenate([self.zg, z * _log_derivative(pair, z)])
+        self.weight = np.concatenate([self.weight / 2, np.where(on_axis, 1, 2) / n])
+
+    def mean(self) -> float:
+        """The mean of z f'/f over the whole circle: the winding number."""
+        return float(self.zg.real @ self.weight)
 
     def moments(self, scale: float, k: int) -> np.ndarray:
         """(1/2 pi i) times the integral of (z/scale)^j f'/f dz, j < k."""
         w = self.z / scale
-        return (w[None, :] ** np.arange(k)[:, None] * self.zg).mean(axis=1)
+        return (w[None, :] ** np.arange(k)[:, None] * self.zg).real @ self.weight
 
 
 def eigenvalues(pair: TransferPair, r_min: float) -> list[SpectralPoint]:

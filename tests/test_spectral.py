@@ -268,10 +268,10 @@ def test_eigenvalues_stable_under_doubled_sampling(monkeypatch):
 
 
 def test_eigenvalues_certify_a_smaller_disc_where_f_is_unresolved():
-    # sec6 below |lambda| ~ 0.03: the certified bound moves up, with a
+    # sec6 below |lambda| ~ 0.028: the certified bound moves up, with a
     # warning naming it, and the one eigenvalue is still returned
     pair = build_transfer(preset_scheme("sec6"))
-    with pytest.warns(UserWarning, match=r"complete only for \|lambda\| > 0\.03"):
+    with pytest.warns(UserWarning, match=r"complete only for \|lambda\| > 0\.0281959,"):
         roots = eigenvalues(pair, 0.02)
     assert [p.lam for p in roots] == [pytest.approx(1.0, abs=1e-10)]
 
@@ -408,6 +408,62 @@ def test_log_derivative_matches_the_dense_formula(basis, monkeypatch):
             assert finite.sum() >= 32, (name, radius)
             tol = (1e-12 + pair.dim * np.finfo(float).eps * cond) * np.abs(want)
             assert np.all(np.abs(got - want)[finite] <= tol[finite]), (name, radius)
+
+
+@pytest.mark.parametrize("basis", ["clusters", "one-block"])
+def test_log_derivative_is_conjugate_symmetric(basis, monkeypatch):
+    # A and B are real, so f(conj z) = conj f(z), which lets the finder
+    # sample only the upper half of each circle; 1e-12 relative, widened as
+    # in the dense comparison where M is ill-conditioned
+    if basis == "one-block":
+        monkeypatch.setattr(spectral, "_BASIS_COND", 0.5)
+    m1 = load_scheme("m = 1\nwt a = 2\nwt b = 1\n")
+    for name, scheme in dict(KERNEL_SCHEMES, near=NEAR_PAIR, m1=m1).items():
+        pair = build_transfer(scheme)
+        assert (pair.blocks.powers is None) == (basis == "one-block"), name
+        for radius in (5, 10, 20):
+            z = radius * np.exp(1j * np.pi * (np.arange(32) + 0.3) / 32)
+            upper = spectral._log_derivative(pair, z)
+            lower = spectral._log_derivative(pair, z.conj())
+            _, cond = dense_log_derivative(pair, z)
+            tol = (1e-12 + pair.dim * np.finfo(float).eps * cond) * np.abs(upper)
+            assert np.all(np.abs(lower - upper.conj()) <= tol), (name, radius)
+
+
+def test_circle_evaluates_its_upper_half(monkeypatch):
+    # a settled circle of n points evaluates f'/f at the n/2 + 1 with
+    # 0 <= arg z <= pi, those on the real axis exactly real; each point off
+    # the axis stands for its conjugate too, so the mean and the moments
+    # are those of the whole circle, and real; radius 0 evaluates nothing
+    pair = build_transfer(preset_scheme("sec5-1"))
+    seen = []
+    log_derivative = spectral._log_derivative
+
+    def counted(pair, zs):
+        seen.append(zs)
+        return log_derivative(pair, zs)
+
+    monkeypatch.setattr(spectral, "_log_derivative", counted)
+    circle = spectral._Circle(pair, 5.0)
+    assert circle.count == 6  # the eigenvalues above 0.2
+    n = round(1 / circle.weight.min())  # the weight of a point on the axis
+    assert n >= 2 * spectral._CONTOUR_POINTS
+    z = np.concatenate(seen)
+    assert len(z) == n // 2 + 1
+    assert np.allclose(np.sort(np.angle(z)), 2 * np.pi * np.arange(n // 2 + 1) / n)
+    assert sorted(z[z.imag == 0].real) == [-5.0, 5.0]
+    whole = np.concatenate([circle.z, circle.z[circle.z.imag != 0].conj()])
+    zg = whole * log_derivative(pair, whole)
+    assert np.imag(circle.mean()) == 0
+    assert abs(circle.mean() - zg.mean()) < 1e-13
+    moments = circle.moments(5.0, 4)
+    assert np.all(np.imag(moments) == 0)
+    want = ((whole / 5.0)[None, :] ** np.arange(4)[:, None] * zg).mean(axis=1)
+    assert np.allclose(moments, want, rtol=0, atol=1e-13)
+    seen.clear()
+    empty = spectral._Circle(pair, 0.0)
+    assert seen == [] and empty.count == 0
+    assert np.array_equal(empty.moments(5.0, 4), np.zeros(4))
 
 
 def test_psi_is_its_integral():

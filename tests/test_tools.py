@@ -1,15 +1,28 @@
-"""The repository's tools: tools/code_lines.py counts code-only lines."""
+"""The repository's tools: tools/code_lines.py counts code-only lines, and
+tools/finder_sweep.py records the eigenvalue finder's work over a scheme set."""
 
 from __future__ import annotations
 
 import importlib.util
+import json
+import math
 from pathlib import Path
+
+import pytest
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
-_spec = importlib.util.spec_from_file_location("code_lines", TOOLS / "code_lines.py")
-code_lines = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(code_lines)
+
+
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+code_lines = _load("code_lines")
+finder_sweep = _load("finder_sweep")
 
 FIXTURE = '''"""Module docstring."""
 import os
@@ -34,3 +47,27 @@ def test_code_lines_counts_code_beside_a_docstring(tmp_path):
     path = tmp_path / "fixture.py"
     path.write_text(FIXTURE)
     assert code_lines.code_lines(path) == 6
+
+
+def test_finder_sweep_records_and_compares(tmp_path, capsys):
+    # two presets: sec6 has the one eigenvalue 1, alternating the twelve
+    # +-2/((2k+1) pi) above 0.05; both lists are certified down to 0.05
+    out = tmp_path / "sweep.json"
+    assert finder_sweep.main(["run", str(out), "--only", "sec6", "alternating"]) == 0
+    records = json.loads(out.read_text())
+    assert list(records) == ["sec6", "alternating"]
+    sec6, alternating = records["sec6"], records["alternating"]
+    assert [complex(*v) for v in sec6["eigenvalues"]] == [pytest.approx(1, abs=1e-12)]
+    assert len(alternating["eigenvalues"]) == 12
+    assert alternating["eigenvalues"][0] == [pytest.approx(2 / math.pi, rel=1e-12), 0]
+    for record in (sec6, alternating):
+        assert record["bound"] == record["r_min"] == 0.05 and record["warnings"] == []
+        assert record["circles"] >= 1 and record["evaluations"] > 16 * record["circles"]
+    assert finder_sweep.main(["compare", str(out), str(out)]) == 0
+    assert "changed lists: none" in capsys.readouterr().out
+    sec6["bound"], sec6["eigenvalues"] = 0.06, []
+    worse = tmp_path / "worse.json"
+    worse.write_text(json.dumps(records))
+    assert finder_sweep.main(["compare", str(out), str(worse)]) == 1
+    printed = capsys.readouterr().out
+    assert "changed lists: sec6" in printed and "worse bounds: sec6" in printed
