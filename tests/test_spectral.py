@@ -433,8 +433,9 @@ def test_log_derivative_is_conjugate_symmetric(basis, monkeypatch):
 def test_circle_evaluates_its_upper_half(monkeypatch):
     # a settled circle of n points evaluates f'/f at the n/2 + 1 with
     # 0 <= arg z <= pi, those on the real axis exactly real; each point off
-    # the axis stands for its conjugate too, so the mean and the moments
-    # are those of the whole circle, and real; radius 0 evaluates nothing
+    # the axis stands for its conjugate too (weight 2/n against 1/n on the
+    # axis), so the real mean and moments are those of the whole circle;
+    # radius 0 evaluates nothing
     pair = build_transfer(preset_scheme("sec5-1"))
     seen = []
     log_derivative = spectral._log_derivative
@@ -452,12 +453,12 @@ def test_circle_evaluates_its_upper_half(monkeypatch):
     assert len(z) == n // 2 + 1
     assert np.allclose(np.sort(np.angle(z)), 2 * np.pi * np.arange(n // 2 + 1) / n)
     assert sorted(z[z.imag == 0].real) == [-5.0, 5.0]
+    assert np.all(z.imag >= 0)
+    assert np.array_equal(circle.weight, np.where(circle.z.imag == 0, 1, 2) / n)
     whole = np.concatenate([circle.z, circle.z[circle.z.imag != 0].conj()])
     zg = whole * log_derivative(pair, whole)
-    assert np.imag(circle.mean()) == 0
     assert abs(circle.mean() - zg.mean()) < 1e-13
     moments = circle.moments(5.0, 4)
-    assert np.all(np.imag(moments) == 0)
     want = ((whole / 5.0)[None, :] ** np.arange(4)[:, None] * zg).mean(axis=1)
     assert np.allclose(moments, want, rtol=0, atol=1e-13)
     seen.clear()

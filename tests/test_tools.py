@@ -13,7 +13,6 @@ import pytest
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
 
-
 def _load(name: str):
     spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
@@ -71,3 +70,11 @@ def test_finder_sweep_records_and_compares(tmp_path, capsys):
     assert finder_sweep.main(["compare", str(out), str(worse)]) == 1
     printed = capsys.readouterr().out
     assert "changed lists: sec6" in printed and "worse bounds: sec6" in printed
+    # the same count, but one value gone and a duplicate of another in its
+    # place: every new value is near an old one, yet the list changed
+    records = json.loads(out.read_text())
+    records["alternating"]["eigenvalues"][1] = records["alternating"]["eigenvalues"][0]
+    swapped = tmp_path / "swapped.json"
+    swapped.write_text(json.dumps(records))
+    assert finder_sweep.main(["compare", str(out), str(swapped)]) == 0
+    assert "changed lists: alternating" in capsys.readouterr().out

@@ -11,13 +11,14 @@ read through windows of length 5, each window weighted 3/4, 1 and 5/4
 each window weight drawn from RANDOM_WEIGHTS in the order of all_words(m)).
 
     python tools/finder_sweep.py run OUT.json [--only NAME ...]
-    python tools/finder_sweep.py compare OLD.json NEW.json [--tol REL]
+    python tools/finder_sweep.py compare OLD.json NEW.json
 
 ``run`` imports descentsum from the interpreter's path, so
 ``PYTHONPATH=src`` sweeps this checkout and ``PYTHONPATH=<other>/src``
 another one.  ``compare`` prints both records per scheme, names the schemes
-whose eigenvalue list changed (another count, or a value that moved by more
-than REL relative, default 1e-10) and those whose warnings changed, and
+whose eigenvalue list changed (another count, or a value of either list
+farther than SHIFT_TOL relative from the nearest of the other) and those
+whose warnings changed, and
 exits 1 when a certified bound is worse (larger) in NEW.
 """
 
@@ -34,6 +35,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 RANDOM_WEIGHTS = ["0", "1", "-1", "2", "3", "1/2", "-1/2"]
+SHIFT_TOL = 1e-10
 _BOUND = re.compile(r"complete only for \|lambda\| > ([0-9.eE+-]+),")
 
 
@@ -120,15 +122,18 @@ def run(path: str, only: list[str] | None) -> int:
 
 
 def _max_shift(old: list, new: list) -> float:
-    """Largest relative distance from a value of new to the nearest of old."""
-    olds = [complex(*v) for v in old]
-    return max(
-        (min(abs(complex(*v) - o) for o in olds) / abs(complex(*v)) for v in new),
-        default=0.0,
-    )
+    """Largest relative distance from a value of either list to the nearest
+    of the other, so that a value that vanishes is seen even when a
+    near-duplicate takes its place."""
+    olds, news = [complex(*v) for v in old], [complex(*v) for v in new]
+
+    def one_way(xs, ys):
+        return max((min(abs(x - y) for y in ys) / abs(x) for x in xs), default=0.0)
+
+    return max(one_way(news, olds), one_way(olds, news))
 
 
-def compare(old_path: str, new_path: str, tol: float) -> int:
+def compare(old_path: str, new_path: str) -> int:
     with open(old_path) as f:
         old = json.load(f)
     with open(new_path) as f:
@@ -145,7 +150,7 @@ def compare(old_path: str, new_path: str, tol: float) -> int:
             shift = _max_shift(a["eigenvalues"], b["eigenvalues"])
         if b["bound"] > a["bound"]:
             worse.append(name)
-        if shift is None or shift > tol:
+        if shift is None or shift > SHIFT_TOL:
             changed.append(name)
         if a["warnings"] != b["warnings"]:
             warned.append(name)
@@ -172,11 +177,10 @@ def main(argv: list[str]) -> int:
     cmp_p = sub.add_parser("compare", help="compare two sweep files")
     cmp_p.add_argument("old")
     cmp_p.add_argument("new")
-    cmp_p.add_argument("--tol", type=float, default=1e-10)
     args = parser.parse_args(argv)
     if args.command == "run":
         return run(args.out, args.only)
-    return compare(args.old, args.new, args.tol)
+    return compare(args.old, args.new)
 
 
 if __name__ == "__main__":
