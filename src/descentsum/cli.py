@@ -22,12 +22,14 @@ import sys
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 from math import factorial, isfinite
 from pathlib import Path
 from typing import Callable, Sequence
 
 from .exact import (
     BRUTE_FORCE_CAP,
+    _dp_pass,
     brute_force_alpha,
     derangements,
     dp_alpha,
@@ -327,14 +329,16 @@ def _cmd_sequence(args) -> tuple[RunReport, list[str]]:
     if n_max < 4:
         raise UsageFailure("--n-max must be at least 4")
     scheme = preset_scheme("sec6")
-    refined = {x + y: restrict_ends(scheme, x, y) for x in "ab" for y in "ab"}
+    schemes = {x + y: restrict_ends(scheme, x, y) for x in "ab" for y in "ab"}
+    schemes["total"] = scheme
+    # alpha_2..alpha_n_max of each scheme, read off one insertion-DP pass
+    passes = {key: islice(_dp_pass(s, n_max), 2, None) for key, s in schemes.items()}
     coeffs = genfun_coeffs(n_max)
     rows: list[list] = []
     failures: list[str] = []
     for n in range(2, n_max + 1):
         rec = section6_recursion(n)
-        dp = {key: dp_alpha(s, n).value for key, s in refined.items()}
-        dp["total"] = dp_alpha(scheme, n).value
+        dp = {key: next(values) for key, values in passes.items()}
         dp_ok = (
             dp["aa"] == rec["aa"]
             and dp["ab"] == rec["ab"] == dp["ba"]

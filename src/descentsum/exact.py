@@ -6,11 +6,15 @@ wt1 on the leading m-1 letters and wt2 on the trailing m-1 letters).  This
 module holds two of the three exact routes used to cross-check everything
 else: brute-force enumeration over S_n, grouped by descent word, and
 de Bruijn's prefix-sum recurrence (dp_alpha), which keeps one list of
-weights over the ranks of the last entry per descent-word suffix.  The third,
-operator iteration in exact rationals, is expfun.alpha_by_operator_iteration;
-no route is written in terms of another.  Each route takes only (scheme, n):
-a count restricted to a first or last descent letter is the count of the
-scheme with its boundary weights zeroed off that letter
+weights over the ranks of the last entry per descent-word suffix.  The DP
+adds and multiplies Python ints only: it scales each weight table by the lcm
+of its denominators and divides the integer total once, at the end, by the
+power of those lcms that a permutation of length n collects.  Brute force
+sums the Fraction weights unscaled.  The third route, operator iteration,
+is expfun.alpha_by_operator_iteration, scaled the same way by code of its
+own; no route is written in terms of another.  Each route takes only
+(scheme, n): a count restricted to a first or last descent letter is the
+count of the scheme with its boundary weights zeroed off that letter
 (words.restrict_ends).  The module also carries the exact
 closed-form machinery available for the scheme with wt(aa) = 0, wt(bb) = 2:
 recursions, nearest-integer formulas, and generating-function coefficients.
@@ -22,8 +26,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, permutations
-from math import comb, factorial
-from typing import Iterable, Sequence
+from math import comb, factorial, lcm
+from typing import Iterable, Iterator, Sequence
 
 from .words import WeightScheme, all_words, descent_word
 
@@ -157,47 +161,43 @@ def brute_force_alpha_direct(scheme: WeightScheme, n: int) -> WeightedCount:
     return WeightedCount(n, total)
 
 
-def dp_alpha(scheme: WeightScheme, n: int) -> WeightedCount:
-    """alpha_n by the insertion dynamic program, exactly.
+def _scaled(table: dict[str, Fraction]) -> tuple[dict[str, int], int]:
+    """The table times the lcm D of its denominators, as ints, and D."""
+    scale = lcm(*(v.denominator for v in table.values()))
+    return {w: v.numerator * (scale // v.denominator) for w, v in table.items()}, scale
 
-    Permutations are built by appending entries on the right; the state is
-    (last min(m-1, built-1) letters of the descent word, rank of the last
-    entry), kept as one list of weights over ranks 1..i per word suffix.
-    An entry appended at rank r among i + 1 is an ascent exactly from the
-    ranks below r, so the weights it collects are a prefix sum (letter a)
-    or a suffix sum (letter b) of that list.  This is the up-down recurrence
-    of de Bruijn ("Permutations with given ups and downs", Nieuw Arch. Wisk.
-    18, 1970); it costs O(2^(m-1) n^2) additions.  Exact big-integer
-    arithmetic is used when every weight is an integer, exact rationals
-    otherwise.
+
+def _dp_pass(scheme: WeightScheme, n_max: int) -> Iterator[Fraction]:
+    """alpha_0, ..., alpha_n_max from one run of the insertion DP.
+
+    The weights run scaled to integers: wt, wt1 and wt2 are multiplied by
+    the lcm of their denominators D, D1 and D2.  A permutation of length
+    n >= m collects n - m windows, one wt1 and one wt2 factor, so the integer
+    total is alpha_n * D^(n-m) * D1 * D2, and one division at the end gives
+    alpha_n; below m no weight applies and the total is alpha_n itself.
     """
     m = scheme.m
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if n == 0:
-        return WeightedCount(0, Fraction(1))
-
-    integral = all(
-        v.denominator == 1
-        for table in (scheme.wt, scheme.wt1, scheme.wt2)
-        for v in table.values()
-    )
-    cast = (lambda f: f.numerator) if integral else (lambda f: f)
-    wt = {w: cast(v) for w, v in scheme.wt.items()}
-    wt1 = {w: cast(v) for w, v in scheme.wt1.items()}
-    wt2 = {w: cast(v) for w, v in scheme.wt2.items()}
-
-    zero = 0 if integral else Fraction(0)
-    init = wt1[""] if m == 1 else (1 if integral else Fraction(1))
+    wt, d = _scaled(scheme.wt)
+    wt1, d1 = _scaled(scheme.wt1)
+    wt2, d2 = _scaled(scheme.wt2)
+    yield Fraction(1)
     # states: {suffix: weights of ranks 1..i} after i entries
-    states: dict[str, list] = {"": [init]}
-    for i in range(1, n):
-        nxt: dict[str, list] = {}
+    states: dict[str, list[int]] = {"": [wt1[""] if m == 1 else 1]}
+    for i in range(1, n_max + 1):
+        total = 0
+        nxt: dict[str, list[int]] = {}
         for suffix, weights in states.items():
             # an entry appended at rank r (1..i+1) collects, as an ascent,
             # the ranks below r and, as a descent, the ranks from r on
-            below = list(accumulate(weights, initial=zero))
-            from_r = list(accumulate(reversed(weights), initial=zero))[::-1]
+            below = list(accumulate(weights, initial=0))
+            # alpha_i sums the lists, which the prefix sums end with
+            if i >= m:
+                total += below[-1] * wt2[suffix[len(suffix) - (m - 1) :]]
+            else:
+                total += below[-1]
+            if i == n_max:
+                continue
+            from_r = list(accumulate(reversed(weights), initial=0))[::-1]
             for letter, sums in (("a", below), ("b", from_r)):
                 grown = suffix + letter
                 factor = None
@@ -214,14 +214,29 @@ def dp_alpha(scheme: WeightScheme, n: int) -> WeightedCount:
                     nxt[grown] = [x + y for x, y in zip(nxt[grown], sums)]
                 else:
                     nxt[grown] = sums
+        yield Fraction(total, d ** (i - m) * d1 * d2) if i >= m else Fraction(total)
         states = nxt
-    total = zero
-    for suffix, weights in states.items():
-        weight = sum(weights, zero)
-        if n >= m:
-            weight = weight * wt2[suffix[len(suffix) - (m - 1) :]]
-        total += weight
-    return WeightedCount(n, Fraction(total))
+
+
+def dp_alpha(scheme: WeightScheme, n: int) -> WeightedCount:
+    """alpha_n by the insertion dynamic program, exactly.
+
+    Permutations are built by appending entries on the right; the state is
+    (last min(m-1, built-1) letters of the descent word, rank of the last
+    entry), kept as one list of weights over ranks 1..i per word suffix.
+    An entry appended at rank r among i + 1 is an ascent exactly from the
+    ranks below r, so the weights it collects are a prefix sum (letter a)
+    or a suffix sum (letter b) of that list.  This is the up-down recurrence
+    of de Bruijn ("Permutations with given ups and downs", Nieuw Arch. Wisk.
+    18, 1970); it costs O(2^(m-1) n^2) additions.  The additions are on
+    Python ints: each weight table is scaled by the lcm of its denominators,
+    and the total is divided once, by D^(n-m) * D1 * D2, at the end.
+    """
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    for value in _dp_pass(scheme, n):
+        pass
+    return WeightedCount(n, value)
 
 
 def derangements(n: int) -> int:

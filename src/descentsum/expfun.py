@@ -10,8 +10,10 @@ maps functions that are, on each cell, a function of the first coordinate
 alone to functions of the same shape.  Everything here is represented by
 ExpPoly -- finite sums c * x^k * exp(mu x) -- so antiderivatives, products,
 the end-point reflection J, and integrals over the cells are all closed form.
-Coefficients stay exact rationals when the inputs are rational polynomials
-(the operator-iteration route relies on that); otherwise they are complex.
+Coefficients stay exact when the inputs are rational polynomials, and ints
+stay ints where the antiderivative's division is exact: the operator-iteration
+route scales its weights to integers and divides once, at the end.  Otherwise
+coefficients are complex.
 
 An eigenfunction is exp((A - B)x/lambda) c on every cell.  It is read off
 the decomposition A - B = W T W^-1 that the transfer pair already holds for
@@ -36,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import comb, factorial
+from math import comb, factorial, lcm
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 import cmath
@@ -79,7 +81,8 @@ _EXACT_TYPES = (int, Fraction)
 
 def _div_by_int(c, d: int):
     if isinstance(c, int):
-        return Fraction(c, d)
+        q, r = divmod(c, d)
+        return Fraction(c, d) if r else q
     return c / d
 
 
@@ -602,18 +605,25 @@ def apply_operator(scheme: WeightScheme, f: PiecewiseFn) -> PiecewiseFn:
     On the cell P_w (w = uy) the result is
     wt(a u y) * integral_0^{x_1} f|_{P_{au}} + wt(b u y) * integral_{x_1}^1 f|_{P_{bu}},
     a function of the first coordinate again, with au = (aw)[:m-1] and
-    bu = (bw)[:m-1] (the empty word at m = 1).  Exact on rational inputs.
+    bu = (bw)[:m-1] (the empty word at m = 1).  Exact on rational inputs;
+    an int coefficient stays an int where the antiderivative's division by
+    k + 1 is exact.
     """
     if f.which_variable != "first":
         raise ValueError("operator input must be a first-variable function")
     if f.m != scheme.m:
         raise ValueError("dimension mismatch between scheme and function")
-    m = scheme.m
+    return _operator_step(scheme.wt, f)
+
+
+def _operator_step(wt: Mapping[str, Fraction | int], f: PiecewiseFn) -> PiecewiseFn:
+    """T(f) with the window weights wt, on a first-variable f."""
+    m = f.m
     F = {u: piece.antiderivative() for u, piece in f.pieces.items()}
     pieces: dict[str, ExpPoly] = {}
     for w in all_words(m - 1):
         Fa, Fb = F[("a" + w)[: m - 1]], F[("b" + w)[: m - 1]]
-        wa, wb = scheme.wt["a" + w], scheme.wt["b" + w]
+        wa, wb = wt["a" + w], wt["b" + w]
         terms = [(c * wa, k, mu) for c, k, mu in Fa.terms] if wa else []
         if wb:  # wb * (Fb(1) - Fb)
             terms += [(-c * wb, k, mu) for c, k, mu in Fb.terms]
@@ -622,20 +632,41 @@ def apply_operator(scheme: WeightScheme, f: PiecewiseFn) -> PiecewiseFn:
     return PiecewiseFn(m, "first", pieces)
 
 
-def alpha_by_operator_iteration(scheme: WeightScheme, n: int) -> WeightedCount:
-    """alpha_n as n! <T^(n-m)(kappa), mu>, in exact rational arithmetic.
+def _scaled(table: Mapping[str, Fraction]) -> tuple[dict[str, int], int]:
+    """The table times the lcm D of its denominators, as ints, and D."""
+    scale = lcm(*(v.denominator for v in table.values()))
+    return {w: v.numerator * (scale // v.denominator) for w, v in table.items()}, scale
 
-    Iterates of T on the piecewise-constant kappa stay rational polynomials,
-    and the closing pairing is a rational polytope integral, so the result is
-    an exact Fraction.  Requires n >= m.
+
+def alpha_by_operator_iteration(scheme: WeightScheme, n: int) -> WeightedCount:
+    """alpha_n as n! <T^(n-m)(kappa), mu>, in integers up to one division.
+
+    The weight tables run scaled to integers: wt, wt1 and wt2 times the lcm
+    of their denominators D, D1 and D2.  The iterate is
+    g_j = j! D^j D1 T^j(kappa), so g_0 is the scaled kappa and
+    g_(j+1) = T_D((j+1) g_j), with T_D the operator on the scaled window
+    weights.  Its coefficients are ints: the coefficient of x^k in
+    D^j D1 T^j(kappa) has a denominator dividing k! (j-k)!, by induction on
+    j (integrating x^k divides by k + 1 and raises the degree; the constant
+    term Fb(1) sums such quotients, whose denominators all divide (j+1)!),
+    so the antiderivative of (j+1) g_j divides each coefficient by k + 1
+    exactly, to C(j+1, k+1) times an integer.  The closing pairing with
+    the scaled mu is a rational polytope integral, and one division by
+    (n-m)! D^(n-m) D1 D2 gives the exact Fraction.  Requires n >= m.
     """
     m = scheme.m
     if n < m:
         raise ValueError(f"operator iteration needs n >= m = {m}")
-    f = kappa_piecewise(scheme)
-    for _ in range(n - m):
-        f = apply_operator(scheme, f)
-    total = _pairing(f, mu_piecewise(scheme))  # mu is rational, conjugation is a no-op
+    wt, d = _scaled(scheme.wt)
+    wt1, d1 = _scaled(scheme.wt1)
+    wt2, d2 = _scaled(scheme.wt2)
+    words = all_words(m - 1)
+    g = PiecewiseFn(m, "first", {u: ExpPoly.constant(wt1[u]) for u in words})
+    for j in range(n - m):
+        g = _operator_step(wt, g.scale(j + 1))
+    mu = PiecewiseFn(m, "last", {u: ExpPoly.constant(wt2[u]) for u in words})
+    total = _pairing(g, mu)
     if not isinstance(total, (int, Fraction)):
         raise AssertionError("operator iteration left the exact path")
-    return WeightedCount(n, Fraction(factorial(n)) * total)
+    scale = factorial(n - m) * d ** (n - m) * d1 * d2
+    return WeightedCount(n, Fraction(factorial(n), scale) * total)

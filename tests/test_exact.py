@@ -32,6 +32,7 @@ from descentsum import (
     verify_genfun_equation,
     wt_of_permutation,
 )
+from descentsum.exact import _dp_pass
 
 
 def euler_numbers(n_max):
@@ -195,8 +196,10 @@ def random_scheme(m, data):
 @given(m=st.integers(min_value=1, max_value=5), data=st.data())
 def test_dp_equals_brute_on_random_rational_schemes(m, data):
     s = random_scheme(m, data)
+    want = [brute_force_alpha(s, n).value for n in range(9)]
+    assert list(_dp_pass(s, 8)) == want  # every length from one DP pass
     for n in range(1, 9):
-        assert dp_alpha(s, n).value == brute_force_alpha(s, n).value, n
+        assert dp_alpha(s, n).value == want[n], n
 
 
 @settings(max_examples=15, deadline=None)
@@ -210,6 +213,63 @@ def test_dp_refinements_equal_brute_on_random_schemes(data):
                 assert (
                     dp_alpha(r, n).value == brute_force_alpha(r, n).value
                 ), (n, start, end)
+
+
+non_integral = st.fractions(min_value=-3, max_value=3, max_denominator=3).filter(
+    lambda v: v.denominator > 1
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(m=st.integers(min_value=1, max_value=3), data=st.data())
+def test_operator_iteration_equals_brute_on_random_rational_schemes(m, data):
+    # one drawn entry of each of wt, wt1 and wt2 is non-integral, so every
+    # table scales by a denominator of its own
+    tables = []
+    for length in (m, m - 1, m - 1):
+        table = {w: data.draw(small_fraction) for w in all_words(length)}
+        table[data.draw(st.sampled_from(all_words(length)))] = data.draw(non_integral)
+        tables.append(table)
+    s = WeightScheme(m, *tables)
+    for n in range(m, 9):
+        want = brute_force_alpha(s, n).value
+        assert alpha_by_operator_iteration(s, n).value == want, n
+
+
+# m = 3; each of wt, wt1 and wt2 mixes weights with denominators 2, 3 (and 4)
+RATIONAL_SCHEME = WeightScheme(
+    m=3,
+    wt=dict(zip(all_words(3), map(Fraction, "1/2 2/3 3/4 1 4/3 3/2 2 5/2".split()))),
+    wt1=dict(zip(all_words(2), map(Fraction, "1/2 1 3/2 2/3".split()))),
+    wt2=dict(zip(all_words(2), map(Fraction, "2 3/2 1 1/2".split()))),
+)
+
+
+@pytest.mark.parametrize(
+    "oracle, n, bound",
+    [(dp_alpha, 50, 0), (alpha_by_operator_iteration, 40, 1000)],
+    ids=["dp", "operator"],
+)
+def test_oracles_run_on_ints_for_rational_weights(monkeypatch, oracle, n, bound):
+    # the scaled tables keep the inner loops off Fraction arithmetic: the DP
+    # uses none, operator iteration only its closing polytope pairing
+    # (O(n) operations); in Fractions they took thousands
+    calls = Counter()
+    for name in ("__add__", "__radd__", "__mul__", "__rmul__"):
+        def counted(*args, _op=getattr(Fraction, name), _name=name):
+            calls[_name] += 1
+            return _op(*args)
+
+        monkeypatch.setattr(Fraction, name, counted)
+    oracle(RATIONAL_SCHEME, n)
+    monkeypatch.undo()
+    assert sum(calls.values()) <= bound, calls
+
+
+def test_oracles_agree_on_the_rational_scheme_at_n_40():
+    want = dp_alpha(RATIONAL_SCHEME, 40).value
+    assert want.denominator > 1
+    assert alpha_by_operator_iteration(RATIONAL_SCHEME, 40).value == want
 
 
 @lru_cache(maxsize=None)

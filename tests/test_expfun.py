@@ -121,6 +121,14 @@ def test_antiderivative_exact_rational_path():
     assert F.terms == ((Fraction(1, 4), 3, 0),)
 
 
+def test_antiderivative_keeps_an_int_coefficient_that_divides():
+    # 6x^2 + 5x + 4 -> 2x^3 + (5/2)x^2 + 4x: an exact division stays an int,
+    # which keeps the scaled operator iteration on ints
+    F = ExpPoly([(6, 2, 0), (5, 1, 0), (4, 0, 0)]).antiderivative()
+    assert F.terms == ((4, 1, 0), (Fraction(5, 2), 2, 0), (2, 3, 0))
+    assert [type(c) for c, _, _ in F.terms] == [int, Fraction, int]
+
+
 def test_antiderivative_numeric_derivative_check():
     f = ExpPoly([(1.3, 2, -0.9), (0.4, 0, 2.1), (2, 1, 0)])
     F = f.antiderivative()

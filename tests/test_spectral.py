@@ -3,6 +3,7 @@
 import cmath
 import math
 import warnings
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -274,6 +275,31 @@ def test_eigenvalues_certify_a_smaller_disc_where_f_is_unresolved():
     with pytest.warns(UserWarning, match=r"complete only for \|lambda\| > 0\.0281959,"):
         roots = eigenvalues(pair, 0.02)
     assert [p.lam for p in roots] == [pytest.approx(1.0, abs=1e-10)]
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the finder lists a spurious pair 0.0636679 +- 7.4e-6i in place "
+    "of 1/(5 pi) and omits -1/pi",
+)
+def test_eigenvalues_certified_list_is_the_true_zeros():
+    # random-05 of tools/finder_sweep.py; a 60-digit mpmath check finds
+    # f(+-pi) = f(+-3 pi) = f(+-5 pi) = 0 and winding 6 inside the bound
+    # of about 0.0588 that the finder certifies, so these are its six
+    # eigenvalues above 0.05 (the next, +-1/(7 pi), lie below 0.05)
+    scheme = WeightScheme(
+        m=3,
+        wt={"aaa": 2, "aab": 0, "aba": Fraction(1, 2), "abb": 0,
+            "baa": 2, "bab": Fraction(1, 2), "bba": -1, "bbb": 2},
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        points = eigenvalues(build_transfer(scheme), 0.05)
+    want = sorted(sign / (k * math.pi) for k in (1, 3, 5) for sign in (1, -1))
+    assert len(points) == len(want)
+    got = sorted(points, key=lambda p: (p.lam.real, p.lam.imag))
+    for p, lam in zip(got, want):
+        assert abs(p.lam - lam) < 1e-8 * abs(lam), (p.lam, lam)
 
 
 def test_eigenvalues_reach_beyond_the_unscaled_range():
