@@ -9,7 +9,10 @@ lambda^(n-m) terms whose coefficients come from eigenfunction pairings.
 
 Only the exact, pure-Python modules (words, presets, exact) load with the
 package.  The names of expfun, linalg and spectral resolve on first access
-(PEP 562), so the exact routes run without importing numpy.
+(PEP 562), so the exact routes run without importing numpy.  The command
+line (descentsum.cli) loads the same exact modules, and neither numpy nor
+dataclasses; expfun comes in with the commands that use it (spectrum,
+constants, verify, and oracle when operator iteration is among its methods).
 """
 
 import importlib

@@ -5,7 +5,9 @@ routes, cross-checked), ``spectrum`` (eigenvalues of the transfer operator),
 ``constants`` (asymptotic coefficients from eigenfunction pairings),
 ``verify`` (exact counts against spectral predictions with a decay check),
 and ``sequence`` (the two-letter wt(aa)=0, wt(bb)=2 scheme's four integer
-sequences and their identities).
+sequences and their identities).  Each process runs one command, so expfun
+is imported only by the commands that run it: spectrum, constants, verify,
+and oracle when operator iteration is among its methods.
 
 Output is deterministic: floats are fixed at 12 significant digits, row
 order is fixed, and timing goes to stderr so identical invocations produce
@@ -20,7 +22,6 @@ import csv
 import json
 import sys
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
 from math import factorial, isfinite
@@ -38,9 +39,8 @@ from .exact import (
     section6_recursion,
     verify_genfun_equation,
 )
-from .expfun import alpha_by_operator_iteration, asymptotics, predict_alpha
 from .presets import PRESETS, preset_scheme
-from .words import SchemeParseError, WeightScheme, load_scheme, restrict_ends
+from .words import SchemeParseError, WeightScheme, _Frozen, load_scheme, restrict_ends
 
 __all__ = ["main"]
 
@@ -58,14 +58,27 @@ class CheckFailure(Exception):
     """A numeric assertion failed before any table was produced; exit 1."""
 
 
-@dataclass
-class RunReport:
+class RunReport(_Frozen):
+    """One command's output: a table with its column names, and summary lines."""
+
+    __slots__ = ("command", "scheme_label", "params", "columns", "rows", "summary")
     command: str
     scheme_label: str
     params: dict
     columns: list[str]
     rows: list[Sequence]  # one value per column, in column order
-    summary: list[str] = field(default_factory=list)
+    summary: list[str]
+
+    def __init__(
+        self,
+        command: str,
+        scheme_label: str,
+        params: dict,
+        columns: list[str],
+        rows: list[Sequence],
+        summary: list[str] | None = None,
+    ) -> None:
+        self._set(command, scheme_label, params, columns, rows, summary or [])
 
 
 # --- value formatting ---
@@ -175,17 +188,19 @@ def _cmd_oracle(args) -> tuple[RunReport, list[str]]:
     else:
         methods.append(args.method)
 
+    oracles: dict[str, Callable] = {"dp": dp_alpha, "brute": brute_force_alpha}
+    if "operator" in methods:
+        # before brute force loads numpy: compiled next to numpy, expfun
+        # would raise the job's peak resident set
+        from .expfun import alpha_by_operator_iteration
+
+        oracles["operator"] = alpha_by_operator_iteration
     rows: list[tuple] = []
     failures: list[str] = []
     values: dict[str, Fraction] = {}
     for method in methods:
-        fn: Callable = {
-            "dp": dp_alpha,
-            "brute": brute_force_alpha,
-            "operator": alpha_by_operator_iteration,
-        }[method]
         try:
-            value = fn(scheme, n).value
+            value = oracles[method](scheme, n).value
         except ValueError as exc:
             raise UsageFailure(str(exc)) from None
         values[method] = value
@@ -209,6 +224,8 @@ def _cmd_oracle(args) -> tuple[RunReport, list[str]]:
 
 
 def _cmd_spectrum(args) -> tuple[RunReport, list[str]]:
+    from .expfun import asymptotics
+
     scheme, label = _resolve_scheme(args)
     points = asymptotics(scheme, args.min_modulus, args.top).points
     params = {"min_modulus": args.min_modulus, "top": args.top}
@@ -216,6 +233,8 @@ def _cmd_spectrum(args) -> tuple[RunReport, list[str]]:
 
 
 def _cmd_constants(args) -> tuple[RunReport, list[str]]:
+    from .expfun import asymptotics
+
     scheme, label = _resolve_scheme(args)
     terms, refused, _ = asymptotics(scheme, args.min_modulus, args.top).constants()
     if refused:
@@ -236,6 +255,8 @@ def _cmd_constants(args) -> tuple[RunReport, list[str]]:
 
 
 def _cmd_verify(args) -> tuple[RunReport, list[str]]:
+    from .expfun import asymptotics, predict_alpha
+
     scheme, label = _resolve_scheme(args)
     m = scheme.m
     n_max = args.n_max

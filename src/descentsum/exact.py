@@ -22,14 +22,13 @@ recursions, nearest-integer formulas, and generating-function coefficients.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, permutations
 from math import comb, factorial, lcm
 from typing import Iterable, Iterator, Sequence
 
-from .words import WeightScheme, all_words, descent_word
+from .words import WeightScheme, _Frozen, all_words, descent_word
 
 BRUTE_FORCE_CAP = 10
 
@@ -50,15 +49,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class WeightedCount:
+class WeightedCount(_Frozen):
     """An exact weighted permutation count for one n."""
 
+    __slots__ = ("n", "value")
     n: int
     value: Fraction
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "value", Fraction(self.value))
+    def __init__(self, n: int, value: Fraction) -> None:
+        self._set(n, Fraction(value))
 
 
 def wt_of_permutation(scheme: WeightScheme, pi: Sequence[int]) -> Fraction:
@@ -342,25 +341,29 @@ def _series_int(a: list[Fraction], order: int) -> list[Fraction]:
 
 
 def _closed_form_series(order: int) -> dict[str, list[Fraction]]:
-    """Ordinary power-series coefficients of the four closed forms."""
-    geom = [Fraction(1)] * (order + 1)
+    """Ordinary power-series coefficients of the four closed forms.
+
+    Each is (ce e^z + c0 + cm e^-z) / (1 - z), up to a polynomial
+    correction, and dividing by 1 - z takes running sums of coefficients.
+    """
     ep = _series_exp(1, order)
     em = _series_exp(-1, order)
 
-    def combo(ce: int, c0: int, cm: int) -> list[Fraction]:
-        return [ce * ep[k] + cm * em[k] + (c0 if k == 0 else 0) for k in range(order + 1)]
+    def over_1_minus_z(ce: int, c0: int, cm: int) -> list[Fraction]:
+        numerator = (ce * ep[k] + cm * em[k] for k in range(order + 1))
+        return list(accumulate(numerator, initial=Fraction(c0)))[1:]
 
-    f_aa = _series_mul(combo(1, -4, 4), geom, order)
+    f_aa = over_1_minus_z(1, -4, 4)
     f_aa[0] -= 1
     if order >= 1:
         f_aa[1] += 2
-    f_ab = _series_mul(combo(0, 1, -2), geom, order)
+    f_ab = over_1_minus_z(0, 1, -2)
     f_ab[0] += 1
     if order >= 1:
         f_ab[1] -= 1
-    f_bb = _series_mul(em, geom, order)
+    f_bb = over_1_minus_z(0, 0, 1)
     f_bb[0] -= 1
-    f_tot = _series_mul(combo(1, -2, 1), geom, order)
+    f_tot = over_1_minus_z(1, -2, 1)
     return {"aa": f_aa, "ab": f_ab, "bb": f_bb, "total": f_tot}
 
 

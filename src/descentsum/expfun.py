@@ -35,7 +35,6 @@ gets its constant like any other scheme.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import comb, factorial, lcm
@@ -44,7 +43,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 import cmath
 
 from .exact import WeightedCount
-from .words import WeightScheme, all_words, symmetry_defect
+from .words import WeightScheme, _Frozen, all_words, symmetry_defect
 
 # numpy is imported by eigenfunction_pieces, and spectral by the
 # Asymptotics record, where they are needed, so the exact
@@ -90,6 +89,10 @@ def _exp_of(mu):
     if mu == 0:
         return 1
     return cmath.exp(complex(mu))
+
+
+def _at_one(terms: Iterable[tuple]):
+    return sum((c * _exp_of(mu) for c, _, mu in terms), start=0)
 
 
 class ExpPoly:
@@ -188,8 +191,17 @@ class ExpPoly:
 
     def antiderivative(self) -> "ExpPoly":
         """The antiderivative F with F(0) = 0."""
+        return ExpPoly(self._antiderivative_terms(1))
+
+    def _antiderivative_terms(self, s) -> list[tuple]:
+        """The terms of the antiderivative of s times self, not normalized.
+
+        s multiplies each coefficient before the division by k + 1, so an
+        int coefficient stays an int wherever s makes that division exact.
+        """
         out = []
         for c, k, mu in self.terms:
+            c = c * s
             if mu == 0:
                 out.append((_div_by_int(c, k + 1), k + 1, mu))
             else:
@@ -199,13 +211,13 @@ class ExpPoly:
                     ratio = factorial(k) // factorial(j)
                     out.append((c * sign * ratio / mu ** (k - j + 1), j, mu))
         out.append((-sum((c for c, k, _ in out if k == 0), start=0), 0, 0))  # F(0) = 0
-        return ExpPoly(out)
+        return out
 
     def at_zero(self):
         return sum((c for c, k, _ in self.terms if k == 0), start=0)
 
     def at_one(self):
-        return sum((c * _exp_of(mu) for c, _, mu in self.terms), start=0)
+        return _at_one(self.terms)
 
     def __call__(self, x):
         total = 0
@@ -251,8 +263,7 @@ class ExpPoly:
         return "ExpPoly(" + " + ".join(bits) + ")"
 
 
-@dataclass(frozen=True)
-class PiecewiseFn:
+class PiecewiseFn(_Frozen):
     """One ExpPoly per descent cell, depending on one designated coordinate.
 
     ``which_variable`` records whether each piece is a function of the first
@@ -260,20 +271,21 @@ class PiecewiseFn:
     functions, the reflection J swaps the designation.
     """
 
+    __slots__ = ("m", "which_variable", "pieces")
     m: int
     which_variable: str  # 'first' | 'last'
     pieces: Mapping[str, ExpPoly]
 
-    def __post_init__(self) -> None:
-        if self.which_variable not in ("first", "last"):
+    def __init__(self, m: int, which_variable: str, pieces: Mapping[str, ExpPoly]):
+        if which_variable not in ("first", "last"):
             raise ValueError("which_variable must be 'first' or 'last'")
-        expected = all_words(self.m - 1)
-        if set(self.pieces) != set(expected):
+        expected = all_words(m - 1)
+        if set(pieces) != set(expected):
             raise ValueError(
                 f"pieces must cover exactly the {len(expected)} words of "
-                f"length {self.m - 1}"
+                f"length {m - 1}"
             )
-        object.__setattr__(self, "pieces", dict(self.pieces))
+        self._set(m, which_variable, dict(pieces))
 
     def map_pieces(self, fn: Callable[[ExpPoly], ExpPoly]) -> "PiecewiseFn":
         return PiecewiseFn(
@@ -493,8 +505,7 @@ def scheme_constant(
     return asymptotic_constant(*pairings), pairings
 
 
-@dataclass(frozen=True)
-class Asymptotics:
+class Asymptotics(_Frozen):
     """A scheme's kept eigenvalues, with what their constants need.
 
     ``points`` are the eigenvalues above ``r_min`` kept, by falling modulus;
@@ -507,10 +518,16 @@ class Asymptotics:
     imported then: a refused constants() call pays for neither.
     """
 
+    __slots__ = ("scheme", "r_min", "top", "defect", "__dict__")
     scheme: WeightScheme
     r_min: float
     top: int
     defect: str | None
+
+    def __init__(
+        self, scheme: WeightScheme, r_min: float, top: int, defect: str | None
+    ) -> None:
+        self._set(scheme, r_min, top, defect)
 
     @cached_property
     def pair(self) -> TransferPair:
@@ -613,21 +630,27 @@ def apply_operator(scheme: WeightScheme, f: PiecewiseFn) -> PiecewiseFn:
         raise ValueError("operator input must be a first-variable function")
     if f.m != scheme.m:
         raise ValueError("dimension mismatch between scheme and function")
-    return _operator_step(scheme.wt, f)
+    return _operator_step(scheme.wt, f, 1)
 
 
-def _operator_step(wt: Mapping[str, Fraction | int], f: PiecewiseFn) -> PiecewiseFn:
-    """T(f) with the window weights wt, on a first-variable f."""
+def _operator_step(
+    wt: Mapping[str, Fraction | int], f: PiecewiseFn, s: int
+) -> PiecewiseFn:
+    """T(s f) with the window weights wt, on a first-variable f.
+
+    The antiderivatives stay term lists, so each output piece is the one
+    ExpPoly the step builds.
+    """
     m = f.m
-    F = {u: piece.antiderivative() for u, piece in f.pieces.items()}
+    F = {u: piece._antiderivative_terms(s) for u, piece in f.pieces.items()}
     pieces: dict[str, ExpPoly] = {}
     for w in all_words(m - 1):
         Fa, Fb = F[("a" + w)[: m - 1]], F[("b" + w)[: m - 1]]
         wa, wb = wt["a" + w], wt["b" + w]
-        terms = [(c * wa, k, mu) for c, k, mu in Fa.terms] if wa else []
+        terms = [(c * wa, k, mu) for c, k, mu in Fa] if wa else []
         if wb:  # wb * (Fb(1) - Fb)
-            terms += [(-c * wb, k, mu) for c, k, mu in Fb.terms]
-            terms.append((wb * Fb.at_one(), 0, 0))
+            terms += [(-c * wb, k, mu) for c, k, mu in Fb]
+            terms.append((wb * _at_one(Fb), 0, 0))
         pieces[w] = ExpPoly(terms)
     return PiecewiseFn(m, "first", pieces)
 
@@ -663,7 +686,7 @@ def alpha_by_operator_iteration(scheme: WeightScheme, n: int) -> WeightedCount:
     words = all_words(m - 1)
     g = PiecewiseFn(m, "first", {u: ExpPoly.constant(wt1[u]) for u in words})
     for j in range(n - m):
-        g = _operator_step(wt, g.scale(j + 1))
+        g = _operator_step(wt, g, j + 1)
     mu = PiecewiseFn(m, "last", {u: ExpPoly.constant(wt2[u]) for u in words})
     total = _pairing(g, mu)
     if not isinstance(total, (int, Fraction)):

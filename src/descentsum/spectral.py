@@ -46,7 +46,6 @@ from linalg's scaling and squaring.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Iterator, NamedTuple
 
@@ -54,7 +53,7 @@ import numpy as np
 
 from .linalg import _EXP_NORM_LIMIT, MAX_DIM, _exp_and_gamma, det, gamma
 from .linalg import invariant_subspaces, mat_exp, nullspace_vector
-from .words import WeightScheme, all_words
+from .words import WeightScheme, _Frozen, all_words
 
 _SIMPLE_TOL = 1e-8
 _CLUSTER_TOL = 1e-3  # eigenvalues of A - B this close (relative) share a block
@@ -87,13 +86,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class TransferPair:
+class TransferPair(_Frozen):
     """The pair (A, B) for a scheme, with the index order recorded."""
 
+    __slots__ = ("m", "A", "B", "__dict__")
     m: int
     A: np.ndarray
     B: np.ndarray
+
+    def __init__(self, m: int, A: np.ndarray, B: np.ndarray) -> None:
+        self._set(m, A, B)
 
     @property
     def dim(self) -> int:
@@ -167,8 +169,7 @@ class _Blocks(NamedTuple):
     Winv: np.ndarray  # W^-1
 
 
-@dataclass(frozen=True)
-class SpectralPoint:
+class SpectralPoint(_Frozen):
     """One located eigenvalue with its certificate data.
 
     ``residual`` is |P(lambda) vector| / (|lambda| + |B gamma((A-B)/lambda)|)
@@ -176,10 +177,16 @@ class SpectralPoint:
     terms, so it stays near float64 rounding however large P's entries get.
     """
 
+    __slots__ = ("lam", "vector", "simple", "residual")
     lam: complex
     vector: np.ndarray
     simple: bool
     residual: float
+
+    def __init__(
+        self, lam: complex, vector: np.ndarray, simple: bool, residual: float
+    ) -> None:
+        self._set(lam, vector, simple, residual)
 
 
 def build_transfer(scheme: WeightScheme) -> TransferPair:
@@ -462,7 +469,10 @@ def eigenvalues(pair: TransferPair, r_min: float) -> list[SpectralPoint]:
             points.append(_make_point(pair, complex(1 / z.real, 0.0)))
         else:
             p = _make_point(pair, 1 / z)
-            points += [p, replace(p, lam=p.lam.conjugate(), vector=p.vector.conj())]
+            points += [
+                p,
+                SpectralPoint(p.lam.conjugate(), p.vector.conj(), p.simple, p.residual),
+            ]
     # a pair +-lambda is equal in modulus only to rounding: runs of moduli
     # that agree to _TIE_TOL sort by |angle|, which keeps conjugates adjacent
     runs: list[list[SpectralPoint]] = []

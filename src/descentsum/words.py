@@ -14,7 +14,6 @@ them weight zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations, product
 from typing import Iterable, Mapping, Sequence
@@ -91,8 +90,49 @@ def reverse_complement(word: str) -> str:
     return word[::-1].translate(str.maketrans("ab", "ba"))
 
 
-@dataclass(frozen=True)
-class WeightScheme:
+class _Frozen:
+    """Base of the package's immutable records.
+
+    A record's fields are its ``__slots__`` (a ``__dict__`` slot only holds
+    cached properties), which its __init__ sets once, in order, through
+    _set.  Records compare and hash as the tuple of their field values.
+    """
+
+    __slots__ = ()
+
+    def _fields(self) -> list[str]:
+        return [f for f in self.__slots__ if f != "__dict__"]
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self._fields(), values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields())
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__
+        return type(self), self._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields())
+        return f"{type(self).__name__}({fields})"
+
+
+class WeightScheme(_Frozen):
     """Rational weights on length-m windows plus boundary weights.
 
     ``wt`` is total on all 2^m words of length m; ``wt1`` and ``wt2`` are
@@ -100,18 +140,26 @@ class WeightScheme:
     empty word).  Unlisted weights default to 1.  Instances are immutable.
     """
 
+    __slots__ = ("m", "wt", "wt1", "wt2")
     m: int
-    wt: Mapping[str, Fraction] = field(default_factory=dict)
-    wt1: Mapping[str, Fraction] = field(default_factory=dict)
-    wt2: Mapping[str, Fraction] = field(default_factory=dict)
+    wt: Mapping[str, Fraction]
+    wt1: Mapping[str, Fraction]
+    wt2: Mapping[str, Fraction]
 
-    def __post_init__(self) -> None:
-        if self.m < 1:
+    def __init__(
+        self,
+        m: int,
+        wt: Mapping[str, Fraction] | None = None,
+        wt1: Mapping[str, Fraction] | None = None,
+        wt2: Mapping[str, Fraction] | None = None,
+    ) -> None:
+        if m < 1:
             raise ValueError("window length m must be at least 1")
+        tables = []
         for name, table, length in (
-            ("wt", self.wt, self.m),
-            ("wt1", self.wt1, self.m - 1),
-            ("wt2", self.wt2, self.m - 1),
+            ("wt", wt or {}, m),
+            ("wt1", wt1 or {}, m - 1),
+            ("wt2", wt2 or {}, m - 1),
         ):
             full = {}
             for word in all_words(length):
@@ -119,7 +167,8 @@ class WeightScheme:
             extra = set(table) - set(full)
             if extra:
                 raise ValueError(f"{name} has words of wrong length: {sorted(extra)}")
-            object.__setattr__(self, name, full)
+            tables.append(full)
+        self._set(m, *tables)
 
     def max_abs_weight(self) -> Fraction:
         vals = [abs(v) for v in self.wt.values()]

@@ -327,14 +327,15 @@ def test_verify_bound_stops_at_float_resolution(capsys):
 
 
 def test_library_errors_are_check_failures(capsys, monkeypatch):
-    import descentsum.cli as cli
+    # verify imports predict_alpha when it runs, so the patch goes to expfun
+    import descentsum.expfun as expfun
 
     for exc in (ValueError("prediction has imaginary residue 1e-3"),
                 OverflowError("matrix 1-norm 800 exceeds the exp overflow bound")):
         def fail(*args, exc=exc):
             raise exc
 
-        monkeypatch.setattr(cli, "predict_alpha", fail)
+        monkeypatch.setattr(expfun, "predict_alpha", fail)
         rc, out, err = run(capsys, "verify", "--preset", "sec6")
         assert rc == 1
         assert f"check failed: {exc}\n" in err

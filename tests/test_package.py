@@ -69,6 +69,65 @@ def test_float_routes_load_numpy(argv):
     assert _fresh("-c", _PROBE, *argv) == want
 
 
+# runs the CLI in a fresh interpreter, then reports its exit code and which
+# of these modules it loaded, in the order they entered sys.modules; a fresh
+# interpreter because pytest itself loads dataclasses
+_WATCHED = ("numpy", "dataclasses", "descentsum.expfun")
+_LOAD_ORDER = (
+    "import sys\n"
+    "from descentsum.cli import main\n"
+    "rc = main(sys.argv[1:])\n"
+    f"print(rc, *[name for name in sys.modules if name in {_WATCHED!r}],\n"
+    "      file=sys.stderr)\n"
+)
+
+
+def _loaded(*argv: str) -> list[str]:
+    rc, *names = _fresh("-c", _LOAD_ORDER, *argv).split()
+    assert rc == "0"
+    return names
+
+
+def test_cli_import_loads_no_numpy_dataclasses_or_expfun():
+    probe = (
+        "import sys, descentsum.cli; "
+        f"print(sorted(set({_WATCHED!r}) & set(sys.modules)), file=sys.stderr)"
+    )
+    assert _fresh("-c", probe) == "[]"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["oracle", "--preset", "sec5-1", "--n", "12", "--method", "dp"],
+        ["sequence", "--n-max", "8"],
+    ],
+    ids=["oracle-dp", "sequence"],
+)
+def test_exact_commands_leave_expfun_unloaded(argv):
+    assert _loaded(*argv) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "--preset", "sec5-1", "--top", "1"],
+        ["constants", "--preset", "sec5-1", "--top", "2"],
+        ["oracle", "--preset", "sec5-1", "--n", "6", "--method", "brute"],
+    ],
+    ids=["spectrum", "constants", "oracle-brute"],
+)
+def test_no_command_loads_dataclasses(argv):
+    assert "dataclasses" not in _loaded(*argv)
+
+
+def test_oracle_loads_expfun_before_numpy():
+    # compiled after brute force has loaded numpy, expfun would raise the
+    # job's peak resident set
+    argv = ["oracle", "--preset", "sec5-1", "--n", "9", "--method", "all"]
+    assert _loaded(*argv) == ["descentsum.expfun", "numpy"]
+
+
 def test_every_public_name_resolves_and_is_listed():
     listed = dir(descentsum)
     for name in descentsum.__all__:
