@@ -190,8 +190,6 @@ def _cmd_oracle(args) -> tuple[RunReport, list[str]]:
 
     oracles: dict[str, Callable] = {"dp": dp_alpha, "brute": brute_force_alpha}
     if "operator" in methods:
-        # before brute force loads numpy: compiled next to numpy, expfun
-        # would raise the job's peak resident set
         from .expfun import alpha_by_operator_iteration
 
         oracles["operator"] = alpha_by_operator_iteration

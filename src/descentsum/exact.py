@@ -22,10 +22,12 @@ recursions, nearest-integer formulas, and generating-function coefficients.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, permutations
 from math import comb, factorial, lcm
+from operator import gt
 from typing import Iterable, Iterator, Sequence
 
 from .words import WeightScheme, _Frozen, all_words, descent_word
@@ -84,37 +86,52 @@ def _wt_of_word(scheme: WeightScheme, u: str) -> Fraction:
     return value
 
 
-# rows per enumeration chunk: the permutations of the last 6 entries
+# the last entries of a permutation, whose orders each n lists once: at most
+# 6! = 720 tail orders
 _CHUNK_TAIL = 6
+
+
+def _descents(seq: Sequence[int]) -> str:
+    """The descent word of a sequence of distinct numbers, unchecked."""
+    return "".join(map("ab".__getitem__, map(gt, seq, seq[1:])))
+
+
+def _head_key(head: Sequence[int]) -> tuple[str, int]:
+    """A head's descent word, and q: how many entries it leaves out below its last."""
+    last = head[-1]
+    return _descents(head), last - sum(map(last.__gt__, head))
 
 
 @lru_cache(maxsize=None)
 def _word_multiplicities(n: int) -> dict[str, int]:
     """How many permutations in S_n share each descent word (full enumeration).
 
-    S_n is listed in chunks: each fixes the first n - 6 entries and runs the
-    remaining ones through all their orders, at most 6! = 720 rows.  A row's
-    descent bits are packed into a word index (bit i set for a descent at
-    position i) and the indices are counted with np.bincount.
+    S_n is enumerated as pairs (head, tail order).  A head is an ordered
+    choice of the first k = n - t entries, t = min(n, 6); a tail order is one
+    of the t! orders of the remaining entries, written as their ranks
+    0..t-1.  The pair's descent word is the head's word, one junction letter
+    and the tail's word, and the junction is a descent exactly when the
+    tail's first rank is below q, the number of remaining entries smaller
+    than the head's last entry.  So every tail order is listed once and
+    tallied per q, every head once and tallied by (word, q), and a word's
+    count is a sum of products of the two tallies.
     """
-    import numpy as np  # here, so the other exact routes run without numpy
-
-    k = max(0, n - _CHUNK_TAIL)
-    tails = np.array(list(permutations(range(n - k))), dtype=np.int8)
-    rows = np.empty((len(tails), n), dtype=np.int8)
-    bits = 1 << np.arange(max(0, n - 1), dtype=np.intp)
-    counts = np.zeros(2 ** len(bits), dtype=np.int64)
-    for head in permutations(range(n), k):
-        rest = np.array(sorted(set(range(n)).difference(head)), dtype=np.int8)
-        rows[:, :k] = head
-        rows[:, k:] = rest[tails]
-        index = (rows[:, :-1] > rows[:, 1:]) @ bits
-        counts += np.bincount(index, minlength=len(counts))
-    return {
-        "".join("b" if code >> i & 1 else "a" for i in range(n - 1)): int(count)
-        for code, count in enumerate(counts.tolist())
-        if count
-    }
+    if n <= _CHUNK_TAIL:  # no head: the tail orders are S_n itself
+        return dict(Counter(map(_descents, permutations(range(n)))))
+    orders = Counter(
+        (order[0], _descents(order)) for order in permutations(range(_CHUNK_TAIL))
+    )
+    # per q, the tail orders tallied by junction letter plus word
+    tails: list[Counter[str]] = [Counter() for _ in range(_CHUNK_TAIL + 1)]
+    for (first, word), times in orders.items():
+        for q, tally in enumerate(tails):
+            tally["ab"[first < q] + word] += times
+    heads = Counter(map(_head_key, permutations(range(n), n - _CHUNK_TAIL)))
+    counts: Counter[str] = Counter()
+    for (word, q), count in heads.items():
+        for rest, times in tails[q].items():
+            counts[word + rest] += count * times
+    return dict(counts)
 
 
 def brute_force_alpha(scheme: WeightScheme, n: int) -> WeightedCount:

@@ -51,7 +51,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .linalg import _EXP_NORM_LIMIT, MAX_DIM, _exp_and_gamma, det, gamma
+from .linalg import _EXP_NORM_LIMIT, MAX_DIM, _exp_and_gamma, det
 from .linalg import invariant_subspaces, mat_exp, nullspace_vector
 from .words import WeightScheme, _Frozen, all_words
 
@@ -284,14 +284,16 @@ def _psi(x: np.ndarray, p: int) -> np.ndarray:
     return np.where(small[:, None], series, np.stack(psi, axis=1))
 
 
-def _P(pair: TransferPair, lam: complex) -> np.ndarray:
+def _P_and_exp(pair: TransferPair, lam: complex) -> tuple[np.ndarray, np.ndarray]:
+    """P(lambda), and the exp((A-B)/lambda) computed along with its gamma."""
     floor = pair.overflow_floor()
     if abs(lam) <= floor:
         raise ValueError(
             f"|lambda| = {abs(lam):.3g} is at or below the overflow floor "
             f"{floor:.3g} for this scheme"
         )
-    return -lam * np.eye(pair.dim) + pair.B @ gamma((pair.A - pair.B) / lam)
+    E, G = _exp_and_gamma((pair.A - pair.B) / lam)
+    return -lam * np.eye(pair.dim) + pair.B @ G, E
 
 
 def det_P(pair: TransferPair, lam: complex) -> complex:
@@ -301,7 +303,7 @@ def det_P(pair: TransferPair, lam: complex) -> complex:
     linalg._EXP_NORM_LIMIT, where the matrix exponential inside gamma would
     overflow float64.
     """
-    return det(_P(pair, lam))
+    return det(_P_and_exp(pair, lam)[0])
 
 
 def _log_derivative(pair: TransferPair, zs: np.ndarray) -> np.ndarray:
@@ -324,7 +326,7 @@ def _trace_solve(M: np.ndarray, U: np.ndarray, L: np.ndarray):
 
 
 def _make_point(pair: TransferPair, lam: complex) -> SpectralPoint:
-    P = _P(pair, lam)
+    P, E = _P_and_exp(pair, lam)
     vector = nullspace_vector(P)
     # not |det P|, which grows with the entries of P, and not
     # sigma_min/sigma_max, which is 1 for any nonzero 1 x 1 P (m = 1)
@@ -332,15 +334,18 @@ def _make_point(pair: TransferPair, lam: complex) -> SpectralPoint:
     return SpectralPoint(
         lam=lam,
         vector=vector,
-        simple=is_simple(pair, lam, vector),
+        simple=_maps_to_nonzero(pair.B @ E, vector),
         residual=float(np.linalg.norm(P @ vector) / scale),
     )
 
 
 def is_simple(pair: TransferPair, lam: complex, vector: np.ndarray) -> bool:
     """Certificate that the root is simple: B exp((A-B)/lambda) c != 0."""
-    image = pair.B @ mat_exp((pair.A - pair.B) / lam) @ vector
-    return bool(np.linalg.norm(image) > _SIMPLE_TOL * np.linalg.norm(vector))
+    return _maps_to_nonzero(pair.B @ mat_exp((pair.A - pair.B) / lam), vector)
+
+
+def _maps_to_nonzero(M: np.ndarray, vector: np.ndarray) -> bool:
+    return bool(np.linalg.norm(M @ vector) > _SIMPLE_TOL * np.linalg.norm(vector))
 
 
 class _Circle:

@@ -102,7 +102,7 @@ def test_word_table_matches_inclusion_exclusion():
             out //= factorial(hi - lo)
         return out
 
-    for n in range(0, 10):
+    for n in range(0, BRUTE_FORCE_CAP + 1):
         table = _word_multiplicities(n)
         assert sum(table.values()) == factorial(n)
         assert all(isinstance(count, int) for count in table.values())
@@ -114,6 +114,15 @@ def test_word_table_matches_inclusion_exclusion():
                 for cuts in combinations(descents, r)
             )
             assert table.get(word, 0) == expected, (n, word)
+
+
+def test_word_table_matches_listed_permutations():
+    # n <= 6 is all tail orders and no head; 7 and 8 have heads of 1 and 2
+    from descentsum.exact import _word_multiplicities
+
+    for n in range(0, 9):
+        listed = Counter(map(descent_word, permutations(range(n))))
+        assert _word_multiplicities(n) == listed, n
 
 
 def test_brute_force_grouped_equals_direct():

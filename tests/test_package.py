@@ -47,9 +47,10 @@ def test_import_leaves_numpy_unloaded(module):
     [
         ["oracle", "--preset", "sec5-1", "--n", "12", "--method", "dp"],
         ["oracle", "--preset", "sec6", "--n", "12", "--method", "operator"],
+        ["oracle", "--preset", "sec5-1", "--n", "10", "--method", "brute"],
         ["sequence", "--n-max", "8"],
     ],
-    ids=["oracle-dp", "oracle-operator", "sequence"],
+    ids=["oracle-dp", "oracle-operator", "oracle-brute", "sequence"],
 )
 def test_exact_routes_run_without_numpy(argv):
     want = "numpy loaded: False scipy loaded: False exit: 0"
@@ -57,12 +58,7 @@ def test_exact_routes_run_without_numpy(argv):
 
 
 @pytest.mark.parametrize(
-    "argv",
-    [
-        ["spectrum", "--preset", "sec5-1", "--top", "1"],
-        ["oracle", "--preset", "sec5-1", "--n", "6", "--method", "brute"],
-    ],
-    ids=["spectrum", "oracle-brute"],
+    "argv", [["spectrum", "--preset", "sec5-1", "--top", "1"]], ids=["spectrum"]
 )
 def test_float_routes_load_numpy(argv):
     want = "numpy loaded: True scipy loaded: False exit: 0"
@@ -121,11 +117,10 @@ def test_no_command_loads_dataclasses(argv):
     assert "dataclasses" not in _loaded(*argv)
 
 
-def test_oracle_loads_expfun_before_numpy():
-    # compiled after brute force has loaded numpy, expfun would raise the
-    # job's peak resident set
+def test_oracle_all_loads_expfun_not_numpy():
+    # all three routes: brute force, the DP and operator iteration
     argv = ["oracle", "--preset", "sec5-1", "--n", "9", "--method", "all"]
-    assert _loaded(*argv) == ["descentsum.expfun", "numpy"]
+    assert _loaded(*argv) == ["descentsum.expfun"]
 
 
 def test_every_public_name_resolves_and_is_listed():
