@@ -7,65 +7,48 @@ iteration) and analyzes the n -> infinity behavior through the spectrum of a
 small transfer-matrix pair: alpha_n / n! is a finite combination of
 lambda^(n-m) terms whose coefficients come from eigenfunction pairings.
 
-Only the exact, pure-Python modules (words, presets, exact) load with the
-package.  The names of expfun, linalg and spectral resolve on first access
-(PEP 562), so the exact routes run without importing numpy.  The command
-line (descentsum.cli) loads the same exact modules, and neither numpy nor
-dataclasses; expfun comes in with the commands that use it (spectrum,
-constants, verify, and oracle when operator iteration is among its methods).
+Only words and presets, which define and name the schemes, load with the
+package.  The names of exact, sec6, expfun, linalg and spectral resolve on
+first access (PEP 562), so the exact routes run without importing numpy and
+the float routes without the exact oracles.  The command line
+(descentsum.cli) loads the same two modules, and neither numpy nor
+dataclasses; each command imports what it runs:
+
+- oracle: exact, and expfun when operator iteration is among its methods;
+- sequence: exact and sec6;
+- spectrum: linalg and spectral;
+- constants: expfun, linalg and spectral;
+- verify: those three and exact.
 """
 
 import importlib
 
-from . import exact, presets, words
-from .exact import *
+from . import presets, words
 from .presets import *
 from .words import *
 
 __version__ = "0.1.0"
 
-# names whose modules load on first access: numpy comes in with linalg and
-# spectral, and expfun's numeric half reaches them at call time
-_LAZY = {
-    **dict.fromkeys(
-        (
-            "Asymptotics",
-            "ExpPoly",
-            "PiecewiseFn",
-            "adjoint_eigenfunction",
-            "alpha_by_operator_iteration",
-            "apply_J",
-            "apply_operator",
-            "asymptotic_constant",
-            "asymptotics",
-            "constant_piecewise",
-            "eigenfunction_pieces",
-            "inner_products",
-            "kappa_piecewise",
-            "mu_piecewise",
-            "polytope_integral",
-            "predict_alpha",
-            "scheme_constant",
-        ),
-        "expfun",
-    ),
-    **dict.fromkeys(("det", "gamma", "mat_exp", "nullspace_vector"), "linalg"),
-    **dict.fromkeys(
-        (
-            "SpectralPoint",
-            "TransferPair",
-            "build_transfer",
-            "det_M_product_check",
-            "det_P",
-            "eigenvalues",
-            "is_simple",
-        ),
-        "spectral",
-    ),
+# the names of each module that loads on first access: numpy comes in with
+# linalg and spectral, and expfun's numeric half reaches them at call time
+_LAZY_NAMES = {
+    "exact": """BRUTE_FORCE_CAP WeightedCount brute_force_alpha
+        brute_force_alpha_direct dp_alpha wt_of_permutation""",
+    "sec6": """count_barred derangements double_descents genfun_coeffs
+        nearest_integer_formula section6_recursion verify_genfun_equation""",
+    "expfun": """Asymptotics ExpPoly PiecewiseFn adjoint_eigenfunction
+        alpha_by_operator_iteration apply_J apply_operator asymptotic_constant
+        asymptotics constant_piecewise eigenfunction_pieces inner_products
+        kappa_piecewise mu_piecewise polytope_integral predict_alpha
+        scheme_constant""",
+    "linalg": "det gamma mat_exp nullspace_vector",
+    "spectral": """SpectralPoint TransferPair build_transfer det_M_product_check
+        det_P eigenvalues is_simple top_eigenvalues""",
 }
-_LAZY_MODULES = frozenset(_LAZY.values())
+_LAZY = {name: mod for mod, names in _LAZY_NAMES.items() for name in names.split()}
+_LAZY_MODULES = frozenset(_LAZY_NAMES)
 
-__all__ = sorted({*exact.__all__, *presets.__all__, *words.__all__, *_LAZY})
+__all__ = sorted({*presets.__all__, *words.__all__, *_LAZY})
 
 
 def __getattr__(name: str):

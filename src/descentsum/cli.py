@@ -5,9 +5,11 @@ routes, cross-checked), ``spectrum`` (eigenvalues of the transfer operator),
 ``constants`` (asymptotic coefficients from eigenfunction pairings),
 ``verify`` (exact counts against spectral predictions with a decay check),
 and ``sequence`` (the two-letter wt(aa)=0, wt(bb)=2 scheme's four integer
-sequences and their identities).  Each process runs one command, so expfun
-is imported only by the commands that run it: spectrum, constants, verify,
-and oracle when operator iteration is among its methods.
+sequences and their identities).  Each process runs one command, so this
+module loads only words and presets, and each command imports what it
+runs: oracle exact, and expfun when operator iteration is among its
+methods; sequence exact and sec6; spectrum linalg and spectral; constants
+expfun, linalg and spectral; verify those three and exact.
 
 Output is deterministic: floats are fixed at 12 significant digits, row
 order is fixed, and timing goes to stderr so identical invocations produce
@@ -28,17 +30,6 @@ from math import factorial, isfinite
 from pathlib import Path
 from typing import Callable, Sequence
 
-from .exact import (
-    BRUTE_FORCE_CAP,
-    _dp_pass,
-    brute_force_alpha,
-    derangements,
-    dp_alpha,
-    genfun_coeffs,
-    nearest_integer_formula,
-    section6_recursion,
-    verify_genfun_equation,
-)
 from .presets import PRESETS, preset_scheme
 from .words import SchemeParseError, WeightScheme, _Frozen, load_scheme, restrict_ends
 
@@ -168,6 +159,8 @@ _CONSTANT_COLUMNS = [f"{name}_{part}" for name in _CONSTANT_PARTS for part in ("
 
 
 def _cmd_oracle(args) -> tuple[RunReport, list[str]]:
+    from .exact import BRUTE_FORCE_CAP, brute_force_alpha, dp_alpha
+
     scheme, label = _resolve_scheme(args)
     n = args.n
     start, end = args.start, args.end
@@ -222,10 +215,10 @@ def _cmd_oracle(args) -> tuple[RunReport, list[str]]:
 
 
 def _cmd_spectrum(args) -> tuple[RunReport, list[str]]:
-    from .expfun import asymptotics
+    from .spectral import build_transfer, top_eigenvalues
 
     scheme, label = _resolve_scheme(args)
-    points = asymptotics(scheme, args.min_modulus, args.top).points
+    points, _ = top_eigenvalues(build_transfer(scheme), args.min_modulus, args.top)
     params = {"min_modulus": args.min_modulus, "top": args.top}
     return _spectrum_report("spectrum", label, params, points), []
 
@@ -253,6 +246,7 @@ def _cmd_constants(args) -> tuple[RunReport, list[str]]:
 
 
 def _cmd_verify(args) -> tuple[RunReport, list[str]]:
+    from .exact import _dp_pass
     from .expfun import asymptotics, predict_alpha
 
     scheme, label = _resolve_scheme(args)
@@ -291,8 +285,8 @@ def _cmd_verify(args) -> tuple[RunReport, list[str]]:
     rows: list[tuple] = []
     failures: list[str] = []
     prev_err: float | None = None
-    for n in range(m, n_max + 1):
-        exact = dp_alpha(scheme, n).value
+    # alpha_m..alpha_n_max, read off one insertion-DP pass
+    for n, exact in enumerate(islice(_dp_pass(scheme, n_max), m, None), m):
         exact_norm = exact / factorial(n)
         predicted = predict_alpha(terms, n, m)
         err = abs(predicted - float(exact_norm))
@@ -338,76 +332,17 @@ def _cmd_verify(args) -> tuple[RunReport, list[str]]:
     return report, failures
 
 
-# sequence columns checked against the generating function and a
-# nearest-integer formula
-_CHECKED_KEYS = ("aa", "ab", "bb", "total")
-
-
 def _cmd_sequence(args) -> tuple[RunReport, list[str]]:
-    n_max = args.n_max
-    if n_max < 4:
+    from .sec6 import SEQUENCE_COLUMNS, sequence_table
+
+    if args.n_max < 4:
         raise UsageFailure("--n-max must be at least 4")
-    scheme = preset_scheme("sec6")
-    schemes = {x + y: restrict_ends(scheme, x, y) for x in "ab" for y in "ab"}
-    schemes["total"] = scheme
-    # alpha_2..alpha_n_max of each scheme, read off one insertion-DP pass
-    passes = {key: islice(_dp_pass(s, n_max), 2, None) for key, s in schemes.items()}
-    coeffs = genfun_coeffs(n_max)
-    rows: list[list] = []
-    failures: list[str] = []
-    for n in range(2, n_max + 1):
-        rec = section6_recursion(n)
-        dp = {key: next(values) for key, values in passes.items()}
-        dp_ok = (
-            dp["aa"] == rec["aa"]
-            and dp["ab"] == rec["ab"] == dp["ba"]
-            and dp["bb"] == rec["bb"]
-            and dp["total"] == rec["total"]
-        )
-        der_ok = rec["bb"] == derangements(n)
-        gen_ok = all(coeffs[key][n] == rec[key] for key in _CHECKED_KEYS)
-        row = [n, rec["aa"], rec["ab"], rec["ab"], rec["bb"], rec["total"],
-               dp_ok, der_ok, gen_ok]
-        for key in _CHECKED_KEYS:
-            try:
-                near = nearest_integer_formula(n, key)
-            except ValueError:
-                row.append("-")
-                continue
-            row.append("ok" if near == rec[key] else "fail")
-            if near != rec[key]:
-                failures.append(
-                    f"n={n}: nearest-integer formula for {key} gave {near}, "
-                    f"expected {rec[key]}"
-                )
-        if not dp_ok:
-            failures.append(f"n={n}: recursion disagrees with the insertion DP")
-        if not der_ok:
-            failures.append(
-                f"n={n}: alpha_n(b,b) = {rec['bb']} != derangements {derangements(n)}"
-            )
-        if not gen_ok:
-            failures.append(f"n={n}: generating-function coefficient mismatch")
-        rows.append(row)
-
-    eq_ok = verify_genfun_equation(12)
-    control_ok = not verify_genfun_equation(12, bb_weight=3)
-    summary = [
-        f"integral-equation check through order 12: {'ok' if eq_ok else 'FAIL'}",
-        "integral-equation negative control (double-descent weight 3): "
-        + ("fails as expected" if control_ok else "UNEXPECTEDLY PASSES"),
-    ]
-    if not eq_ok:
-        failures.append("integral-equation check failed at order 12")
-    if not control_ok:
-        failures.append("integral-equation negative control passed; check is vacuous")
-
+    rows, summary, failures = sequence_table(args.n_max)
     report = RunReport(
         command="sequence",
         scheme_label="sec6",
-        params={"n_max": n_max},
-        columns=["n", "aa", "ab", "ba", "bb", "total", "dp_ok", "derangement_ok",
-                 "genfun_ok", *(f"nearest_{key}" for key in _CHECKED_KEYS)],
+        params={"n_max": args.n_max},
+        columns=SEQUENCE_COLUMNS,
         rows=rows,
         summary=summary,
     )

@@ -13,7 +13,9 @@ the end-point reflection J, and integrals over the cells are all closed form.
 Coefficients stay exact when the inputs are rational polynomials, and ints
 stay ints where the antiderivative's division is exact: the operator-iteration
 route scales its weights to integers and divides once, at the end.  Otherwise
-coefficients are complex.
+coefficients are complex.  The antiderivative steps of the operator and of
+the polytope integrals carry plain (c, k, mu) term lists; only the pieces
+of a function are normalized ExpPoly.
 
 An eigenfunction is exp((A - B)x/lambda) c on every cell.  It is read off
 the decomposition A - B = W T W^-1 that the transfer pair already holds for
@@ -26,11 +28,16 @@ constants, are refused.
 
 asymptotics() is the analysis entry point: a scheme's spectrum, truncated
 to the top eigenvalues, with the symmetry gate and, on request, one
-constant per eigenvalue.  The gate asks only that the window weights be
-invariant under word reversal: the boundary weights wt1 and wt2 enter the
-constants only through kappa and mu in the pairings, so they are free, and
-a count restricted to a first or last descent letter (words.restrict_ends)
-gets its constant like any other scheme.
+constant per eigenvalue, computed once per conjugate pair.  The gate asks
+only that the window weights be invariant under word reversal: the
+boundary weights wt1 and wt2 enter the constants only through kappa and mu
+in the pairings, so they are free, and a count restricted to a first or
+last descent letter (words.restrict_ends) gets its constant like any other
+scheme.
+
+The module loads words alone.  numpy, linalg and spectral come in with the
+float routes (the constants and verify commands), and exact with operator
+iteration alone (oracle), so each command compiles only what it runs.
 """
 
 from __future__ import annotations
@@ -42,15 +49,14 @@ from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 import cmath
 
-from .exact import WeightedCount
 from .words import WeightScheme, _Frozen, all_words, symmetry_defect
 
-# numpy is imported by eigenfunction_pieces, and spectral by the
-# Asymptotics record, where they are needed, so the exact
-# operator-iteration route runs without numpy
+# numpy is imported by eigenfunction_pieces, spectral by the Asymptotics
+# record and exact by alpha_by_operator_iteration, where they are needed
 if TYPE_CHECKING:
     import numpy as np
 
+    from .exact import WeightedCount
     from .spectral import SpectralPoint, TransferPair
 
 MU_MERGE_TOL = 1e-9
@@ -93,6 +99,28 @@ def _exp_of(mu):
 
 def _at_one(terms: Iterable[tuple]):
     return sum((c * _exp_of(mu) for c, _, mu in terms), start=0)
+
+
+def _antiderivative_terms(terms: Iterable[tuple], s=1) -> list[tuple]:
+    """The terms of the antiderivative F of s times a term list, F(0) = 0.
+
+    The result is not normalized.  s multiplies each coefficient before the
+    division by k + 1, so an int coefficient stays an int wherever s makes
+    that division exact.
+    """
+    out = []
+    for c, k, mu in terms:
+        c = c * s
+        if mu == 0:
+            out.append((_div_by_int(c, k + 1), k + 1, mu))
+        else:
+            # integral of x^k e^(mu x): by parts, degrees k down to 0
+            for j in range(k, -1, -1):
+                sign = -1 if (k - j) % 2 else 1
+                ratio = factorial(k) // factorial(j)
+                out.append((c * sign * ratio / mu ** (k - j + 1), j, mu))
+    out.append((-sum((c for c, k, _ in out if k == 0), start=0), 0, 0))  # F(0) = 0
+    return out
 
 
 class ExpPoly:
@@ -191,27 +219,7 @@ class ExpPoly:
 
     def antiderivative(self) -> "ExpPoly":
         """The antiderivative F with F(0) = 0."""
-        return ExpPoly(self._antiderivative_terms(1))
-
-    def _antiderivative_terms(self, s) -> list[tuple]:
-        """The terms of the antiderivative of s times self, not normalized.
-
-        s multiplies each coefficient before the division by k + 1, so an
-        int coefficient stays an int wherever s makes that division exact.
-        """
-        out = []
-        for c, k, mu in self.terms:
-            c = c * s
-            if mu == 0:
-                out.append((_div_by_int(c, k + 1), k + 1, mu))
-            else:
-                # integral of x^k e^(mu x): by parts, degrees k down to 0
-                for j in range(k, -1, -1):
-                    sign = -1 if (k - j) % 2 else 1
-                    ratio = factorial(k) // factorial(j)
-                    out.append((c * sign * ratio / mu ** (k - j + 1), j, mu))
-        out.append((-sum((c for c, k, _ in out if k == 0), start=0), 0, 0))  # F(0) = 0
-        return out
+        return ExpPoly(_antiderivative_terms(self.terms))
 
     def at_zero(self):
         return sum((c for c, k, _ in self.terms if k == 0), start=0)
@@ -408,18 +416,28 @@ def polytope_integral(u: str, f: ExpPoly, g: ExpPoly):
     Coordinates are integrated innermost-out: x_m runs over [x_{m-1}, 1] when
     u ends in a and [0, x_{m-1}] when it ends in b, and so on down to x_1
     over [0, 1].  Exact Fraction arithmetic survives when both factors are
-    rational polynomials.
+    rational polynomials.  The iterated antiderivatives stay plain term
+    lists, unmerged; an exponent of the product f * cur within MU_MERGE_TOL
+    of 0 is taken as 0, as ExpPoly takes it.
     """
     if any(ch not in "ab" for ch in u):
         raise ValueError(f"word {u!r} has letters outside {{a, b}}")
-    cur = g
+    cur = g.terms
     for letter in reversed(u):
-        F = cur.antiderivative()
-        if letter == "a":
-            cur = ExpPoly.constant(F.at_one()) - F
+        F = _antiderivative_terms(cur)
+        if letter == "a":  # F(1) - F
+            cur = [(-c, k, mu) for c, k, mu in F]
+            cur.append((_at_one(F), 0, 0))
         else:
             cur = F
-    return (f * cur).antiderivative().at_one()
+    product = []
+    for c1, k1, mu1 in f.terms:
+        for c2, k2, mu2 in cur:
+            mu = mu1 + mu2
+            if abs(mu) <= MU_MERGE_TOL and not isinstance(mu, _EXACT_TYPES):
+                mu = 0
+            product.append((c1 * c2, k1 + k2, mu))
+    return _at_one(_antiderivative_terms(product))
 
 
 def _pairing(first_fn: PiecewiseFn, last_fn: PiecewiseFn):
@@ -497,11 +515,13 @@ def scheme_constant(
     the scheme's transfer pair.  Raises ValueError when the window weights
     are not reversal-symmetric, the pair's decomposition has a block with no
     exponential-polynomial form (see eigenfunction_pieces), or the
-    denominator pairing vanishes.
+    denominator pairing vanishes.  The boundary weights enter the pairings
+    as floats, so no Fraction meets a complex coefficient there.
     """
     phi = eigenfunction_pieces(pair, point.lam, point.vector)
     psi = adjoint_eigenfunction(scheme, phi)
-    pairings = inner_products(phi, psi, kappa_piecewise(scheme), mu_piecewise(scheme))
+    kappa, mu = kappa_piecewise(scheme).scale(1.0), mu_piecewise(scheme).scale(1.0)
+    pairings = inner_products(phi, psi, kappa, mu)
     return asymptotic_constant(*pairings), pairings
 
 
@@ -537,16 +557,10 @@ class Asymptotics(_Frozen):
 
     @cached_property
     def _kept(self) -> tuple[tuple[SpectralPoint, ...], float | None]:
-        from .spectral import eigenvalues
+        from .spectral import top_eigenvalues
 
-        points = eigenvalues(self.pair, self.r_min)
-        k = min(self.top, len(points)) if self.top > 0 else len(points)
-        if 0 < k < len(points):
-            last, nxt = points[k - 1].lam, points[k].lam
-            if last.imag != 0 and nxt == last.conjugate():
-                k += 1
-        r_hat = abs(points[k].lam) if k < len(points) else None
-        return tuple(points[:k]), r_hat
+        points, r_hat = top_eigenvalues(self.pair, self.r_min, self.top)
+        return tuple(points), r_hat
 
     @property
     def points(self) -> tuple[SpectralPoint, ...]:
@@ -566,30 +580,44 @@ class Asymptotics(_Frozen):
         """(point, constant, pairings) per kept point, (point, reason) per
         point scheme_constant refuses, and r_hat widened by the refused ones.
 
-        Raises ValueError, before any eigenvalue search, when the window
-        weights are not reversal-symmetric.
+        scheme_constant runs once per real or upper-half eigenvalue.  Its
+        conjugate is listed with the conjugated vector (spectral.eigenvalues),
+        so it gets the conjugated constant and pairings, and a refusal covers
+        both.  Raises ValueError, before any eigenvalue search, when the
+        window weights are not reversal-symmetric.
         """
         if self.defect is not None:
             raise ValueError(
                 f"constants need a reversal-symmetric scheme: {self.defect}"
             )
+        # per real or upper-half lambda: (constant, pairings), or why not
+        found: dict[complex, tuple | str] = {}
+        for p in self.points:
+            if p.lam.imag >= 0:
+                try:
+                    found[p.lam] = scheme_constant(self.scheme, self.pair, p)
+                except ValueError as exc:
+                    found[p.lam] = str(exc)
         terms, refused, r_hat = [], [], self.r_hat
         for p in self.points:
-            try:
-                const, pairings = scheme_constant(self.scheme, self.pair, p)
-            except ValueError as exc:
-                refused.append((p, str(exc)))
+            got = found[p.lam.conjugate()] if p.lam.imag < 0 else found[p.lam]
+            if isinstance(got, str):
+                refused.append((p, got))
                 r_hat = abs(p.lam) if r_hat is None else max(r_hat, abs(p.lam))
-                continue
-            terms.append((p, const, pairings))
+            elif p.lam.imag < 0:
+                const, pairings = got
+                pairings = tuple(z.conjugate() for z in pairings)
+                terms.append((p, const.conjugate(), pairings))
+            else:
+                terms.append((p, *got))
         return terms, refused, r_hat
 
 
 def asymptotics(scheme: WeightScheme, r_min: float, top: int = 0) -> Asymptotics:
     """The scheme's eigenvalues above r_min, kept to the top K by modulus.
 
-    top = K > 0 keeps the K largest, or K + 1 when the K-th is non-real and
-    its conjugate comes next, so a conjugate pair is never split; top <= 0
+    The truncation is spectral.top_eigenvalues: top = K > 0 keeps the K
+    largest, and one more when that completes a conjugate pair; top <= 0
     keeps all.  The eigenvalues are searched for when the record is first
     asked for them, and constants only when it is asked for those.
     """
@@ -642,7 +670,7 @@ def _operator_step(
     ExpPoly the step builds.
     """
     m = f.m
-    F = {u: piece._antiderivative_terms(s) for u, piece in f.pieces.items()}
+    F = {u: _antiderivative_terms(piece.terms, s) for u, piece in f.pieces.items()}
     pieces: dict[str, ExpPoly] = {}
     for w in all_words(m - 1):
         Fa, Fb = F[("a" + w)[: m - 1]], F[("b" + w)[: m - 1]]
@@ -677,6 +705,8 @@ def alpha_by_operator_iteration(scheme: WeightScheme, n: int) -> WeightedCount:
     the scaled mu is a rational polytope integral, and one division by
     (n-m)! D^(n-m) D1 D2 gives the exact Fraction.  Requires n >= m.
     """
+    from .exact import WeightedCount
+
     m = scheme.m
     if n < m:
         raise ValueError(f"operator iteration needs n >= m = {m}")

@@ -88,7 +88,8 @@ def det(M: np.ndarray) -> complex:
 
 
 def nullspace_vector(M: np.ndarray, tol: float | None = None) -> np.ndarray:
-    """A unit vector spanning the (numerical) nullspace of M.
+    """A unit vector spanning the (numerical) nullspace of M, or of each
+    matrix in a (..., d, d) stack, with shape (..., d).
 
     The smallest singular value must fall below tol (default 1e-8 * ||M||),
     otherwise ValueError reports the gap.  The returned right singular vector
@@ -97,19 +98,20 @@ def nullspace_vector(M: np.ndarray, tol: float | None = None) -> np.ndarray:
     """
     M = _as_square(M)
     if tol is None:
-        tol = 1e-8 * max(1.0, float(np.linalg.norm(M, 1)))
+        tol = 1e-8 * np.maximum(1.0, np.linalg.norm(M, 1, axis=(-2, -1)))
     _, sing, vh = np.linalg.svd(M)
-    smallest = float(sing[-1]) if len(sing) else 0.0
-    if smallest >= tol:
+    smallest, tol = np.broadcast_arrays(sing[..., -1], tol)
+    if (smallest >= tol).any():
+        i = np.argmax(smallest >= tol)
         raise ValueError(
-            f"matrix is not singular at tolerance {tol:.3g} "
-            f"(smallest singular value {smallest:.3g})"
+            f"matrix is not singular at tolerance {tol.flat[i]:.3g} "
+            f"(smallest singular value {smallest.flat[i]:.3g})"
         )
-    v = vh[-1].conj()
-    j = int(np.argmax(np.abs(v)))
-    phase = v[j] / abs(v[j])
-    v = v / phase
-    return v / np.linalg.norm(v)
+    v = vh[..., -1, :].conj()
+    j = np.argmax(np.abs(v), axis=-1)[..., None]
+    phase = np.take_along_axis(v, j, axis=-1)
+    v = v / (phase / np.abs(phase))
+    return v / np.linalg.norm(v, axis=-1, keepdims=True)
 
 
 def invariant_subspaces(

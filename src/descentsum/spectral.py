@@ -51,7 +51,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .linalg import _EXP_NORM_LIMIT, MAX_DIM, _exp_and_gamma, det
+from .linalg import _EXP_NORM_LIMIT, MAX_DIM, _exp_and_gamma, det, gamma
 from .linalg import invariant_subspaces, mat_exp, nullspace_vector
 from .words import WeightScheme, _Frozen, all_words
 
@@ -81,6 +81,7 @@ __all__ = [
     "build_transfer",
     "det_P",
     "eigenvalues",
+    "top_eigenvalues",
     "is_simple",
     "det_M_product_check",
 ]
@@ -284,18 +285,6 @@ def _psi(x: np.ndarray, p: int) -> np.ndarray:
     return np.where(small[:, None], series, np.stack(psi, axis=1))
 
 
-def _P_and_exp(pair: TransferPair, lam: complex) -> tuple[np.ndarray, np.ndarray]:
-    """P(lambda), and the exp((A-B)/lambda) computed along with its gamma."""
-    floor = pair.overflow_floor()
-    if abs(lam) <= floor:
-        raise ValueError(
-            f"|lambda| = {abs(lam):.3g} is at or below the overflow floor "
-            f"{floor:.3g} for this scheme"
-        )
-    E, G = _exp_and_gamma((pair.A - pair.B) / lam)
-    return -lam * np.eye(pair.dim) + pair.B @ G, E
-
-
 def det_P(pair: TransferPair, lam: complex) -> complex:
     """det(-lambda I + B gamma((A-B)/lambda)).
 
@@ -303,7 +292,13 @@ def det_P(pair: TransferPair, lam: complex) -> complex:
     linalg._EXP_NORM_LIMIT, where the matrix exponential inside gamma would
     overflow float64.
     """
-    return det(_P_and_exp(pair, lam)[0])
+    floor = pair.overflow_floor()
+    if abs(lam) <= floor:
+        raise ValueError(
+            f"|lambda| = {abs(lam):.3g} is at or below the overflow floor "
+            f"{floor:.3g} for this scheme"
+        )
+    return det(-lam * np.eye(pair.dim) + pair.B @ gamma((pair.A - pair.B) / lam))
 
 
 def _log_derivative(pair: TransferPair, zs: np.ndarray) -> np.ndarray:
@@ -325,27 +320,38 @@ def _trace_solve(M: np.ndarray, U: np.ndarray, L: np.ndarray):
         return np.array([_trace_solve(m, U, l) for m, l in zip(M, L)])
 
 
-def _make_point(pair: TransferPair, lam: complex) -> SpectralPoint:
-    P, E = _P_and_exp(pair, lam)
-    vector = nullspace_vector(P)
+def _make_points(pair: TransferPair, lams: list[complex]) -> list[SpectralPoint]:
+    """The SpectralPoint of each lambda above the overflow floor, from one
+    stack of P(lambda): one exp and gamma, and one SVD each for the null
+    vectors and the 2-norms, for them all."""
+    if not lams:
+        return []
+    lam = np.array(lams, dtype=complex)[:, None, None]
+    E, G = _exp_and_gamma((pair.A - pair.B) / lam)
+    BG = pair.B @ G
+    P = BG - lam * np.eye(pair.dim)
+    vectors = nullspace_vector(P)
     # not |det P|, which grows with the entries of P, and not
     # sigma_min/sigma_max, which is 1 for any nonzero 1 x 1 P (m = 1)
-    scale = abs(lam) + np.linalg.norm(P + lam * np.eye(pair.dim), 2)
-    return SpectralPoint(
-        lam=lam,
-        vector=vector,
-        simple=_maps_to_nonzero(pair.B @ E, vector),
-        residual=float(np.linalg.norm(P @ vector) / scale),
-    )
+    scale = np.abs(lam[:, 0, 0]) + np.linalg.svd(BG, compute_uv=False)[:, 0]
+    residual = np.linalg.norm(_apply(P, vectors), axis=-1) / scale
+    simple = _maps_to_nonzero(pair.B @ E, vectors)
+    return list(map(SpectralPoint, lams, vectors, simple.tolist(), residual.tolist()))
 
 
 def is_simple(pair: TransferPair, lam: complex, vector: np.ndarray) -> bool:
     """Certificate that the root is simple: B exp((A-B)/lambda) c != 0."""
-    return _maps_to_nonzero(pair.B @ mat_exp((pair.A - pair.B) / lam), vector)
+    return bool(_maps_to_nonzero(pair.B @ mat_exp((pair.A - pair.B) / lam), vector))
 
 
-def _maps_to_nonzero(M: np.ndarray, vector: np.ndarray) -> bool:
-    return bool(np.linalg.norm(M @ vector) > _SIMPLE_TOL * np.linalg.norm(vector))
+def _apply(M: np.ndarray, vector: np.ndarray) -> np.ndarray:
+    """M @ vector, per matrix and vector of a stack."""
+    return np.einsum("...ij,...j->...i", M, vector)
+
+
+def _maps_to_nonzero(M: np.ndarray, vector: np.ndarray) -> np.ndarray:
+    norm = np.linalg.norm
+    return norm(_apply(M, vector), axis=-1) > _SIMPLE_TOL * norm(vector, axis=-1)
 
 
 class _Circle:
@@ -466,18 +472,15 @@ def eigenvalues(pair: TransferPair, r_min: float) -> list[SpectralPoint]:
             "number (f is not resolved in float64 there, or zeros lie on them)",
             stacklevel=2,
         )
+    kept = [z for z in zeros if abs(z) < bound]
+    lams = [complex(1 / z.real, 0.0) if z.imag == 0 else 1 / z for z in kept]
     points = []
-    for z in zeros:
-        if abs(z) >= bound:
-            continue
-        if z.imag == 0:
-            points.append(_make_point(pair, complex(1 / z.real, 0.0)))
-        else:
-            p = _make_point(pair, 1 / z)
-            points += [
-                p,
-                SpectralPoint(p.lam.conjugate(), p.vector.conj(), p.simple, p.residual),
-            ]
+    for p in _make_points(pair, lams):
+        points.append(p)
+        if p.lam.imag != 0:
+            points.append(
+                SpectralPoint(p.lam.conjugate(), p.vector.conj(), p.simple, p.residual)
+            )
     # a pair +-lambda is equal in modulus only to rounding: runs of moduli
     # that agree to _TIE_TOL sort by |angle|, which keeps conjugates adjacent
     runs: list[list[SpectralPoint]] = []
@@ -487,6 +490,25 @@ def eigenvalues(pair: TransferPair, r_min: float) -> list[SpectralPoint]:
         else:
             runs.append([p])
     return [p for run in runs for p in sorted(run, key=_angle_key)]
+
+
+def top_eigenvalues(
+    pair: TransferPair, r_min: float, top: int
+) -> tuple[list[SpectralPoint], float | None]:
+    """The eigenvalues above r_min kept to the top K by modulus, and r_hat,
+    the modulus of the largest one left out (None when none is).
+
+    top = K > 0 keeps the K largest, or K + 1 when the K-th is non-real and
+    its conjugate comes next, so a conjugate pair is never split; top <= 0
+    keeps all.
+    """
+    points = eigenvalues(pair, r_min)
+    k = min(top, len(points)) if top > 0 else len(points)
+    if 0 < k < len(points):
+        last, nxt = points[k - 1].lam, points[k].lam
+        if last.imag != 0 and nxt == last.conjugate():
+            k += 1
+    return points[:k], abs(points[k].lam) if k < len(points) else None
 
 
 def _angle_key(p: SpectralPoint) -> tuple[float, float]:

@@ -4,6 +4,7 @@ import math
 import re
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -253,6 +254,24 @@ def test_polytope_integral_section6_indicator_values():
     assert abs(got_a - (1 - 2 / E)) < 1e-12
     got_b = polytope_integral("b", phi.pieces["b"], one)
     assert abs(got_b - 1 / E) < 1e-12
+
+
+def test_polytope_integral_exponents_that_cancel_to_near_zero():
+    # the exponents of f and g sum to 4e-10, within MU_MERGE_TOL of 0: that
+    # product term is integrated as a polynomial, not by parts through 1/mu^2
+    mu = 0.7 + 0.2j
+    nu = -mu + 4e-10
+    f = ExpPoly([(1.5, 1, mu), (0.5, 0, 0)])
+    g = ExpPoly.term(2.0, 0, nu)
+    got = polytope_integral("a", f, g)
+    # P_a is x_1 <= x_2: the integral of f(x) times int_x^1 g(t) dt over [0, 1]
+    with mpmath.workdps(30):
+        m, n = mpmath.mpc(mu), mpmath.mpc(nu)
+        inner = lambda x: 2 * (mpmath.exp(n) - mpmath.exp(n * x)) / n
+        want = complex(
+            mpmath.quad(lambda x: (1.5 * x * mpmath.exp(m * x) + 0.5) * inner(x), [0, 1])
+        )
+    assert abs(got - want) < 1e-8 * abs(want)
 
 
 # ----------------------------------------------------------- eigenfunctions
@@ -650,16 +669,44 @@ def test_asymptotics_computes_constants_only_when_asked(monkeypatch):
     analysis = asymptotics(scheme, 0.05, top=4)
     assert calls == []
     terms, refused, r_hat = analysis.constants()
+    # one call per real or upper-half eigenvalue: points 1 and 2 are a
+    # conjugate pair, lower half first, and only point 2 is computed
+    assert calls == [analysis.points[i].lam for i in (0, 2, 3)]
     assert [p.lam for p, _, _ in terms] == [
-        analysis.points[i].lam for i in (0, 2, 3)
+        analysis.points[i].lam for i in (0, 3)
     ]
     const, pairings = real(scheme, analysis.pair, analysis.points[0])
     assert terms[0][1:] == (const, pairings)
-    # a refused point is excluded, so it widens r_hat past the truncation's
+    # the refusal covers both members of the pair, and a refused point is
+    # excluded, so it widens r_hat past the truncation's
     assert [(p.lam, why) for p, why in refused] == [
-        (analysis.points[1].lam, "refused for the test")
+        (analysis.points[i].lam, "refused for the test") for i in (1, 2)
     ]
     assert analysis.r_hat < r_hat == abs(analysis.points[1].lam)
+
+
+@pytest.mark.parametrize("name", ["sec5-1", "sec5-2"])
+def test_conjugate_constants_are_conjugated_not_recomputed(name):
+    # constants() computes each conjugate pair once, at its upper-half member;
+    # the lower-half member's constant and pairings are the exact conjugates,
+    # and agree with a direct computation there to the golden tolerance
+    from test_golden import pairing_resolution
+
+    scheme = preset_scheme(name)
+    analysis = asymptotics(scheme, 0.05)
+    terms, refused, _ = analysis.constants()
+    assert refused == []
+    found = {p.lam: (const, *pairings) for p, const, pairings in terms}
+    lower = [p for p, _, _ in terms if p.lam.imag < 0]
+    assert len(lower) == sum(p.lam.imag > 0 for p, _, _ in terms) > 0
+    for p in lower:
+        assert found[p.lam] == tuple(z.conjugate() for z in found[p.lam.conjugate()])
+        const, pairings = scheme_constant(scheme, analysis.pair, p)
+        atol = pairing_resolution(name, abs(p.lam))
+        for got, want in zip(found[p.lam], (const, *pairings)):
+            for a, b in ((got.real, want.real), (got.imag, want.imag)):
+                big = max(abs(a), abs(b))
+                assert abs(a - b) <= max(1e-9 * big, atol) or big < 1e-14, (p.lam, a, b)
 
 
 def test_asymptotics_symmetry_gate():

@@ -158,6 +158,20 @@ def test_nullspace_vector_rejects_nonsingular():
         nullspace_vector(np.eye(3))
 
 
+def test_nullspace_vector_of_a_stack_matches_each_matrix():
+    rng = np.random.default_rng(7)
+    stack = []
+    for _ in range(3):  # rank 3 of 4: a one-dimensional nullspace
+        M = rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3))
+        stack.append(M @ (rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))))
+    vectors = nullspace_vector(np.array(stack))
+    assert vectors.shape == (3, 4)
+    for M, v in zip(stack, vectors):
+        assert np.allclose(v, nullspace_vector(M), rtol=0, atol=1e-14)
+    with pytest.raises(ValueError, match="singular value"):
+        nullspace_vector(np.array([stack[0], np.eye(4)]))
+
+
 def test_nullspace_vector_tol_override():
     M = np.diag([1.0, 1e-6])
     with pytest.raises(ValueError):

@@ -1,4 +1,4 @@
-"""The package surface: lazily resolved names, and which routes load numpy."""
+"""The package surface: lazily resolved names, and the modules each route loads."""
 
 from __future__ import annotations
 
@@ -123,6 +123,51 @@ def test_oracle_all_loads_expfun_not_numpy():
     assert _loaded(*argv) == ["descentsum.expfun"]
 
 
+# runs the CLI in a fresh interpreter, then reports its exit code and every
+# descentsum module it loaded, sorted
+_MODULES = (
+    "import sys\n"
+    "from descentsum.cli import main\n"
+    "rc = main(sys.argv[1:])\n"
+    "print(rc, *sorted(name for name in sys.modules if name.startswith('descentsum')),\n"
+    "      file=sys.stderr)\n"
+)
+_CLI = {"descentsum", "descentsum.cli", "descentsum.presets", "descentsum.words"}
+
+
+def _modules(*argv: str) -> set[str]:
+    rc, *names = _fresh("-c", _MODULES, *argv).split()
+    assert rc == "0"
+    return set(names)
+
+
+@pytest.mark.parametrize("module", ["descentsum", "descentsum.cli"])
+def test_import_leaves_exact_unloaded(module):
+    probe = (
+        f"import sys, {module}; "
+        "print('descentsum.exact' in sys.modules, file=sys.stderr)"
+    )
+    assert _fresh("-c", probe) == "False"
+
+
+def test_spectrum_loads_neither_exact_nor_expfun():
+    loaded = _modules("spectrum", "--preset", "sec5-1")
+    assert loaded == _CLI | {"descentsum.linalg", "descentsum.spectral"}
+
+
+def test_constants_leaves_exact_unloaded():
+    loaded = _modules("constants", "--preset", "sec5-1", "--top", "2")
+    assert loaded == _CLI | {
+        "descentsum.expfun", "descentsum.linalg", "descentsum.spectral"
+    }
+
+
+def test_only_sequence_loads_sec6():
+    loaded = _modules("oracle", "--preset", "sec5-1", "--n", "12", "--method", "dp")
+    assert loaded == _CLI | {"descentsum.exact"}
+    assert "descentsum.sec6" in _modules("sequence", "--n-max", "8")
+
+
 def test_every_public_name_resolves_and_is_listed():
     listed = dir(descentsum)
     for name in descentsum.__all__:
@@ -130,6 +175,9 @@ def test_every_public_name_resolves_and_is_listed():
         assert name in listed, name
     assert descentsum.eigenvalues is sys.modules["descentsum.spectral"].eigenvalues
     assert descentsum.spectral is sys.modules["descentsum.spectral"]
+    # the modules the package once star-imported: every name still resolves
+    for module in (descentsum.exact, descentsum.sec6):
+        assert set(module.__all__) <= set(descentsum.__all__), module.__name__
 
 
 def test_star_import_binds_every_public_name():

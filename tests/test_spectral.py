@@ -580,8 +580,10 @@ def test_ties_in_modulus_sort_by_angle(monkeypatch):
     pair = build_transfer(preset_scheme("alternating"))
     monkeypatch.setattr(spectral, "_MAX_PENCIL", 64)
     monkeypatch.setattr(
-        spectral, "_make_point",
-        lambda pair, lam: spectral.SpectralPoint(lam, np.ones(1), True, 0.0),
+        spectral, "_make_points",
+        lambda pair, lams: [
+            spectral.SpectralPoint(lam, np.ones(1), True, 0.0) for lam in lams
+        ],
     )
     half_pi = math.pi / 2
     shorter = float(np.nextafter(half_pi, 0))
