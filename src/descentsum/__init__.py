@@ -42,8 +42,8 @@ _LAZY_NAMES = {
         kappa_piecewise mu_piecewise polytope_integral predict_alpha
         scheme_constant""",
     "linalg": "det gamma mat_exp nullspace_vector",
-    "spectral": """SpectralPoint TransferPair build_transfer det_M_product_check
-        det_P eigenvalues is_simple top_eigenvalues""",
+    "spectral": """SpectralPoint TransferPair build_transfer det_P eigenvalues
+        is_simple top_eigenvalues""",
 }
 _LAZY = {name: mod for mod, names in _LAZY_NAMES.items() for name in names.split()}
 _LAZY_MODULES = frozenset(_LAZY_NAMES)

@@ -21,10 +21,11 @@ An eigenfunction is exp((A - B)x/lambda) c on every cell.  It is read off
 the decomposition A - B = W T W^-1 that the transfer pair already holds for
 its contour kernel (spectral.TransferPair.blocks): a block T_i = c_i I + N_i
 with N_i^(p_i) = 0 contributes e^(c_i x/lambda) times a polynomial of
-degree below p_i, so no eigenvalue decomposes A - B again.  When the
-generalized eigenspaces of A - B have no well-conditioned basis, the pair
-keeps A - B whole, with no such split: its eigenfunctions, and hence its
-constants, are refused.
+degree below p_i, so no eigenvalue decomposes A - B again.  Read through
+an ill-conditioned W, the pieces would lose digits: when cond(W) exceeds
+_BASIS_COND, the eigenfunctions, and hence the constants, are refused.  The
+eigenvalues are not: the contour kernel uses the same W however
+ill-conditioned it is.
 
 asymptotics() is the analysis entry point: a scheme's spectrum, truncated
 to the top eigenvalues, with the symmetry gate and, on request, one
@@ -60,6 +61,7 @@ if TYPE_CHECKING:
     from .spectral import SpectralPoint, TransferPair
 
 MU_MERGE_TOL = 1e-9
+_BASIS_COND = 1e4  # largest cond(W) an eigenfunction is read through
 
 __all__ = [
     "ExpPoly",
@@ -363,9 +365,8 @@ def eigenfunction_pieces(
             = sum_i e^(c_i x/lambda) sum_{j<p_i} x^j W_i N_i^j y_i / (lambda^j j!)
 
     so each block gives the exponent c_i/lambda with a polynomial of degree
-    below p_i.  The one-block basis, which the pair keeps when its
-    generalized eigenspaces have no well-conditioned basis, splits A - B
-    into no such blocks: ValueError says so.
+    below p_i.  ValueError refuses a basis with cond(W) > _BASIS_COND,
+    through which the pieces would lose digits, and names cond(W).
     """
     import numpy as np
 
@@ -376,10 +377,11 @@ def eigenfunction_pieces(
     if c.shape != (d,):
         raise ValueError(f"vector must have shape ({d},)")
     blocks = pair.blocks
-    if blocks.powers is None:
+    cond = np.linalg.cond(blocks.W)
+    if cond > _BASIS_COND:
         raise ValueError(
-            "the generalized eigenspaces of A - B have no well-conditioned "
-            "basis: the eigenfunction is not split into exponential polynomials"
+            f"the basis W of the generalized eigenspaces of A - B has cond(W) = "
+            f"{cond:.3g} > {_BASIS_COND:.3g}: the eigenfunction would lose digits"
         )
     p = len(blocks.powers)
     scale = np.array([lam**j * factorial(j) for j in range(p)])
@@ -513,10 +515,10 @@ def scheme_constant(
     pairings (<phi, mu>, <kappa, conj(psi)>, <phi, conj(psi)>) with the
     scheme's boundary weight functions kappa and mu, and their ratio, for
     the scheme's transfer pair.  Raises ValueError when the window weights
-    are not reversal-symmetric, the pair's decomposition has a block with no
-    exponential-polynomial form (see eigenfunction_pieces), or the
-    denominator pairing vanishes.  The boundary weights enter the pairings
-    as floats, so no Fraction meets a complex coefficient there.
+    are not reversal-symmetric, the basis of the pair's decomposition is
+    ill-conditioned (see eigenfunction_pieces), or the denominator pairing
+    vanishes.  The boundary weights enter the pairings as floats, so no
+    Fraction meets a complex coefficient there.
     """
     phi = eigenfunction_pieces(pair, point.lam, point.vector)
     psi = adjoint_eigenfunction(scheme, phi)

@@ -38,9 +38,11 @@ which the eigenfunctions of expfun read too):
     z gamma(zT_i) = z sum_{j<p} (zN)^j psi_j(zc),  psi_j(x) = int_0^1 t^j e^(tx) dt / j!
 
 A cluster that is not one Jordan structure is split into its eigenvalues,
-each a 1 x 1 block (linalg.invariant_subspaces).  Only when W is
-ill-conditioned is C kept as one block, whose exponential and gamma come
-from linalg's scaling and squaring.
+each a 1 x 1 block (linalg.invariant_subspaces).  Every pair is evaluated
+this way, however ill-conditioned W is: f'/f is a trace, the same in any
+basis, though rounding through an ill-conditioned W can cost it digits.
+Only the eigenfunctions, which are read through W itself, refuse an
+ill-conditioned W (expfun.eigenfunction_pieces).
 """
 
 from __future__ import annotations
@@ -57,7 +59,6 @@ from .words import WeightScheme, _Frozen, all_words
 
 _SIMPLE_TOL = 1e-8
 _CLUSTER_TOL = 1e-3  # eigenvalues of A - B this close (relative) share a block
-_BASIS_COND = 1e4  # largest condition number of a usable block basis
 _CONTOUR_POINTS = 32  # first sampling of a circle, doubled until its count settles
 _MAX_CONTOUR_POINTS = 2048
 _COUNT_TOL = 0.02  # how far a winding number may sit from an integer
@@ -83,7 +84,6 @@ __all__ = [
     "eigenvalues",
     "top_eigenvalues",
     "is_simple",
-    "det_M_product_check",
 ]
 
 
@@ -123,17 +123,13 @@ class TransferPair(_Frozen):
         W^-1 C W is block-diagonal.  The centre c_i is tr(T_i)/k_i, so
         N_i = 0 on a 1 x 1 block; a larger cluster at 0 has c_i = 0.  A
         cluster that is not one Jordan structure has been split into 1 x 1
-        blocks.  When W is ill-conditioned (cond(W) > _BASIS_COND), W = I
-        keeps the one block T = C with c = 0, and powers is None: C is then
-        not split into a centre and a nilpotent part.
+        blocks.  W is kept however ill-conditioned it is; the eigenfunctions
+        refuse to be read through one with cond(W) > expfun._BASIS_COND.
         """
         C, d = self.A - self.B, self.dim
         tol = _CLUSTER_TOL * max(1.0, float(np.linalg.norm(C, 1)))
         spaces = invariant_subspaces(C, tol)
         W = np.hstack([V for _, V, _ in spaces])
-        if np.linalg.cond(W) > _BASIS_COND:
-            eye, label = np.eye(d, dtype=complex), np.zeros(d, dtype=int)
-            return _Blocks(self.B, label, np.zeros(1, complex), None, eye, eye)
         sizes = [V.shape[1] for _, V, _ in spaces]
         label = np.repeat(np.arange(len(sizes)), sizes)
         powers = [np.eye(d, dtype=complex)]
@@ -150,11 +146,9 @@ class TransferPair(_Frozen):
     def _factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """U, B' N^j and V^T N^j (N^0 = I, the N^j of blocks.powers) for the
         contour kernel, where B' = W^-1 B W = U V^T through the r nonzero
-        columns of B: U = W^-1 B[:, cols] (d x r), V^T = W[cols] (r x d).
-        The one-block basis has only N^0."""
+        columns of B: U = W^-1 B[:, cols] (d x r), V^T = W[cols] (r x d)."""
         Bw, _, _, powers, W, Winv = self.blocks
         cols = np.flatnonzero(self.B.any(axis=0))
-        powers = np.eye(self.dim)[None] if powers is None else powers
         return Winv @ self.B[:, cols], Bw @ powers, W[cols] @ powers
 
 
@@ -165,7 +159,7 @@ class _Blocks(NamedTuple):
     B: np.ndarray  # W^-1 B W
     label: np.ndarray  # per column, the index of its cluster
     centre: np.ndarray  # per cluster, its centre c_i
-    powers: np.ndarray | None  # (p, d, d): I, then N^j, each block zero past its index
+    powers: np.ndarray  # (p, d, d): I, then N^j, each block zero past its index
     W: np.ndarray  # columns: the generalized eigenspaces, cluster by cluster
     Winv: np.ndarray  # W^-1
 
@@ -228,20 +222,12 @@ def _kernel(
     exactly where Re x > 1.  The scalar factors are computed per cluster,
     for as many points at once as fit _STACK_BYTES in a (points, p,
     clusters) array, so a stack is p column-weighted sums of the
-    precomputed B' N^j and V^T N^j.  The one-block basis (powers None) has
-    centre 0, so nothing grows: it gets both functions of zC from
-    linalg._exp_and_gamma.
+    precomputed B' N^j and V^T N^j.
     """
     _, label, centre, powers, *_ = pair.blocks
     _, BN, VN = pair._factors
     eye = np.eye(pair.dim)
     chunk = max(1, _STACK_BYTES // (16 * pair.dim**2))  # points per (d, d) stack
-    if powers is None:
-        for a in range(0, len(z), chunk):
-            zs = z[a : a + chunk, None, None]
-            E, G = _exp_and_gamma(zs * (pair.A - pair.B))
-            yield eye - BN[0] @ (zs * G), VN[0] @ E
-        return
     p = len(powers)
     piece = chunk * max(1, pair.dim**2 // (p * len(centre)))  # per (p, clusters)
     for start in range(0, len(z), piece):
@@ -577,15 +563,3 @@ def _polish(pair: TransferPair, z: np.ndarray) -> np.ndarray:
         active[active] = ~((new <= 4 * np.finfo(float).eps) | stalled)
     return z[np.isfinite(z) & (np.abs(z) * floor < 1) & (size <= _NEWTON_TOL)]
 
-
-def det_M_product_check(pair: TransferPair, lam: complex) -> complex:
-    """det(-A + B exp((A-B)/lambda)), the equivalent form for invertible A-B.
-
-    Vanishes at the same nonzero lambda as det_P when A - B is invertible;
-    raises ValueError when A - B is singular and the form is not available.
-    """
-    M = pair.A - pair.B
-    sing = np.linalg.svd(M, compute_uv=False)
-    if float(sing[-1]) < 1e-12 * max(1.0, float(sing[0])):
-        raise ValueError("A - B is singular; the product form is unavailable")
-    return det(-pair.A + pair.B @ mat_exp(M / lam))

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import descentsum.expfun as expfun
 import descentsum.linalg as linalg
 import descentsum.spectral as spectral
 from descentsum import (
@@ -345,14 +346,15 @@ def test_eigenfunction_refuses_a_fallback_block(monkeypatch, tmp_path, capsys):
     assert len(unmerged[0]) == len(merged[0]) == 6
     for (p, c, _), (q, d, _) in zip(unmerged[0], merged[0]):
         assert p.lam == q.lam and abs(c - d) <= 1e-12 * abs(c)
-    # only the one-block basis of an ill-conditioned W is refused
-    monkeypatch.setattr(spectral, "_BASIS_COND", 0.5)
+    # an ill-conditioned W keeps its eigenvalues, and only the eigenfunctions
+    # read through it, with their constants, are refused
+    monkeypatch.setattr(expfun, "_BASIS_COND", 0.5)
     refusal = (
-        "the generalized eigenspaces of A - B have no well-conditioned basis: "
-        "the eigenfunction is not split into exponential polynomials"
+        r"the basis W of the generalized eigenspaces of A - B has cond\(W\) = "
+        r"\S+ > 0\.5: the eigenfunction would lose digits"
     )
     analysis = asymptotics(scheme, 0.5)
-    assert analysis.pair.blocks.powers is None
+    assert [p.lam for p in analysis.points] == [p.lam for p, _, _ in unmerged[0]]
     top = analysis.points[0]
     with pytest.raises(ValueError, match=refusal):
         eigenfunction_pieces(analysis.pair, top.lam, top.vector)

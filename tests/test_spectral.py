@@ -4,11 +4,14 @@ import cmath
 import math
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
+import descentsum.expfun as expfun
 import descentsum.linalg as linalg
 import descentsum.spectral as spectral
 
@@ -16,7 +19,6 @@ from descentsum import (
     WeightScheme,
     all_words,
     build_transfer,
-    det_M_product_check,
     det_P,
     eigenvalues,
     is_simple,
@@ -25,6 +27,11 @@ from descentsum import (
 )
 from descentsum.linalg import _exp_and_gamma
 
+# draw 740 of random.Random(11) over m = randint(1, 5) and window weights in
+# {0, 1, -1, 2, 3, 1/2, -1/2}: the basis W of A - B has cond(W) = 2.1e4
+ILL_CONDITIONED = load_scheme(
+    (Path(__file__).parent / "schemes" / "ill-conditioned-4.scheme").read_text()
+)
 TAU = math.sqrt((1 + math.sqrt(5)) / 2)
 SIGMA = math.sqrt((-1 + math.sqrt(5)) / 2)
 
@@ -343,6 +350,36 @@ def test_eigenvalues_no_runs_6():
     assert all(p.simple for p in points)
 
 
+def scipy_winding_count(pair, r, points):
+    """Zeros of f in |z| < 1/r by the phase of f(z) = det(I - z B gamma(zC))
+    on the circle, with gamma(M) the top-right block of scipy's
+    expm([[M, I], [0, 0]]); None unless points and 2 * points agree."""
+    d, C, zero = pair.dim, pair.A - pair.B, np.zeros((pair.dim, pair.dim))
+    counts = []
+    for n in (points, 2 * points):
+        f = []
+        for z in np.exp(2j * np.pi * np.arange(n + 1) / n) / r:
+            E = expm(np.block([[z * C, np.eye(d)], [zero, zero]]))
+            f.append(np.linalg.det(np.eye(d) - z * pair.B @ E[:d, d:]))
+        phase = np.unwrap(np.angle(f))
+        counts.append(round((phase[-1] - phase[0]) / (2 * np.pi)))
+    return counts[0] if counts[0] == counts[1] else None
+
+
+def test_eigenvalues_through_an_ill_conditioned_basis():
+    # the contour kernel runs in the block basis W however ill-conditioned it
+    # is, with the growing columns scaled: all 22 zeros above 0.06 are
+    # certified (a kernel on the whole of A - B with no growth scaling
+    # reached only 0.0612245, with 19)
+    pair = build_transfer(ILL_CONDITIONED)
+    assert np.linalg.cond(pair.blocks.W) > expfun._BASIS_COND
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        points = eigenvalues(pair, 0.06)
+    assert len(points) == 22 == scipy_winding_count(pair, 0.06, 512)
+    assert all(p.residual < 1e-9 for p in points)
+
+
 def test_residual_at_window_length_1():
     # m = 1 with wt(a) = 2, wt(b) = 1: P(lambda) = lambda (e^(1/lambda) - 2),
     # so the eigenvalues are 1/(log 2 + 2 pi i k); P is 1 x 1 here, where
@@ -372,12 +409,9 @@ def dense_log_derivative(pair, z):
     one linalg._exp_and_gamma on z(T - shift) over all of T = W^-1 C W, with
     the growing columns of exp(-z shift) z gamma(zT) taken as
     (exp(z(T - shift)) - exp(-z shift)) T^-1."""
-    Bw, label, centre, powers, W, Winv = pair.blocks
-    if powers is None:  # the one-block basis: T = C, centre 0
-        T, centre = pair.A - pair.B, np.zeros(1)
-    else:
-        T = Winv @ (pair.A - pair.B) @ W
-        T = np.where(label[:, None] == label[None, :], T, 0)
+    Bw, label, centre, _, W, Winv = pair.blocks
+    T = Winv @ (pair.A - pair.B) @ W
+    T = np.where(label[:, None] == label[None, :], T, 0)
     c, eye, zs = centre[label], np.eye(pair.dim), z[:, None, None]
     grows = (z[:, None] * c).real > 1
     shift = np.where(grows, c, 0)[:, None, :]
@@ -398,6 +432,7 @@ KERNEL_SCHEMES = {name: preset_scheme(name) for name in (
     "alternating-5x1": WeightScheme(
         5, {w: int(all(w[i] != w[i + 1] for i in range(4))) for w in all_words(5)}
     ),
+    "ill-conditioned-4": ILL_CONDITIONED,
 }
 # A - B has eigenvalues 0, 0, 1 and 1.01: a cluster tolerance above 0.01
 # merges the last two into one cluster that no centre makes nilpotent, which
@@ -405,11 +440,12 @@ KERNEL_SCHEMES = {name: preset_scheme(name) for name in (
 NEAR_PAIR = load_scheme("m = 3\nwt aba = 0\nwt abb = 0\nwt bbb = -101/100\n")
 
 
-@pytest.mark.parametrize("basis", ["clusters", "merged", "one-block"])
+@pytest.mark.parametrize("basis", ["clusters", "merged"])
 def test_log_derivative_matches_the_dense_formula(basis, monkeypatch):
     # 1e-12 relative, widened only by the rounding bound d eps cond(M) of the
     # reference's own solve: where M is ill-conditioned (sec6 and no-peaks
-    # at |z| = 20, cond up to 1e16) neither formula resolves f'/f further
+    # at |z| = 20, cond up to 1e16) neither formula resolves f'/f further;
+    # ill-conditioned-4 has cond(W) > 1e4
     schemes = dict(KERNEL_SCHEMES, near=NEAR_PAIR)
     if basis == "merged":
         # with a looser null space test the merged space passes it, and only
@@ -417,15 +453,10 @@ def test_log_derivative_matches_the_dense_formula(basis, monkeypatch):
         monkeypatch.setattr(spectral, "_CLUSTER_TOL", 0.05)
         monkeypatch.setattr(linalg, "_JORDAN_TOL", 1e-4)
         schemes = {"near": NEAR_PAIR}
-    if basis == "one-block":
-        monkeypatch.setattr(spectral, "_BASIS_COND", 0.5)
     for name, scheme in schemes.items():
         pair = build_transfer(scheme)
-        blocks = pair.blocks
         if basis == "merged":
-            assert len(blocks.centre) == 3 and blocks.powers is not None
-        else:
-            assert (blocks.powers is None) == (basis == "one-block"), name
+            assert len(pair.blocks.centre) == 3
         for radius in (10, 20):
             z = radius * np.exp(2j * np.pi * (np.arange(64) + 0.3) / 64)
             want, cond = dense_log_derivative(pair, z)
@@ -436,17 +467,21 @@ def test_log_derivative_matches_the_dense_formula(basis, monkeypatch):
             assert np.all(np.abs(got - want)[finite] <= tol[finite]), (name, radius)
 
 
-@pytest.mark.parametrize("basis", ["clusters", "one-block"])
+@pytest.mark.parametrize("basis", ["clusters", "merged"])
 def test_log_derivative_is_conjugate_symmetric(basis, monkeypatch):
     # A and B are real, so f(conj z) = conj f(z), which lets the finder
     # sample only the upper half of each circle; 1e-12 relative, widened as
     # in the dense comparison where M is ill-conditioned
-    if basis == "one-block":
-        monkeypatch.setattr(spectral, "_BASIS_COND", 0.5)
     m1 = load_scheme("m = 1\nwt a = 2\nwt b = 1\n")
-    for name, scheme in dict(KERNEL_SCHEMES, near=NEAR_PAIR, m1=m1).items():
+    schemes = dict(KERNEL_SCHEMES, near=NEAR_PAIR, m1=m1)
+    if basis == "merged":  # as in the dense comparison
+        monkeypatch.setattr(spectral, "_CLUSTER_TOL", 0.05)
+        monkeypatch.setattr(linalg, "_JORDAN_TOL", 1e-4)
+        schemes = {"near": NEAR_PAIR}
+    for name, scheme in schemes.items():
         pair = build_transfer(scheme)
-        assert (pair.blocks.powers is None) == (basis == "one-block"), name
+        if basis == "merged":
+            assert len(pair.blocks.centre) == 3
         for radius in (5, 10, 20):
             z = radius * np.exp(1j * np.pi * (np.arange(32) + 0.3) / 32)
             upper = spectral._log_derivative(pair, z)
@@ -541,17 +576,6 @@ def test_is_simple_on_located_roots(spectra):
         for pt in points:
             assert is_simple(pair, pt.lam, pt.vector) == pt.simple
             assert pt.simple  # all located roots of these schemes are simple
-
-
-def test_det_M_product_check():
-    pair = build_transfer(preset_scheme("sec5-1"))
-    lam0 = eigenvalues(pair, 0.05)[0].lam
-    assert abs(det_M_product_check(pair, lam0)) < 1e-9
-    # away from the spectrum the product form is far from zero
-    assert abs(det_M_product_check(pair, 1.7)) > 1e-3
-    ones = build_transfer(preset_scheme("all-ones"))
-    with pytest.raises(ValueError, match="singular"):
-        det_M_product_check(ones, 1.0)
 
 
 def test_spectrum_sorted_by_modulus(spectra):

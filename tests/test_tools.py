@@ -78,3 +78,13 @@ def test_finder_sweep_records_and_compares(tmp_path, capsys):
     swapped.write_text(json.dumps(records))
     assert finder_sweep.main(["compare", str(out), str(swapped)]) == 0
     assert "changed lists: alternating" in capsys.readouterr().out
+
+
+def test_finder_sweep_draws_the_ill_conditioned_fixture():
+    # ill-conditioned-740 is the scheme of tests/schemes/ill-conditioned-4
+    from descentsum import load_scheme
+
+    table = finder_sweep.schemes()
+    fixture = Path(__file__).parent / "schemes" / "ill-conditioned-4.scheme"
+    assert table["ill-conditioned-740"] == (load_scheme(fixture.read_text()), 0.05)
+    assert table["ill-conditioned-233"][0].m == 4

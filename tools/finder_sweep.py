@@ -7,8 +7,11 @@ complete (r_min, or the modulus a warning names), the eigenvalues, the
 warnings and the wall time.  The schemes: the presets at r_min = 0.05; the
 no-runs schemes at m = 5 (0.05), 6 and 7 (0.1); alternating permutations
 read through windows of length 5, each window weighted 3/4, 1 and 5/4
-(0.05); and 60 random schemes at 0.05 (random.Random(11), m = randint(2, 4),
-each window weight drawn from RANDOM_WEIGHTS in the order of all_words(m)).
+(0.05); 60 random schemes at 0.05 (random.Random(11), m = randint(2, 4),
+each window weight drawn from RANDOM_WEIGHTS in the order of all_words(m));
+and, at 0.05, draws 233 and 740 of the same generator with m = randint(1, 5),
+two m = 4 schemes whose block basis of A - B has cond(W) > 2e4, so that
+``compare`` watches the contour kernel through an ill-conditioned basis.
 
     python tools/finder_sweep.py run OUT.json [--only NAME ...]
     python tools/finder_sweep.py compare OLD.json NEW.json
@@ -55,6 +58,12 @@ def schemes() -> dict[str, tuple[object, float]]:
         m = rng.randint(2, 4)
         weights = {w: Fraction(rng.choice(RANDOM_WEIGHTS)) for w in all_words(m)}
         out[f"random-{i:02}"] = (WeightScheme(m, weights), 0.05)
+    rng = random.Random(11)
+    for i in range(741):
+        m = rng.randint(1, 5)
+        weights = {w: Fraction(rng.choice(RANDOM_WEIGHTS)) for w in all_words(m)}
+        if i in (233, 740):
+            out[f"ill-conditioned-{i}"] = (WeightScheme(m, weights), 0.05)
     return out
 
 
