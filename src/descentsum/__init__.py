@@ -14,7 +14,7 @@ the float routes without the exact oracles.  The command line
 (descentsum.cli) loads the same two modules, and neither numpy nor
 dataclasses; each command imports what it runs:
 
-- oracle: exact, and expfun when operator iteration is among its methods;
+- oracle: exact, whichever of its three routes it runs;
 - sequence: exact and sec6;
 - spectrum: linalg and spectral;
 - constants: expfun, linalg and spectral;
@@ -32,15 +32,14 @@ __version__ = "0.1.0"
 # the names of each module that loads on first access: numpy comes in with
 # linalg and spectral, and expfun's numeric half reaches them at call time
 _LAZY_NAMES = {
-    "exact": """BRUTE_FORCE_CAP WeightedCount brute_force_alpha
-        brute_force_alpha_direct dp_alpha wt_of_permutation""",
+    "exact": """BRUTE_FORCE_CAP WeightedCount alpha_by_operator_iteration
+        brute_force_alpha brute_force_alpha_direct dp_alpha wt_of_permutation""",
     "sec6": """count_barred derangements double_descents genfun_coeffs
         nearest_integer_formula section6_recursion verify_genfun_equation""",
-    "expfun": """Asymptotics ExpPoly PiecewiseFn adjoint_eigenfunction
-        alpha_by_operator_iteration apply_J apply_operator asymptotic_constant
-        asymptotics constant_piecewise eigenfunction_pieces inner_products
-        kappa_piecewise mu_piecewise polytope_integral predict_alpha
-        scheme_constant""",
+    "expfun": """Asymptotics ExpPoly PiecewiseFn adjoint_eigenfunction apply_J
+        apply_operator asymptotic_constant asymptotics constant_piecewise
+        eigenfunction_pieces inner_products kappa_piecewise mu_piecewise
+        polytope_integral predict_alpha scheme_constant""",
     "linalg": "det gamma mat_exp nullspace_vector",
     "spectral": """SpectralPoint TransferPair build_transfer det_P eigenvalues
         is_simple top_eigenvalues""",

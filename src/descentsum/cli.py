@@ -7,9 +7,10 @@ routes, cross-checked), ``spectrum`` (eigenvalues of the transfer operator),
 and ``sequence`` (the two-letter wt(aa)=0, wt(bb)=2 scheme's four integer
 sequences and their identities).  Each process runs one command, so this
 module loads only words and presets, and each command imports what it
-runs: oracle exact, and expfun when operator iteration is among its
-methods; sequence exact and sec6; spectrum linalg and spectral; constants
-expfun, linalg and spectral; verify those three and exact.
+runs: oracle exact, whichever methods it runs; sequence exact and sec6;
+spectrum linalg and spectral; constants expfun, linalg and spectral;
+verify those three and exact.  The csv module loads with --format csv
+alone.
 
 Output is deterministic: floats are fixed at 12 significant digits, row
 order is fixed, and timing goes to stderr so identical invocations produce
@@ -20,7 +21,6 @@ byte-identical stdout.  Exit codes: 0 success, 1 a numeric check failed,
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 import time
@@ -109,6 +109,8 @@ def _emit(report: RunReport, fmt: str) -> None:
         print(json.dumps(payload, indent=2))
         return
     if fmt == "csv":
+        import csv
+
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(report.columns)
         writer.writerows([_fmt_cell(v) for v in row] for row in report.rows)
@@ -159,7 +161,12 @@ _CONSTANT_COLUMNS = [f"{name}_{part}" for name in _CONSTANT_PARTS for part in ("
 
 
 def _cmd_oracle(args) -> tuple[RunReport, list[str]]:
-    from .exact import BRUTE_FORCE_CAP, brute_force_alpha, dp_alpha
+    from .exact import (
+        BRUTE_FORCE_CAP,
+        alpha_by_operator_iteration,
+        brute_force_alpha,
+        dp_alpha,
+    )
 
     scheme, label = _resolve_scheme(args)
     n = args.n
@@ -181,11 +188,11 @@ def _cmd_oracle(args) -> tuple[RunReport, list[str]]:
     else:
         methods.append(args.method)
 
-    oracles: dict[str, Callable] = {"dp": dp_alpha, "brute": brute_force_alpha}
-    if "operator" in methods:
-        from .expfun import alpha_by_operator_iteration
-
-        oracles["operator"] = alpha_by_operator_iteration
+    oracles: dict[str, Callable] = {
+        "dp": dp_alpha,
+        "brute": brute_force_alpha,
+        "operator": alpha_by_operator_iteration,
+    }
     rows: list[tuple] = []
     failures: list[str] = []
     values: dict[str, Fraction] = {}

@@ -3,16 +3,18 @@
 The central quantity is alpha_n: the sum of Wt(pi) over all pi in S_n, where
 Wt multiplies the scheme's window weights along the descent word of pi (with
 wt1 on the leading m-1 letters and wt2 on the trailing m-1 letters).  This
-module holds two of the three exact routes used to cross-check everything
-else: brute-force enumeration over S_n, grouped by descent word, and
-de Bruijn's prefix-sum recurrence (dp_alpha), which keeps one list of
-weights over the ranks of the last entry per descent-word suffix.  The DP
-adds and multiplies Python ints only: it scales each weight table by the lcm
-of its denominators and divides the integer total once, at the end, by the
+module holds the three exact routes used to cross-check everything else:
+brute-force enumeration over S_n, grouped by descent word; de Bruijn's
+prefix-sum recurrence (dp_alpha), which keeps one list of weights over the
+ranks of the last entry per descent-word suffix; and operator iteration
+(alpha_by_operator_iteration), which applies the weighted descent operator
+to polynomials on the cells of the cube [0,1]^m and pairs the result with
+the final weights.  The DP and operator iteration add and multiply Python
+ints only: each scales the weight tables by the lcms of their denominators,
+by code of its own, and divides the integer total once, at the end, by the
 power of those lcms that a permutation of length n collects.  Brute force
-sums the Fraction weights unscaled.  The third route, operator iteration,
-is expfun.alpha_by_operator_iteration, scaled the same way by code of its
-own; no route is written in terms of another.  Each route takes only
+sums the Fraction weights unscaled.  No route is written in terms of
+another, and none uses expfun's float calculus.  Each route takes only
 (scheme, n): a count restricted to a first or last descent letter is the
 count of the scheme with its boundary weights zeroed off that letter
 (words.restrict_ends).  The closed forms of the scheme with wt(aa) = 0,
@@ -40,6 +42,7 @@ __all__ = [
     "brute_force_alpha",
     "brute_force_alpha_direct",
     "dp_alpha",
+    "alpha_by_operator_iteration",
 ]
 
 
@@ -245,3 +248,77 @@ def dp_alpha(scheme: WeightScheme, n: int) -> WeightedCount:
     for value in _dp_pass(scheme, n):
         pass
     return WeightedCount(n, value)
+
+
+def _as_ints(table: dict[str, Fraction]) -> tuple[dict[str, int], int]:
+    """The weights times the lcm of their denominators, as ints, and that lcm."""
+    common = lcm(*(v.denominator for v in table.values()))
+    return {w: v.numerator * (common // v.denominator) for w, v in table.items()}, common
+
+
+def _integrate(coefs: list[int], s: int) -> list[int]:
+    """The coefficients of x^1, x^2, ... of the antiderivative of s * p, in ints.
+
+    p has the coefficients coefs, by degree; the antiderivative vanishes at
+    0, so its constant term, 0, is left out.  Raises AssertionError when
+    s * coefs[k] is not divisible by k + 1.
+    """
+    out = []
+    for k, c in enumerate(coefs, 1):
+        q, r = divmod(s * c, k)
+        if r:
+            raise AssertionError("operator iteration left the exact path")
+        out.append(q)
+    return out
+
+
+def alpha_by_operator_iteration(scheme: WeightScheme, n: int) -> WeightedCount:
+    """alpha_n as n! <T^(n-m)(kappa), mu>, in integers up to one division.
+
+    T is the weighted descent operator on the cube [0,1]^m: on the cell P_w
+    (an {a,b}-word w of length m-1 orders consecutive coordinates), with
+    au = (aw)[:m-1], bu = (bw)[:m-1] and F_u the antiderivative of the piece
+    on P_u (F_u(0) = 0),
+
+        T(f) = wt(aw) F_au(x_1) + wt(bw) (F_bu(1) - F_bu(x_1)),
+
+    a polynomial in the first coordinate again.  kappa is wt1(u) and mu
+    wt2(u) on P_u.  Every piece is a list of Python ints by degree: the
+    weight tables run times the lcm of their denominators D, D1 and D2, and
+    the iterate is g_j = j! D^j D1 T^j(kappa), so g_0 is the scaled kappa
+    and g_(j+1) = T_D((j+1) g_j), with T_D the operator on the scaled window
+    weights.  The coefficient of x^k in D^j D1 T^j(kappa) has a denominator
+    dividing k! (j-k)!, by induction on j (integrating x^k divides by k + 1
+    and raises the degree; the constant term F_bu(1) sums such quotients,
+    whose denominators all divide (j+1)!), so the antiderivative of
+    (j+1) g_j divides each coefficient by k + 1 exactly, to C(j+1, k+1)
+    times an integer.  The pairing with mu integrates x_1, ..., x_m out of
+    g_(n-m)(x_1) mu on each cell P_u in turn, x_i over [0, x_(i+1)] where
+    u_i = a and over [x_(i+1), 1] where u_i = b, and x_m over [0, 1]; each
+    of these m integrations is a step of the same kind, scaled by the next
+    factor of n!, so its divisions are exact too.  So the total is
+    n! D^(n-m) D1 D2 <T^(n-m)(kappa), mu>, and one division by
+    D^(n-m) D1 D2 gives alpha_n.  Requires n >= m.
+    """
+    m = scheme.m
+    if n < m:
+        raise ValueError(f"operator iteration needs n >= m = {m}")
+    wt, d = _as_ints(scheme.wt)
+    wt1, d1 = _as_ints(scheme.wt1)
+    wt2, d2 = _as_ints(scheme.wt2)
+    g = {u: [c] for u, c in wt1.items()}
+    for j in range(1, n - m + 1):
+        F = {u: _integrate(p, j) for u, p in g.items()}
+        nxt = {}
+        for w in g:
+            Fa, Fb = F[("a" + w)[: m - 1]], F[("b" + w)[: m - 1]]
+            wa, wb = wt["a" + w], wt["b" + w]
+            nxt[w] = [wb * sum(Fb), *(wa * a - wb * b for a, b in zip(Fa, Fb))]
+        g = nxt
+    total = 0
+    for u, p in g.items():
+        for i, letter in enumerate(u, n - m + 1):  # x_1, ..., x_(m-1) out
+            F = _integrate(p, i)
+            p = [0, *F] if letter == "a" else [sum(F), *(-c for c in F)]
+        total += wt2[u] * sum(_integrate(p, n))
+    return WeightedCount(n, Fraction(total, d ** (n - m) * d1 * d2))

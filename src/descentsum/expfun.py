@@ -11,11 +11,13 @@ alone to functions of the same shape.  Everything here is represented by
 ExpPoly -- finite sums c * x^k * exp(mu x) -- so antiderivatives, products,
 the end-point reflection J, and integrals over the cells are all closed form.
 Coefficients stay exact when the inputs are rational polynomials, and ints
-stay ints where the antiderivative's division is exact: the operator-iteration
-route scales its weights to integers and divides once, at the end.  Otherwise
-coefficients are complex.  The antiderivative steps of the operator and of
-the polytope integrals carry plain (c, k, mu) term lists; only the pieces
-of a function are normalized ExpPoly.
+stay ints where the antiderivative's division is exact; otherwise they are
+complex.  The antiderivative steps of the operator and of the polytope
+integrals carry plain (c, k, mu) term lists; only the pieces of a function
+are normalized ExpPoly.  apply_operator applies the operator to these
+pieces, against which the eigenfunctions are checked; the exact oracle
+that iterates the operator, exact.alpha_by_operator_iteration, runs on
+integer coefficient lists of its own and shares no code with this module.
 
 An eigenfunction is exp((A - B)x/lambda) c on every cell.  It is read off
 the decomposition A - B = W T W^-1 that the transfer pair already holds for
@@ -37,27 +39,26 @@ last descent letter (words.restrict_ends) gets its constant like any other
 scheme.
 
 The module loads words alone.  numpy, linalg and spectral come in with the
-float routes (the constants and verify commands), and exact with operator
-iteration alone (oracle), so each command compiles only what it runs.
+float routes (the constants and verify commands), so each command compiles
+only what it runs.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from math import comb, factorial, lcm
+from math import comb, factorial
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 import cmath
 
 from .words import WeightScheme, _Frozen, all_words, symmetry_defect
 
-# numpy is imported by eigenfunction_pieces, spectral by the Asymptotics
-# record and exact by alpha_by_operator_iteration, where they are needed
+# numpy is imported by eigenfunction_pieces and spectral by the Asymptotics
+# record, where they are needed
 if TYPE_CHECKING:
     import numpy as np
 
-    from .exact import WeightedCount
     from .spectral import SpectralPoint, TransferPair
 
 MU_MERGE_TOL = 1e-9
@@ -77,7 +78,6 @@ __all__ = [
     "asymptotics",
     "predict_alpha",
     "apply_operator",
-    "alpha_by_operator_iteration",
     "kappa_piecewise",
     "mu_piecewise",
     "constant_piecewise",
@@ -103,16 +103,14 @@ def _at_one(terms: Iterable[tuple]):
     return sum((c * _exp_of(mu) for c, _, mu in terms), start=0)
 
 
-def _antiderivative_terms(terms: Iterable[tuple], s=1) -> list[tuple]:
-    """The terms of the antiderivative F of s times a term list, F(0) = 0.
+def _antiderivative_terms(terms: Iterable[tuple]) -> list[tuple]:
+    """The terms of the antiderivative F of a term list, F(0) = 0.
 
-    The result is not normalized.  s multiplies each coefficient before the
-    division by k + 1, so an int coefficient stays an int wherever s makes
-    that division exact.
+    The result is not normalized.  An int coefficient stays an int where
+    the division by k + 1 is exact.
     """
     out = []
     for c, k, mu in terms:
-        c = c * s
         if mu == 0:
             out.append((_div_by_int(c, k + 1), k + 1, mu))
         else:
@@ -652,76 +650,23 @@ def apply_operator(scheme: WeightScheme, f: PiecewiseFn) -> PiecewiseFn:
     On the cell P_w (w = uy) the result is
     wt(a u y) * integral_0^{x_1} f|_{P_{au}} + wt(b u y) * integral_{x_1}^1 f|_{P_{bu}},
     a function of the first coordinate again, with au = (aw)[:m-1] and
-    bu = (bw)[:m-1] (the empty word at m = 1).  Exact on rational inputs;
-    an int coefficient stays an int where the antiderivative's division by
-    k + 1 is exact.
-    """
-    if f.which_variable != "first":
-        raise ValueError("operator input must be a first-variable function")
-    if f.m != scheme.m:
-        raise ValueError("dimension mismatch between scheme and function")
-    return _operator_step(scheme.wt, f, 1)
-
-
-def _operator_step(
-    wt: Mapping[str, Fraction | int], f: PiecewiseFn, s: int
-) -> PiecewiseFn:
-    """T(s f) with the window weights wt, on a first-variable f.
-
+    bu = (bw)[:m-1] (the empty word at m = 1).  Exact on rational inputs.
     The antiderivatives stay term lists, so each output piece is the one
     ExpPoly the step builds.
     """
-    m = f.m
-    F = {u: _antiderivative_terms(piece.terms, s) for u, piece in f.pieces.items()}
+    if f.which_variable != "first":
+        raise ValueError("operator input must be a first-variable function")
+    m = scheme.m
+    if f.m != m:
+        raise ValueError("dimension mismatch between scheme and function")
+    F = {u: _antiderivative_terms(piece.terms) for u, piece in f.pieces.items()}
     pieces: dict[str, ExpPoly] = {}
     for w in all_words(m - 1):
         Fa, Fb = F[("a" + w)[: m - 1]], F[("b" + w)[: m - 1]]
-        wa, wb = wt["a" + w], wt["b" + w]
+        wa, wb = scheme.wt["a" + w], scheme.wt["b" + w]
         terms = [(c * wa, k, mu) for c, k, mu in Fa] if wa else []
         if wb:  # wb * (Fb(1) - Fb)
             terms += [(-c * wb, k, mu) for c, k, mu in Fb]
             terms.append((wb * _at_one(Fb), 0, 0))
         pieces[w] = ExpPoly(terms)
     return PiecewiseFn(m, "first", pieces)
-
-
-def _scaled(table: Mapping[str, Fraction]) -> tuple[dict[str, int], int]:
-    """The table times the lcm D of its denominators, as ints, and D."""
-    scale = lcm(*(v.denominator for v in table.values()))
-    return {w: v.numerator * (scale // v.denominator) for w, v in table.items()}, scale
-
-
-def alpha_by_operator_iteration(scheme: WeightScheme, n: int) -> WeightedCount:
-    """alpha_n as n! <T^(n-m)(kappa), mu>, in integers up to one division.
-
-    The weight tables run scaled to integers: wt, wt1 and wt2 times the lcm
-    of their denominators D, D1 and D2.  The iterate is
-    g_j = j! D^j D1 T^j(kappa), so g_0 is the scaled kappa and
-    g_(j+1) = T_D((j+1) g_j), with T_D the operator on the scaled window
-    weights.  Its coefficients are ints: the coefficient of x^k in
-    D^j D1 T^j(kappa) has a denominator dividing k! (j-k)!, by induction on
-    j (integrating x^k divides by k + 1 and raises the degree; the constant
-    term Fb(1) sums such quotients, whose denominators all divide (j+1)!),
-    so the antiderivative of (j+1) g_j divides each coefficient by k + 1
-    exactly, to C(j+1, k+1) times an integer.  The closing pairing with
-    the scaled mu is a rational polytope integral, and one division by
-    (n-m)! D^(n-m) D1 D2 gives the exact Fraction.  Requires n >= m.
-    """
-    from .exact import WeightedCount
-
-    m = scheme.m
-    if n < m:
-        raise ValueError(f"operator iteration needs n >= m = {m}")
-    wt, d = _scaled(scheme.wt)
-    wt1, d1 = _scaled(scheme.wt1)
-    wt2, d2 = _scaled(scheme.wt2)
-    words = all_words(m - 1)
-    g = PiecewiseFn(m, "first", {u: ExpPoly.constant(wt1[u]) for u in words})
-    for j in range(n - m):
-        g = _operator_step(wt, g, j + 1)
-    mu = PiecewiseFn(m, "last", {u: ExpPoly.constant(wt2[u]) for u in words})
-    total = _pairing(g, mu)
-    if not isinstance(total, (int, Fraction)):
-        raise AssertionError("operator iteration left the exact path")
-    scale = factorial(n - m) * d ** (n - m) * d1 * d2
-    return WeightedCount(n, Fraction(factorial(n), scale) * total)

@@ -1,5 +1,6 @@
 """Exact counting oracles: brute force, insertion DP, recursions, closed forms."""
 
+import random
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 from descentsum import (
     BRUTE_FORCE_CAP,
+    PRESETS,
     WeightScheme,
     all_words,
     alpha_by_operator_iteration,
@@ -255,14 +257,14 @@ RATIONAL_SCHEME = WeightScheme(
 
 
 @pytest.mark.parametrize(
-    "oracle, n, bound",
-    [(dp_alpha, 50, 0), (alpha_by_operator_iteration, 40, 1000)],
+    "oracle, n",
+    [(dp_alpha, 50), (alpha_by_operator_iteration, 40)],
     ids=["dp", "operator"],
 )
-def test_oracles_run_on_ints_for_rational_weights(monkeypatch, oracle, n, bound):
-    # the scaled tables keep the inner loops off Fraction arithmetic: the DP
-    # uses none, operator iteration only its closing polytope pairing
-    # (O(n) operations); in Fractions they took thousands
+def test_oracles_run_on_ints_for_rational_weights(monkeypatch, oracle, n):
+    # the scaled tables keep both routes off Fraction arithmetic, the
+    # closing pairing of operator iteration included; only the final
+    # division makes a Fraction.  In Fractions they took thousands
     calls = Counter()
     for name in ("__add__", "__radd__", "__mul__", "__rmul__"):
         def counted(*args, _op=getattr(Fraction, name), _name=name):
@@ -272,13 +274,39 @@ def test_oracles_run_on_ints_for_rational_weights(monkeypatch, oracle, n, bound)
         monkeypatch.setattr(Fraction, name, counted)
     oracle(RATIONAL_SCHEME, n)
     monkeypatch.undo()
-    assert sum(calls.values()) <= bound, calls
+    assert not calls, calls
 
 
 def test_oracles_agree_on_the_rational_scheme_at_n_40():
     want = dp_alpha(RATIONAL_SCHEME, 40).value
     assert want.denominator > 1
     assert alpha_by_operator_iteration(RATIONAL_SCHEME, 40).value == want
+
+
+def test_operator_iteration_equals_dp_up_to_n_40_on_presets():
+    for name in PRESETS:
+        scheme = preset_scheme(name)
+        want = list(_dp_pass(scheme, 40))
+        for n in range(scheme.m, 41):
+            assert alpha_by_operator_iteration(scheme, n).value == want[n], (name, n)
+
+
+def test_operator_iteration_equals_dp_up_to_n_40_on_random_signed_schemes():
+    # 15 schemes for each m = 1..4, from n = m on, with signed weights
+    # drawn from a pool of denominators 1 to 4
+    rng = random.Random(19)
+    pool = [Fraction(x) for x in "0 1 -1 2 3 1/2 -1/2 2/3 -5/4".split()]
+    for i in range(60):
+        m = 1 + i % 4
+        tables = [
+            {w: rng.choice(pool) for w in all_words(length)}
+            for length in (m, m - 1, m - 1)
+        ]
+        scheme = WeightScheme(m, *tables)
+        want = list(_dp_pass(scheme, 40))
+        for n in range(m, 41):
+            got = alpha_by_operator_iteration(scheme, n).value
+            assert got == want[n], (tables, n)
 
 
 @lru_cache(maxsize=None)

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import ast
 import doctest
+import inspect
 import os
 import subprocess
 import sys
@@ -68,7 +70,7 @@ def test_float_routes_load_numpy(argv):
 # runs the CLI in a fresh interpreter, then reports its exit code and which
 # of these modules it loaded, in the order they entered sys.modules; a fresh
 # interpreter because pytest itself loads dataclasses
-_WATCHED = ("numpy", "dataclasses", "descentsum.expfun")
+_WATCHED = ("numpy", "dataclasses", "descentsum.expfun", "csv")
 _LOAD_ORDER = (
     "import sys\n"
     "from descentsum.cli import main\n"
@@ -117,10 +119,12 @@ def test_no_command_loads_dataclasses(argv):
     assert "dataclasses" not in _loaded(*argv)
 
 
-def test_oracle_all_loads_expfun_not_numpy():
-    # all three routes: brute force, the DP and operator iteration
-    argv = ["oracle", "--preset", "sec5-1", "--n", "9", "--method", "all"]
-    assert _loaded(*argv) == ["descentsum.expfun"]
+@pytest.mark.parametrize(
+    "fmt, want", [("table", []), ("json", []), ("csv", ["csv"])]
+)
+def test_only_csv_output_loads_csv(fmt, want):
+    argv = ["oracle", "--preset", "sec6", "--n", "8", "--method", "dp"]
+    assert _loaded(*argv, "--format", fmt) == want
 
 
 # runs the CLI in a fresh interpreter, then reports its exit code and every
@@ -160,6 +164,64 @@ def test_constants_leaves_exact_unloaded():
     assert loaded == _CLI | {
         "descentsum.expfun", "descentsum.linalg", "descentsum.spectral"
     }
+
+
+@pytest.mark.parametrize("method", ["all", "operator"])
+def test_oracle_loads_exact_alone(method):
+    # --method all runs brute force, the DP and operator iteration
+    loaded = _modules("oracle", "--preset", "sec5-1", "--n", "9", "--method", method)
+    assert loaded == _CLI | {"descentsum.exact"}
+
+
+def _codes(code):
+    """A code object and those nested in it (comprehensions, generators)."""
+    yield code
+    for const in code.co_consts:
+        if inspect.iscode(const):
+            yield from _codes(const)
+
+
+def _reach(module, *entries: str) -> tuple[set[str], set[str]]:
+    """The module's functions that the entries run, following private
+    helpers, and every global or attribute name their code refers to."""
+    funcs, refs, todo = set(), set(), list(entries)
+    while todo:
+        name = todo.pop()
+        funcs.add(name)
+        for code in _codes(inspect.unwrap(getattr(module, name)).__code__):
+            refs.update(code.co_names)
+            todo.extend(
+                ref
+                for ref in code.co_names
+                if ref.startswith("_")
+                and ref not in funcs
+                and inspect.isfunction(inspect.unwrap(getattr(module, ref, None)))
+            )
+    return funcs, refs
+
+
+def test_dp_and_operator_iteration_share_no_helper():
+    from descentsum import exact
+
+    dp_funcs, dp_refs = _reach(exact, "dp_alpha", "_dp_pass")
+    op_funcs, op_refs = _reach(exact, "alpha_by_operator_iteration")
+    assert "_scaled" in dp_funcs and "_integrate" in op_funcs
+    assert dp_refs.isdisjoint(op_funcs), dp_refs & op_funcs
+    assert op_refs.isdisjoint(dp_funcs), op_refs & dp_funcs
+
+
+def test_exact_never_imports_expfun():
+    from descentsum import exact
+
+    tree = ast.parse(Path(exact.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert imported and not any("expfun" in name for name in imported), imported
 
 
 def test_only_sequence_loads_sec6():
