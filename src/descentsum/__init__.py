@@ -8,17 +8,21 @@ small transfer-matrix pair: alpha_n / n! is a finite combination of
 lambda^(n-m) terms whose coefficients come from eigenfunction pairings.
 
 Only words and presets, which define and name the schemes, load with the
-package.  The names of exact, sec6, expfun, linalg and spectral resolve on
-first access (PEP 562), so the exact routes run without importing numpy and
-the float routes without the exact oracles.  The command line
-(descentsum.cli) loads the same two modules, and neither numpy nor
-dataclasses; each command imports what it runs:
+package.  The names of exact, sec6, constants, expfun, linalg and spectral
+resolve on first access (PEP 562), so the exact routes run without
+importing numpy and the float routes without the exact oracles.  The
+command line (descentsum.cli) loads the same two modules, and neither
+numpy nor dataclasses; each command imports what it runs:
 
 - oracle: exact, whichever of its three routes it runs;
 - sequence: exact and sec6;
 - spectrum: linalg and spectral;
-- constants: expfun, linalg and spectral;
+- constants: constants, linalg and spectral;
 - verify: those three and exact.
+
+expfun, the ExpPoly calculus and the per-eigenvalue route to the constants
+that the tests hold the array pass of constants to, is loaded by no
+command.
 """
 
 import importlib
@@ -30,16 +34,17 @@ from .words import *
 __version__ = "0.1.0"
 
 # the names of each module that loads on first access: numpy comes in with
-# linalg and spectral, and expfun's numeric half reaches them at call time
+# linalg and spectral, and the numeric halves of constants and expfun reach
+# them at call time
 _LAZY_NAMES = {
     "exact": """BRUTE_FORCE_CAP WeightedCount alpha_by_operator_iteration
         brute_force_alpha brute_force_alpha_direct dp_alpha wt_of_permutation""",
     "sec6": """count_barred derangements double_descents genfun_coeffs
         nearest_integer_formula section6_recursion verify_genfun_equation""",
-    "expfun": """Asymptotics ExpPoly PiecewiseFn adjoint_eigenfunction apply_J
-        apply_operator asymptotic_constant asymptotics constant_piecewise
-        eigenfunction_pieces inner_products kappa_piecewise mu_piecewise
-        polytope_integral predict_alpha scheme_constant""",
+    "expfun": """ExpPoly PiecewiseFn adjoint_eigenfunction apply_J apply_operator
+        constant_piecewise eigenfunction_pieces inner_products kappa_piecewise
+        mu_piecewise polytope_integral scheme_constant""",
+    "constants": "Asymptotics asymptotic_constant asymptotics predict_alpha",
     "linalg": "det gamma mat_exp nullspace_vector",
     "spectral": """SpectralPoint TransferPair build_transfer det_P eigenvalues
         is_simple top_eigenvalues""",

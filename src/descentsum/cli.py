@@ -8,9 +8,9 @@ and ``sequence`` (the two-letter wt(aa)=0, wt(bb)=2 scheme's four integer
 sequences and their identities).  Each process runs one command, so this
 module loads only words and presets, and each command imports what it
 runs: oracle exact, whichever methods it runs; sequence exact and sec6;
-spectrum linalg and spectral; constants expfun, linalg and spectral;
-verify those three and exact.  The csv module loads with --format csv
-alone.
+spectrum linalg and spectral; constants the module constants, linalg and
+spectral; verify those three and exact.  No command loads expfun.  The
+csv module loads with --format csv alone.
 
 Output is deterministic: floats are fixed at 12 significant digits, row
 order is fixed, and timing goes to stderr so identical invocations produce
@@ -231,7 +231,7 @@ def _cmd_spectrum(args) -> tuple[RunReport, list[str]]:
 
 
 def _cmd_constants(args) -> tuple[RunReport, list[str]]:
-    from .expfun import asymptotics
+    from .constants import asymptotics
 
     scheme, label = _resolve_scheme(args)
     terms, refused, _ = asymptotics(scheme, args.min_modulus, args.top).constants()
@@ -253,8 +253,8 @@ def _cmd_constants(args) -> tuple[RunReport, list[str]]:
 
 
 def _cmd_verify(args) -> tuple[RunReport, list[str]]:
+    from .constants import asymptotics, predict_alpha
     from .exact import _dp_pass
-    from .expfun import asymptotics, predict_alpha
 
     scheme, label = _resolve_scheme(args)
     m = scheme.m

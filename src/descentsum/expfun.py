@@ -25,44 +25,42 @@ its contour kernel (spectral.TransferPair.blocks): a block T_i = c_i I + N_i
 with N_i^(p_i) = 0 contributes e^(c_i x/lambda) times a polynomial of
 degree below p_i, so no eigenvalue decomposes A - B again.  Read through
 an ill-conditioned W, the pieces would lose digits: when cond(W) exceeds
-_BASIS_COND, the eigenfunctions, and hence the constants, are refused.  The
-eigenvalues are not: the contour kernel uses the same W however
-ill-conditioned it is.
+constants._BASIS_COND, the eigenfunctions are refused.  The eigenvalues are
+not: the contour kernel uses the same W however ill-conditioned it is.
 
-asymptotics() is the analysis entry point: a scheme's spectrum, truncated
-to the top eigenvalues, with the symmetry gate and, on request, one
-constant per eigenvalue, computed once per conjugate pair.  The gate asks
-only that the window weights be invariant under word reversal: the
-boundary weights wt1 and wt2 enter the constants only through kappa and mu
-in the pairings, so they are free, and a count restricted to a first or
-last descent letter (words.restrict_ends) gets its constant like any other
-scheme.
+This is the per-eigenvalue route to the asymptotic constants
+(eigenfunction_pieces, apply_J, polytope_integral, inner_products,
+scheme_constant), one ExpPoly term list at a time.  The constants and verify
+commands take the pairings of every eigenvalue from one array pass in
+descentsum.constants instead, which shares with this module only its
+tolerances, its refusals and asymptotic_constant; the tests hold that pass
+to this route.
 
-The module loads words alone.  numpy, linalg and spectral come in with the
-float routes (the constants and verify commands), so each command compiles
-only what it runs.
+The module loads words and constants alone, and numpy only when an
+eigenfunction is built.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
 from math import comb, factorial
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping
 
 import cmath
 
-from .words import WeightScheme, _Frozen, all_words, symmetry_defect
+from .constants import (
+    MU_MERGE_TOL,
+    _basis_refusal,
+    _window_defect,
+    asymptotic_constant,
+)
+from .words import WeightScheme, _Frozen, all_words
 
-# numpy is imported by eigenfunction_pieces and spectral by the Asymptotics
-# record, where they are needed
+# numpy is imported by eigenfunction_pieces, where it is needed
 if TYPE_CHECKING:
     import numpy as np
 
     from .spectral import SpectralPoint, TransferPair
-
-MU_MERGE_TOL = 1e-9
-_BASIS_COND = 1e4  # largest cond(W) an eigenfunction is read through
 
 __all__ = [
     "ExpPoly",
@@ -72,11 +70,7 @@ __all__ = [
     "polytope_integral",
     "inner_products",
     "adjoint_eigenfunction",
-    "asymptotic_constant",
     "scheme_constant",
-    "Asymptotics",
-    "asymptotics",
-    "predict_alpha",
     "apply_operator",
     "kappa_piecewise",
     "mu_piecewise",
@@ -363,8 +357,9 @@ def eigenfunction_pieces(
             = sum_i e^(c_i x/lambda) sum_{j<p_i} x^j W_i N_i^j y_i / (lambda^j j!)
 
     so each block gives the exponent c_i/lambda with a polynomial of degree
-    below p_i.  ValueError refuses a basis with cond(W) > _BASIS_COND,
-    through which the pieces would lose digits, and names cond(W).
+    below p_i.  ValueError refuses a basis with cond(W) above
+    constants._BASIS_COND, through which the pieces would lose digits, and
+    names cond(W).
     """
     import numpy as np
 
@@ -374,13 +369,10 @@ def eigenfunction_pieces(
     c = np.asarray(vector, dtype=complex)
     if c.shape != (d,):
         raise ValueError(f"vector must have shape ({d},)")
+    refusal = _basis_refusal(pair)
+    if refusal is not None:
+        raise ValueError(refusal)
     blocks = pair.blocks
-    cond = np.linalg.cond(blocks.W)
-    if cond > _BASIS_COND:
-        raise ValueError(
-            f"the basis W of the generalized eigenspaces of A - B has cond(W) = "
-            f"{cond:.3g} > {_BASIS_COND:.3g}: the eigenfunction would lose digits"
-        )
     p = len(blocks.powers)
     scale = np.array([lam**j * factorial(j) for j in range(p)])
     Ny = blocks.powers @ (blocks.Winv @ c) / scale[:, None]  # N^j y/(lambda^j j!)
@@ -466,11 +458,6 @@ def inner_products(
     )
 
 
-def _window_defect(scheme: WeightScheme) -> str | None:
-    """symmetry_defect of the window weights alone, boundary weights aside."""
-    return symmetry_defect(WeightScheme(scheme.m, scheme.wt))
-
-
 def adjoint_eigenfunction(scheme: WeightScheme, phi: PiecewiseFn) -> PiecewiseFn:
     """The adjoint eigenfunction psi = J(phi).
 
@@ -486,22 +473,6 @@ def adjoint_eigenfunction(scheme: WeightScheme, phi: PiecewiseFn) -> PiecewiseFn
             f"reversal-symmetric scheme: {defect}"
         )
     return apply_J(phi)
-
-
-def asymptotic_constant(p_phi_mu, p_kappa_psi, p_phi_psi) -> complex:
-    """The coefficient <phi, mu> <kappa, conj(psi)> / <phi, conj(psi)>.
-
-    This is the weight of one eigenvalue's lambda^(n-m) term in the
-    n!-normalized asymptotics, formed from the three pairings that
-    inner_products returns.  A denominator pairing below 1e-10 is refused:
-    it signals a possibly non-simple eigenvalue, where this formula is wrong.
-    """
-    if abs(p_phi_psi) < 1e-10:
-        raise ValueError(
-            f"pairing <phi, conj(psi)> = {abs(p_phi_psi):.3g} vanishes at "
-            "tolerance 1e-10; the eigenvalue may not be simple"
-        )
-    return p_phi_mu * p_kappa_psi / p_phi_psi
 
 
 def scheme_constant(
@@ -523,125 +494,6 @@ def scheme_constant(
     kappa, mu = kappa_piecewise(scheme).scale(1.0), mu_piecewise(scheme).scale(1.0)
     pairings = inner_products(phi, psi, kappa, mu)
     return asymptotic_constant(*pairings), pairings
-
-
-class Asymptotics(_Frozen):
-    """A scheme's kept eigenvalues, with what their constants need.
-
-    ``points`` are the eigenvalues above ``r_min`` kept, by falling modulus;
-    ``r_hat`` is the modulus of the largest one left out by truncation (None
-    when none is).  ``defect`` names a window-weight pair that breaks
-    reversal symmetry (None when the window weights are symmetric and
-    constants are available; the boundary weights wt1 and wt2 are free).
-    The transfer pair and the one eigenvalue search behind ``points`` and
-    ``r_hat`` are made on first access, and spectral, with numpy, is
-    imported then: a refused constants() call pays for neither.
-    """
-
-    __slots__ = ("scheme", "r_min", "top", "defect", "__dict__")
-    scheme: WeightScheme
-    r_min: float
-    top: int
-    defect: str | None
-
-    def __init__(
-        self, scheme: WeightScheme, r_min: float, top: int, defect: str | None
-    ) -> None:
-        self._set(scheme, r_min, top, defect)
-
-    @cached_property
-    def pair(self) -> TransferPair:
-        from .spectral import build_transfer
-
-        return build_transfer(self.scheme)
-
-    @cached_property
-    def _kept(self) -> tuple[tuple[SpectralPoint, ...], float | None]:
-        from .spectral import top_eigenvalues
-
-        points, r_hat = top_eigenvalues(self.pair, self.r_min, self.top)
-        return tuple(points), r_hat
-
-    @property
-    def points(self) -> tuple[SpectralPoint, ...]:
-        return self._kept[0]
-
-    @property
-    def r_hat(self) -> float | None:
-        return self._kept[1]
-
-    def constants(
-        self,
-    ) -> tuple[
-        list[tuple[SpectralPoint, complex, tuple[complex, complex, complex]]],
-        list[tuple[SpectralPoint, str]],
-        float | None,
-    ]:
-        """(point, constant, pairings) per kept point, (point, reason) per
-        point scheme_constant refuses, and r_hat widened by the refused ones.
-
-        scheme_constant runs once per real or upper-half eigenvalue.  Its
-        conjugate is listed with the conjugated vector (spectral.eigenvalues),
-        so it gets the conjugated constant and pairings, and a refusal covers
-        both.  Raises ValueError, before any eigenvalue search, when the
-        window weights are not reversal-symmetric.
-        """
-        if self.defect is not None:
-            raise ValueError(
-                f"constants need a reversal-symmetric scheme: {self.defect}"
-            )
-        # per real or upper-half lambda: (constant, pairings), or why not
-        found: dict[complex, tuple | str] = {}
-        for p in self.points:
-            if p.lam.imag >= 0:
-                try:
-                    found[p.lam] = scheme_constant(self.scheme, self.pair, p)
-                except ValueError as exc:
-                    found[p.lam] = str(exc)
-        terms, refused, r_hat = [], [], self.r_hat
-        for p in self.points:
-            got = found[p.lam.conjugate()] if p.lam.imag < 0 else found[p.lam]
-            if isinstance(got, str):
-                refused.append((p, got))
-                r_hat = abs(p.lam) if r_hat is None else max(r_hat, abs(p.lam))
-            elif p.lam.imag < 0:
-                const, pairings = got
-                pairings = tuple(z.conjugate() for z in pairings)
-                terms.append((p, const.conjugate(), pairings))
-            else:
-                terms.append((p, *got))
-        return terms, refused, r_hat
-
-
-def asymptotics(scheme: WeightScheme, r_min: float, top: int = 0) -> Asymptotics:
-    """The scheme's eigenvalues above r_min, kept to the top K by modulus.
-
-    The truncation is spectral.top_eigenvalues: top = K > 0 keeps the K
-    largest, and one more when that completes a conjugate pair; top <= 0
-    keeps all.  The eigenvalues are searched for when the record is first
-    asked for them, and constants only when it is asked for those.
-    """
-    return Asymptotics(scheme, r_min, top, _window_defect(scheme))
-
-
-def predict_alpha(
-    terms: Sequence[tuple[complex, complex]], n: int, m: int
-) -> float:
-    """Sum of c * lambda^(n-m) over the given (c, lambda) pairs, as a real.
-
-    Conjugate eigenvalue pairs must both be present so the sum is real; an
-    imaginary residue above 1e-9 (relative) raises.
-    """
-    if n < m:
-        raise ValueError("prediction needs n >= m")
-    total = sum(c * lam ** (n - m) for c, lam in terms)
-    total = complex(total)
-    if abs(total.imag) > 1e-9 * max(1.0, abs(total.real)):
-        raise ValueError(
-            f"prediction has imaginary residue {total.imag:.3g}; "
-            "conjugate eigenvalues must be included in pairs"
-        )
-    return total.real
 
 
 def apply_operator(scheme: WeightScheme, f: PiecewiseFn) -> PiecewiseFn:

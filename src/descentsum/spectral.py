@@ -32,7 +32,7 @@ of its eigenvalues.  Removing the cluster's centre c leaves N = T_i - cI,
 nilpotent of some index p (exactly 0 on a 1 x 1 block; p <= 4 on the no-runs
 schemes up to m = 7), so every contour point needs only scalar factors
 times the powers of N, which are computed once per pair (TransferPair.blocks,
-which the eigenfunctions of expfun read too):
+which the eigenfunctions behind the constants read too):
 
     exp(zT_i) = e^(zc) sum_{j<p} (zN)^j / j!
     z gamma(zT_i) = z sum_{j<p} (zN)^j psi_j(zc),  psi_j(x) = int_0^1 t^j e^(tx) dt / j!
@@ -42,7 +42,7 @@ each a 1 x 1 block (linalg.invariant_subspaces).  Every pair is evaluated
 this way, however ill-conditioned W is: f'/f is a trace, the same in any
 basis, though rounding through an ill-conditioned W can cost it digits.
 Only the eigenfunctions, which are read through W itself, refuse an
-ill-conditioned W (expfun.eigenfunction_pieces).
+ill-conditioned W (constants._basis_refusal).
 """
 
 from __future__ import annotations
@@ -116,7 +116,7 @@ class TransferPair(_Frozen):
         """B in a basis W of generalized eigenspaces of C = A - B.
 
         The one decomposition of C that the contour kernel and the
-        eigenfunctions (expfun.eigenfunction_pieces) share, from
+        eigenfunctions (descentsum.constants) share, from
         linalg.invariant_subspaces with clusters of eigenvalues within
         _CLUSTER_TOL: cluster by cluster, W holds orthonormal columns V_i on
         which C acts as T_i = V_i^H C V_i = c_i I + N_i, N_i nilpotent, so
@@ -124,7 +124,7 @@ class TransferPair(_Frozen):
         N_i = 0 on a 1 x 1 block; a larger cluster at 0 has c_i = 0.  A
         cluster that is not one Jordan structure has been split into 1 x 1
         blocks.  W is kept however ill-conditioned it is; the eigenfunctions
-        refuse to be read through one with cond(W) > expfun._BASIS_COND.
+        refuse to be read through one with cond(W) > constants._BASIS_COND.
         """
         C, d = self.A - self.B, self.dim
         tol = _CLUSTER_TOL * max(1.0, float(np.linalg.norm(C, 1)))
@@ -226,10 +226,10 @@ def _kernel(
     """
     _, label, centre, powers, *_ = pair.blocks
     _, BN, VN = pair._factors
-    eye = np.eye(pair.dim)
-    chunk = max(1, _STACK_BYTES // (16 * pair.dim**2))  # points per (d, d) stack
+    d = pair.dim
+    chunk = max(1, _STACK_BYTES // (16 * d**2))  # points per (d, d) stack
     p = len(powers)
-    piece = chunk * max(1, pair.dim**2 // (p * len(centre)))  # per (p, clusters)
+    piece = chunk * max(1, d**2 // (p * len(centre)))  # per (p, clusters)
     for start in range(0, len(z), piece):
         zp = z[start : start + piece]
         x = zp[:, None] * centre
@@ -244,31 +244,44 @@ def _kernel(
         for a in range(0, len(zp), chunk):
             b = slice(a, a + chunk)
             ec, gc = e_coef[b][:, :, None, label], g_coef[b][:, :, None, label]
-            M = s[b, None, label] * eye - sum(BN[j] * gc[:, j] for j in range(p))
-            yield M, sum(VN[j] * ec[:, j] for j in range(p))
+            M, L = BN[0] * gc[:, 0], VN[0] * ec[:, 0]
+            for j in range(1, p):
+                M += BN[j] * gc[:, j]
+                L += VN[j] * ec[:, j]
+            np.negative(M, out=M)
+            M.reshape(len(M), d * d)[:, :: d + 1] += s[b][:, label]  # the diagonal
+            yield M, L
 
 
 def _psi(x: np.ndarray, p: int) -> np.ndarray:
-    """psi_j(x) = int_0^1 t^j e^(tx) dt / j! for j < p, on a new axis 1,
-    times e^-x where Re x > 1.
+    """psi_j(x) = int_0^1 t^j e^(tx) dt / j! for j < p at the points x of a
+    (points, clusters) array, on a new axis 1, times e^-x where Re x > 1.
 
     psi_0(x) = expm1(x)/x, and psi_j = (e^x/j! - psi_(j-1))/x by parts,
     which loses few digits for |x| >= 1; where Re x > 1 the same recurrence
     runs on e^-x psi_j, from -expm1(-x)/x with 1/j! in place of e^x/j!, so
     nothing overflows.  Below |x| = 1 the Taylor series
-    psi_j(x) = sum_i x^i / (i! j! (i + j + 1)) is used, so psi_j(0) = 1/(j+1)!.
+    psi_j(x) = sum_i x^i / (i! j! (i + j + 1)) is used, at x = 0 its first
+    term 1/(j+1)!.  Each x takes one of the three, on its own.
     (psi_j is not the phi_(j+1) of exponential integrators.)
     """
+    out = np.empty((len(x), p, x.shape[1]), dtype=complex)
+    each = out.transpose(0, 2, 1)  # a view: x's shape, then j
     small = np.abs(x) < 1
-    xs, series = np.where(small, x, 0)[:, None], _PSI_SERIES[-1, :p, None]
-    for row in _PSI_SERIES[-2::-1, :p, None]:  # Horner
-        series = series * xs + row
-    big = np.where(small, 1, x)
+    zero, near = x == 0, small & (x != 0)
+    each[zero] = _PSI_SERIES[0, :p]
+    if near.any():  # most circles have no such point: skip the 17 steps
+        xs, series = x[near][:, None], _PSI_SERIES[-1, :p]
+        for row in _PSI_SERIES[-2::-1, :p]:  # Horner
+            series = series * xs + row
+        each[near] = series
+    big = x[~small]
     sign = np.where(big.real > 1, -1, 1)
     ex, psi = np.exp(np.where(sign < 0, 0, big)), [sign * np.expm1(sign * big) / big]
     for j in range(1, p):
         psi.append((ex * _INV_FACTORIAL[j] - psi[-1]) / big)
-    return np.where(small[:, None], series, np.stack(psi, axis=1))
+    each[~small] = np.stack(psi, axis=-1)
+    return out
 
 
 def det_P(pair: TransferPair, lam: complex) -> complex:
@@ -528,7 +541,7 @@ def _annulus_zeros(
         w = np.linalg.eigvals(np.linalg.solve(mu[idx], mu[idx + 1]))
     except np.linalg.LinAlgError:
         return None
-    z = _polish(pair, w * scale)
+    z = _polish(pair, w * scale, inner.radius, outer.radius)
     z = np.where(np.abs(z.imag) <= _SAME_TOL * np.abs(z), z.real + 0j, z)
     canon: list[complex] = []  # distinct zeros, each real or in the upper half
     for c in sorted(np.where(z.imag < 0, z.conj(), z), key=abs):
@@ -539,19 +552,29 @@ def _annulus_zeros(
     return canon if sum(1 if c.imag == 0 else 2 for c in canon) == k else None
 
 
-def _polish(pair: TransferPair, z: np.ndarray) -> np.ndarray:
+def _polish(
+    pair: TransferPair, z: np.ndarray, inner: float, outer: float
+) -> np.ndarray:
     """Newton's method z <- z - f/f' on every z at once; the converged ones.
 
     A zero is polished until the step falls to rounding level, or stops
     shrinking (the steps then wander inside the rounding noise of f'/f).
     Only zeros whose last step is at most _NEWTON_TOL relative come back.
+    An iterate is dropped, as unconverged, once |z| leaves (inner/2,
+    2 outer): a zero it reached out there would lie outside the annulus
+    inner < |z| < outer it was started in, which _annulus_zeros rejects,
+    and one that has wandered that far tends to walk on to the step cap.
+    The margin keeps an iterate that crosses a wall on its way in.
     """
     z = np.array(z, dtype=complex)
     size = np.full(z.shape, np.inf)  # last step relative to |z|
     active = np.ones(z.shape, dtype=bool)
     floor = pair.overflow_floor()
     for _ in range(_NEWTON_STEPS):
-        active &= np.isfinite(z) & (np.abs(z) * floor < 1)
+        r = np.abs(z)
+        gone = active & ~((inner / 2 < r) & (r < 2 * outer))
+        z[gone] = np.nan
+        active &= np.isfinite(z) & (r * floor < 1)
         if not active.any():
             break
         with np.errstate(divide="ignore", invalid="ignore"):

@@ -327,15 +327,16 @@ def test_verify_bound_stops_at_float_resolution(capsys):
 
 
 def test_library_errors_are_check_failures(capsys, monkeypatch):
-    # verify imports predict_alpha when it runs, so the patch goes to expfun
-    import descentsum.expfun as expfun
+    # verify imports predict_alpha when it runs, so the patch goes to the
+    # module that defines it
+    import descentsum.constants as constants
 
     for exc in (ValueError("prediction has imaginary residue 1e-3"),
                 OverflowError("matrix 1-norm 800 exceeds the exp overflow bound")):
         def fail(*args, exc=exc):
             raise exc
 
-        monkeypatch.setattr(expfun, "predict_alpha", fail)
+        monkeypatch.setattr(constants, "predict_alpha", fail)
         rc, out, err = run(capsys, "verify", "--preset", "sec6")
         assert rc == 1
         assert f"check failed: {exc}\n" in err

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import descentsum.expfun as expfun
+import descentsum.constants as constants
 import descentsum.linalg as linalg
 import descentsum.spectral as spectral
 from descentsum import (
@@ -347,8 +347,9 @@ def test_eigenfunction_refuses_a_fallback_block(monkeypatch, tmp_path, capsys):
     for (p, c, _), (q, d, _) in zip(unmerged[0], merged[0]):
         assert p.lam == q.lam and abs(c - d) <= 1e-12 * abs(c)
     # an ill-conditioned W keeps its eigenvalues, and only the eigenfunctions
-    # read through it, with their constants, are refused
-    monkeypatch.setattr(expfun, "_BASIS_COND", 0.5)
+    # read through it, with their constants, are refused; the bound lives
+    # with the constants, and eigenfunction_pieces reads it there too
+    monkeypatch.setattr(constants, "_BASIS_COND", 0.5)
     refusal = (
         r"the basis W of the generalized eigenspaces of A - B has cond\(W\) = "
         r"\S+ > 0\.5: the eigenfunction would lose digits"
@@ -655,34 +656,37 @@ def test_asymptotics_truncates_without_splitting_a_conjugate_pair(spectra):
 
 
 def test_asymptotics_computes_constants_only_when_asked(monkeypatch):
-    import descentsum.expfun as expfun
-
     calls = []
-    real = expfun.scheme_constant
+    real = constants._pairings
 
-    def counted(scheme, pair, point):
-        calls.append(point.lam)
-        if len(calls) == 2:
-            raise ValueError("refused for the test")
-        return real(scheme, pair, point)
+    def counted(pair, lams, *args):
+        calls.append(list(lams))
+        rows = real(pair, lams, *args)
+        rows[1, 2] = 0  # the second eigenvalue's <phi, conj(psi)> vanishes
+        return rows
 
-    monkeypatch.setattr(expfun, "scheme_constant", counted)
+    monkeypatch.setattr(constants, "_pairings", counted)
     scheme = preset_scheme("sec5-1")
     analysis = asymptotics(scheme, 0.05, top=4)
     assert calls == []
     terms, refused, r_hat = analysis.constants()
-    # one call per real or upper-half eigenvalue: points 1 and 2 are a
-    # conjugate pair, lower half first, and only point 2 is computed
-    assert calls == [analysis.points[i].lam for i in (0, 2, 3)]
+    # one pass over the real and upper-half eigenvalues: points 1 and 2 are
+    # a conjugate pair, lower half first, and only point 2 is computed
+    assert calls == [[analysis.points[i].lam for i in (0, 2, 3)]]
     assert [p.lam for p, _, _ in terms] == [
         analysis.points[i].lam for i in (0, 3)
     ]
-    const, pairings = real(scheme, analysis.pair, analysis.points[0])
-    assert terms[0][1:] == (const, pairings)
+    const, pairings = scheme_constant(scheme, analysis.pair, analysis.points[0])
+    assert terms[0][1] == pytest.approx(const, rel=1e-12)
+    assert terms[0][2] == pytest.approx(pairings, rel=1e-12)
     # the refusal covers both members of the pair, and a refused point is
     # excluded, so it widens r_hat past the truncation's
+    vanishes = (
+        "pairing <phi, conj(psi)> = 0 vanishes at tolerance 1e-10; "
+        "the eigenvalue may not be simple"
+    )
     assert [(p.lam, why) for p, why in refused] == [
-        (analysis.points[i].lam, "refused for the test") for i in (1, 2)
+        (analysis.points[i].lam, vanishes) for i in (1, 2)
     ]
     assert analysis.r_hat < r_hat == abs(analysis.points[1].lam)
 
@@ -721,7 +725,8 @@ def test_asymptotics_symmetry_gate():
     analysis = asymptotics(lopsided_ends, 0.05)
     assert analysis.defect is None
     (point, const, _), = analysis.constants()[0]
-    assert const == scheme_constant(lopsided_ends, analysis.pair, point)[0]
+    want = scheme_constant(lopsided_ends, analysis.pair, point)[0]
+    assert const == pytest.approx(want, rel=1e-12)
 
 
 def test_asymptotics_searches_eigenvalues_once_on_first_access(monkeypatch):

@@ -162,7 +162,17 @@ def test_spectrum_loads_neither_exact_nor_expfun():
 def test_constants_leaves_exact_unloaded():
     loaded = _modules("constants", "--preset", "sec5-1", "--top", "2")
     assert loaded == _CLI | {
-        "descentsum.expfun", "descentsum.linalg", "descentsum.spectral"
+        "descentsum.constants", "descentsum.linalg", "descentsum.spectral"
+    }
+
+
+def test_verify_loads_the_constants_pass_not_expfun():
+    # like constants above, verify takes its constants from one array pass,
+    # not from the ExpPoly calculus
+    loaded = _modules("verify", "--preset", "sec6", "--n-max", "8")
+    assert loaded == _CLI | {
+        "descentsum.constants", "descentsum.exact", "descentsum.linalg",
+        "descentsum.spectral",
     }
 
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-import descentsum.expfun as expfun
+import descentsum.constants as constants
 import descentsum.linalg as linalg
 import descentsum.spectral as spectral
 
@@ -372,7 +372,7 @@ def test_eigenvalues_through_an_ill_conditioned_basis():
     # certified (a kernel on the whole of A - B with no growth scaling
     # reached only 0.0612245, with 19)
     pair = build_transfer(ILL_CONDITIONED)
-    assert np.linalg.cond(pair.blocks.W) > expfun._BASIS_COND
+    assert np.linalg.cond(pair.blocks.W) > constants._BASIS_COND
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         points = eigenvalues(pair, 0.06)
@@ -545,6 +545,61 @@ def test_psi_is_its_integral():
                     lambda t: t**j * mpmath.exp(t * complex(x)), [0, 1]
                 ) / math.factorial(j)
             assert abs(value - complex(want)) <= 1e-14 * abs(complex(want)), (x, j)
+
+
+def test_psi_matches_its_closed_form_across_the_series_boundary():
+    # int_0^1 t^j e^(tx) dt / j! = (-1)^(j+1) x^-(j+1) (1 - e^x sum_(i<=j)
+    # (-x)^i/i!), evaluated in 80 digits, which the cancellation at
+    # |x| = 1e-12 needs; the series runs inside |x| = 1,
+    # the recurrence outside, and x = 0 takes the series' first term
+    angles = np.exp(1j * np.array([0, 0.7, np.pi / 2, 2.5, np.pi, -1.1]))
+    xs = np.concatenate([[0], 0.999 * angles, 1.001 * angles, [1e-12, -1e-12j]])
+    got = spectral._psi(xs[:, None], 4)[:, :, 0]
+    for x, row in zip(xs, got):
+        for j, value in enumerate(row):
+            if x == 0:
+                assert value == spectral._PSI_SERIES[0, j]
+                assert value == pytest.approx(1 / math.factorial(j + 1), rel=1e-16)
+                continue
+            with mpmath.workdps(80):
+                z = mpmath.mpc(complex(x))
+                tail = sum((-z) ** i / mpmath.factorial(i) for i in range(j + 1))
+                want = (-1) ** (j + 1) * (1 - mpmath.exp(z) * tail) / z ** (j + 1)
+                if z.real > 1:
+                    want *= mpmath.exp(-z)
+            assert abs(value - complex(want)) <= 1e-14 * abs(complex(want)), (x, j)
+
+
+def test_newton_drops_iterates_that_leave_their_annulus(monkeypatch):
+    # alternating permutations through windows of length 5, each weighted
+    # 5/4: the 16 eigenvalues +-(5/4) 2/((2k + 1) pi) above 0.05.  A spurious
+    # pencil pair near +-10.4i once walked outward for the 50-step cap
+    alternates = lambda w: all(w[i] != w[i + 1] for i in range(4))
+    weights = {w: Fraction(5, 4) if alternates(w) else 0 for w in all_words(5)}
+    pair = build_transfer(WeightScheme(5, weights))
+    calls, polishing = [], []
+    log_derivative, polish = spectral._log_derivative, spectral._polish
+
+    def counted(pair, zs):
+        calls.extend(polishing)
+        return log_derivative(pair, zs)
+
+    def newton(*args):
+        polishing.append(1)
+        try:
+            return polish(*args)
+        finally:
+            polishing.clear()
+
+    monkeypatch.setattr(spectral, "_log_derivative", counted)
+    monkeypatch.setattr(spectral, "_polish", newton)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        points = eigenvalues(pair, 0.05)
+    want = sorted(2.5 / ((2 * k + 1) * math.pi) * s for k in range(8) for s in (1, -1))
+    assert sorted(p.lam.real for p in points) == pytest.approx(want, rel=1e-12)
+    assert all(p.lam.imag == 0 for p in points)
+    assert len(calls) <= 41
 
 
 def test_transcendental_sums_at_top_roots():

@@ -62,8 +62,25 @@ def test_finder_sweep_records_and_compares(tmp_path, capsys):
     for record in (sec6, alternating):
         assert record["bound"] == record["r_min"] == 0.05 and record["warnings"] == []
         assert record["circles"] >= 1 and record["evaluations"] > 16 * record["circles"]
+        # every circle settles, and Newton's evaluations are part of the total
+        assert record["unsettled"] == 0
+        assert 0 < record["newton"] < record["evaluations"]
     assert finder_sweep.main(["compare", str(out), str(out)]) == 0
-    assert "changed lists: none" in capsys.readouterr().out
+    printed = capsys.readouterr().out
+    assert "changed lists: none" in printed
+    newton = sec6["newton"] + alternating["newton"]
+    assert f"total newton: {newton} -> {newton}" in printed
+    assert "total unsettled: 0 -> 0" in printed
+    # a record written before the two were kept still compares
+    for record in records.values():
+        del record["unsettled"], record["newton"]
+    older = tmp_path / "older.json"
+    older.write_text(json.dumps(records))
+    assert finder_sweep.main(["compare", str(older), str(out)]) == 0
+    printed = capsys.readouterr().out
+    assert f"total newton: - -> {newton}" in printed and "total unsettled: - -> 0" in printed
+    records = json.loads(out.read_text())
+    sec6 = records["sec6"]
     sec6["bound"], sec6["eigenvalues"] = 0.06, []
     worse = tmp_path / "worse.json"
     worse.write_text(json.dumps(records))

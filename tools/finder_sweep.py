@@ -1,28 +1,31 @@
 """Run the eigenvalue finder over a fixed set of schemes and record its work.
 
 Per scheme it records the evaluations of f'/f (the points at which
-spectral._log_derivative is called, on circles and in Newton steps), the
-circles sampled (radius > 0), the modulus above which the list is certified
-complete (r_min, or the modulus a warning names), the eigenvalues, the
-warnings and the wall time.  The schemes: the presets at r_min = 0.05; the
-no-runs schemes at m = 5 (0.05), 6 and 7 (0.1); alternating permutations
-read through windows of length 5, each window weighted 3/4, 1 and 5/4
-(0.05); 60 random schemes at 0.05 (random.Random(11), m = randint(2, 4),
-each window weight drawn from RANDOM_WEIGHTS in the order of all_words(m));
-and, at 0.05, draws 233 and 740 of the same generator with m = randint(1, 5),
-two m = 4 schemes whose block basis of A - B has cond(W) > 2e4, so that
-``compare`` watches the contour kernel through an ill-conditioned basis.
+spectral._log_derivative is called, on circles and in Newton steps), how
+many of them went to circles that never settle (``unsettled``) and to
+Newton steps (``newton``), the circles sampled (radius > 0), the modulus
+above which the list is certified complete (r_min, or the modulus a
+warning names), the eigenvalues, the warnings and the wall time.  The
+schemes: the presets at r_min = 0.05; the no-runs schemes at m = 5 (0.05),
+6 and 7 (0.1); alternating permutations read through windows of length 5,
+each window weighted 3/4, 1 and 5/4 (0.05); 60 random schemes at 0.05
+(random.Random(11), m = randint(2, 4), each window weight drawn from
+RANDOM_WEIGHTS in the order of all_words(m)); and, at 0.05, draws 233 and
+740 of the same generator with m = randint(1, 5), two m = 4 schemes whose
+block basis of A - B has cond(W) > 2e4, so that ``compare`` watches the
+contour kernel through an ill-conditioned basis.
 
     python tools/finder_sweep.py run OUT.json [--only NAME ...]
     python tools/finder_sweep.py compare OLD.json NEW.json
 
 ``run`` imports descentsum from the interpreter's path, so
 ``PYTHONPATH=src`` sweeps this checkout and ``PYTHONPATH=<other>/src``
-another one.  ``compare`` prints both records per scheme, names the schemes
-whose eigenvalue list changed (another count, or a value of either list
-farther than SHIFT_TOL relative from the nearest of the other) and those
-whose warnings changed, and
-exits 1 when a certified bound is worse (larger) in NEW.
+another one.  ``compare`` prints both records per scheme and the totals,
+names the schemes whose eigenvalue list changed (another count, or a value
+of either list farther than SHIFT_TOL relative from the nearest of the
+other) and those whose warnings changed, and exits 1 when a certified bound
+is worse (larger) in NEW.  A record written before ``unsettled`` and
+``newton`` were kept has no total of them, which ``compare`` prints as -.
 """
 
 from __future__ import annotations
@@ -69,8 +72,11 @@ def schemes() -> dict[str, tuple[object, float]]:
 
 @contextmanager
 def _counting(spectral, counts: dict[str, int]):
-    """Counts the f'/f evaluations and the circles of spectral's finder."""
-    log_derivative, circle = spectral._log_derivative, spectral._Circle
+    """Counts the f'/f evaluations and the circles of spectral's finder, and
+    the evaluations on circles that never settle and in Newton steps."""
+    log_derivative, circle, polish = (
+        spectral._log_derivative, spectral._Circle, spectral._polish
+    )
 
     def counted(pair, zs):
         counts["evaluations"] += len(zs)
@@ -79,20 +85,34 @@ def _counting(spectral, counts: dict[str, int]):
     class Counted(circle):
         def __init__(self, pair, radius):
             counts["circles"] += radius > 0
+            before = counts["evaluations"]
             super().__init__(pair, radius)
+            if self.count is None:
+                counts["unsettled"] += counts["evaluations"] - before
 
-    spectral._log_derivative, spectral._Circle = counted, Counted
+    def newton(*args):
+        before = counts["evaluations"]
+        try:
+            return polish(*args)
+        finally:
+            counts["newton"] += counts["evaluations"] - before
+
+    spectral._log_derivative, spectral._Circle, spectral._polish = (
+        counted, Counted, newton
+    )
     try:
         yield
     finally:
-        spectral._log_derivative, spectral._Circle = log_derivative, circle
+        spectral._log_derivative, spectral._Circle, spectral._polish = (
+            log_derivative, circle, polish
+        )
 
 
 def sweep_one(scheme, r_min: float) -> dict:
     """The finder's record on one scheme."""
     import descentsum.spectral as spectral
 
-    counts = {"evaluations": 0, "circles": 0}
+    counts = {"evaluations": 0, "unsettled": 0, "newton": 0, "circles": 0}
     pair = spectral.build_transfer(scheme)
     start = time.perf_counter()
     with warnings.catch_warnings(record=True) as caught, _counting(spectral, counts):
@@ -123,6 +143,7 @@ def run(path: str, only: list[str] | None) -> int:
             records[name] = sweep_one(scheme, r_min)
             rec = records[name]
             print(f"{name:22} {rec['evaluations']:7} evaluations "
+                  f"({rec['unsettled']} unsettled, {rec['newton']} newton) "
                   f"{rec['circles']:4} circles  bound {rec['bound']:.6g}  "
                   f"{len(rec['eigenvalues']):3} eigenvalues  {rec['seconds']:.3f} s")
     with open(path, "w") as f:
@@ -140,6 +161,13 @@ def _max_shift(old: list, new: list) -> float:
         return max((min(abs(x - y) for y in ys) / abs(x) for x in xs), default=0.0)
 
     return max(one_way(news, olds), one_way(olds, news))
+
+
+def _total(records: dict, names: list[str], key: str) -> str:
+    """The sum of one field over the named records, or - when one lacks it."""
+    if any(key not in records[name] for name in names):
+        return "-"
+    return f"{sum(records[name][key] for name in names):.6g}"
 
 
 def compare(old_path: str, new_path: str) -> int:
@@ -168,9 +196,9 @@ def compare(old_path: str, new_path: str) -> int:
               f"{a['bound']:10.6g}>{b['bound']:<10.6g} "
               f"{count[0]:4}>{count[1]:<4} "
               + ("    --" if shift is None else f"{shift:8.1e}"))
-    for key in ("evaluations", "circles", "seconds"):
-        print(f"total {key}: {sum(old[n][key] for n in both):.6g} -> "
-              f"{sum(new[n][key] for n in both):.6g}")
+    for key in ("evaluations", "unsettled", "newton", "circles", "seconds"):
+        totals = [_total(records, both, key) for records in (old, new)]
+        print(f"total {key}: {totals[0]} -> {totals[1]}")
     print("changed lists: " + (", ".join(changed) or "none"))
     print("changed warnings: " + (", ".join(warned) or "none"))
     print("worse bounds: " + (", ".join(worse) or "none"))
