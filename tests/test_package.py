@@ -6,6 +6,7 @@ import ast
 import doctest
 import inspect
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -28,14 +29,28 @@ _PROBE = (
 )
 
 
-def _fresh(*args: str) -> str:
+def _env(**overrides: str | None) -> dict[str, str]:
+    """This process's environment with SRC on the path; None unsets a name."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
+    for name, value in overrides.items():
+        if value is None:
+            env.pop(name, None)
+        else:
+            env[name] = value
+    return env
+
+
+def _run(*args: str, env: dict[str, str] | None = None) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, *args], env=env or _env(), capture_output=True, timeout=120
     )
-    assert done.returncode == 0, done.stderr
-    return done.stderr.splitlines()[-1]
+
+
+def _fresh(*args: str, env: dict[str, str] | None = None) -> str:
+    done = _run(*args, env=env)
+    assert done.returncode == 0, done.stderr.decode()
+    return done.stderr.decode().splitlines()[-1]
 
 
 @pytest.mark.parametrize("module", ["descentsum", "descentsum.cli"])
@@ -181,6 +196,110 @@ def test_oracle_loads_exact_alone(method):
     # --method all runs brute force, the DP and operator iteration
     loaded = _modules("oracle", "--preset", "sec5-1", "--n", "9", "--method", method)
     assert loaded == _CLI | {"descentsum.exact"}
+
+
+# the process entry: `python -m descentsum.cli` and the `descentsum` script
+_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+_UNPINNED = _env(**dict.fromkeys(_THREADS))
+
+# runs the CLI as `python -m descentsum.cli` runs it, then reports at exit
+# whether the collector is on, whether the heap is frozen, and whether
+# shutdown's collections are left next to nothing to walk
+_COLLECTOR_AT_EXIT = (
+    "import atexit, gc, runpy, sys\n"
+    "atexit.register(lambda: print(gc.isenabled(), gc.get_freeze_count() > 10000,\n"
+    "                              len(gc.get_objects()) < 100, file=sys.stderr))\n"
+    "runpy.run_module('descentsum.cli', run_name='__main__')\n"
+)
+
+
+def test_the_process_entry_freezes_the_heap_at_exit():
+    argv = ["spectrum", "--preset", "sec5-1", "--top", "1"]
+    assert _fresh("-c", _COLLECTOR_AT_EXIT, *argv) == "True True True"
+
+
+# calls main in a fresh interpreter, then reports its exit code and whether
+# the collector's state and the environment are as they were before it
+_IN_PROCESS = (
+    "import gc, os, sys\n"
+    "from descentsum.cli import main\n"
+    "state = lambda: (gc.isenabled(), gc.get_freeze_count(), dict(os.environ))\n"
+    "before = state()\n"
+    "rc = main(sys.argv[1:])\n"
+    "print(rc, before[:2], state() == before, file=sys.stderr)\n"
+)
+
+
+def test_main_in_process_leaves_the_collector_and_environment_alone():
+    argv = ["spectrum", "--preset", "sec5-1", "--top", "1"]
+    assert _fresh("-c", _IN_PROCESS, *argv, env=_UNPINNED) == "0 (True, 0) True"
+
+
+# runs the CLI as `python -m descentsum.cli` runs it, then reports at exit the
+# thread counts the environment held when numpy was first looked for
+_THREADS_AT_NUMPY = (
+    "import atexit, os, runpy, sys\n"
+    f"names = {_THREADS!r}\n"
+    "seen = []\n"
+    "class Probe:\n"
+    "    def find_spec(self, name, path=None, target=None):\n"
+    "        if name == 'numpy' and not seen:\n"
+    "            seen.extend(os.environ.get(k) for k in names)\n"
+    "sys.meta_path.insert(0, Probe())\n"
+    "atexit.register(lambda: print(*seen, file=sys.stderr))\n"
+    "runpy.run_module('descentsum.cli', run_name='__main__')\n"
+)
+
+
+@pytest.mark.parametrize(
+    "given, want",
+    [((None, None, None), "1 1 1"), (("2", None, "4"), "2 1 4")],
+    ids=["unset", "user-set"],
+)
+def test_the_process_entry_pins_unset_thread_counts_before_numpy(given, want):
+    env = _env(**dict(zip(_THREADS, given)))
+    argv = ["spectrum", "--preset", "sec5-1", "--top", "1"]
+    assert _fresh("-c", _THREADS_AT_NUMPY, *argv, env=env) == want
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE here")
+def test_a_closed_pipe_ends_the_process_quietly():
+    # about 1 MB of output, far more than a pipe holds
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "descentsum.cli", "sequence", "--n-max", "300"],
+        env=_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    with proc:
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=120) == -signal.SIGPIPE
+    assert err.startswith("elapsed: ") and err.count("\n") == 1, err
+
+
+_MAIN = "import sys\nfrom descentsum.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+
+
+def _output(done: subprocess.CompletedProcess) -> tuple:
+    """Exit code, stdout, and stderr without its timing line."""
+    err = [line for line in done.stderr.splitlines() if not line.startswith(b"elapsed: ")]
+    return done.returncode, done.stdout, err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "--preset", "sec5-1"],
+        ["verify", "--preset", "sec6", "--n-max", "10"],
+        ["verify", "--preset", "sec5-2", "--n-max", "8"],
+        ["oracle", "--preset", "sec5-1", "--n", "9", "--format", "json"],
+    ],
+    ids=["spectrum", "verify", "verify-fails", "oracle"],
+)
+def test_the_process_entry_prints_what_main_prints(argv):
+    via_entry = _run("-m", "descentsum.cli", *argv, env=_UNPINNED)
+    in_process = _run("-c", _MAIN, *argv, env=_UNPINNED)
+    assert _output(via_entry) == _output(in_process)
 
 
 def _codes(code):
