@@ -62,10 +62,15 @@ _CLUSTER_TOL = 1e-3  # eigenvalues of A - B this close (relative) share a block
 _CONTOUR_POINTS = 32  # first sampling of a circle, doubled until its count settles
 _MAX_CONTOUR_POINTS = 2048
 _COUNT_TOL = 0.02  # how far a winding number may sit from an integer
-_MAX_PENCIL = 8  # most zeros taken from one Hankel pencil
+_MAX_PENCIL = 16  # most zeros taken from one Hankel pencil
+_UNCHECKED_PENCIL = 8  # a larger pencil is polished only if its roots lie inside
 _NEWTON_STEPS = 50
 _NEWTON_TOL = 1e-10  # largest last Newton step of a zero, relative to |z|
 _STEP_IN = 0.98  # a circle whose count does not settle moves in by this factor
+_STEP_OUT = 1.02  # the outer circle tries this factor out once before it moves in
+_SPLIT_POINTS = 256  # a split circle not settled by this many points may move
+_SPLIT_AT = (0.5, 0.4, 0.6, 0.3, 0.7)  # split radii, as fractions across the annulus
+_NEAR_ZERO = 100  # max |z f'/f| above this: a zero within about 1% of the circle
 _SAME_TOL = 1e-5  # polished zeros this close, relative to |z|, are one zero
 _TIE_TOL = 1e-12  # moduli this close, relative, sort by |angle|
 _STACK_BYTES = 2**16  # one (points, d, d) or (points, p, clusters) array: bounds memory
@@ -359,8 +364,11 @@ class _Circle:
     The n points radius e^(2 pi i j/n) double until the winding number (the
     mean of the samples) is within _COUNT_TOL of an integer and moves less
     than that between the last two samplings; ``count`` is that integer, or
-    None when no sampling up to _MAX_CONTOUR_POINTS settles: a zero lies too
-    close to the circle, or f is not resolved in float64 there.
+    None while no sampling up to ``points`` (_MAX_CONTOUR_POINTS unless
+    given) has settled: a zero lies too close to the circle, or f is not
+    resolved in float64 there.  ``refine`` resumes the doubling from the
+    samples already taken.  A circle whose mean comes out non-finite is
+    ``stuck``: more points cannot settle it.
 
     A and B are real, so f(conj z) = conj f(z).  The grid is closed under
     conjugation, with its points on the real axis exactly real, and f'/f is
@@ -370,26 +378,33 @@ class _Circle:
     gives the empty disc: count 0, no samples, zero moments.
     """
 
-    def __init__(self, pair: TransferPair, radius: float):
+    def __init__(self, pair: TransferPair, radius: float, points: int | None = None):
         self.radius = radius
         self.count = 0 if radius == 0 else None
         self.z = self.zg = np.zeros(0, dtype=complex)  # the upper half
         self.weight = np.zeros(0)  # 1/n on the real axis, 2/n off it
+        self.n, self.stuck = 0, False
         if radius == 0:
             return
-        n = _CONTOUR_POINTS
-        with np.errstate(all="ignore"):  # non-finite samples leave count None
-            self._sample(pair, np.arange(n // 2 + 1), n)
-            while self.count is None and 2 * n <= _MAX_CONTOUR_POINTS:
-                coarse = self.mean()
-                n *= 2
-                self._sample(pair, np.arange(1, n // 2, 2), n)
-                fine = self.mean()
-                if not np.isfinite(fine):
-                    break
-                nearest = round(fine)
-                if max(abs(fine - coarse), abs(fine - nearest)) <= _COUNT_TOL:
-                    self.count = nearest
+        self.n = _CONTOUR_POINTS
+        self._sample(pair, np.arange(self.n // 2 + 1), self.n)
+        self.refine(pair, points)
+
+    def refine(self, pair: TransferPair, points: int | None = None) -> None:
+        """Doubles the points, up to ``points`` (_MAX_CONTOUR_POINTS unless
+        given), until the count settles or the circle is stuck."""
+        points = _MAX_CONTOUR_POINTS if points is None else points
+        while self.count is None and not self.stuck and 2 * self.n <= points:
+            coarse = self.mean()
+            self.n *= 2
+            self._sample(pair, np.arange(1, self.n // 2, 2), self.n)
+            fine = self.mean()
+            if not np.isfinite(fine):
+                self.stuck = True
+                break
+            nearest = round(fine)
+            if max(abs(fine - coarse), abs(fine - nearest)) <= _COUNT_TOL:
+                self.count = nearest
 
     def _sample(self, pair: TransferPair, j: np.ndarray, n: int) -> None:
         """Adds the points radius e^(2 pi i j/n), 0 <= j <= n/2, making the
@@ -398,12 +413,27 @@ class _Circle:
         z = self.radius * np.exp(2j * np.pi * j / n)
         z[on_axis] = z[on_axis].real
         self.z = np.concatenate([self.z, z])
-        self.zg = np.concatenate([self.zg, z * _log_derivative(pair, z)])
+        with np.errstate(all="ignore"):  # non-finite samples leave count None
+            self.zg = np.concatenate([self.zg, z * _log_derivative(pair, z)])
         self.weight = np.concatenate([self.weight / 2, np.where(on_axis, 1, 2) / n])
 
     def mean(self) -> float:
         """The mean of z f'/f over the whole circle: the winding number."""
-        return float(self.zg.real @ self.weight)
+        with np.errstate(all="ignore"):
+            return float(self.zg.real @ self.weight)
+
+    def spike(self) -> float:
+        """max |z f'/f| over the samples: about radius/delta for a zero at a
+        distance delta from the circle; infinite on a stuck circle."""
+        return np.inf if self.stuck else float(np.max(np.abs(self.zg)))
+
+    def resolved(self) -> bool:
+        """Whether f'/f is resolved as finely as Newton's method needs: on the
+        real axis it is real, so its imaginary part there is rounding, and
+        it must be within _NEWTON_TOL of its size."""
+        axis = self.zg[self.z.imag == 0]
+        within = np.abs(axis.imag) <= _NEWTON_TOL * np.abs(axis)
+        return not self.stuck and bool(within.all())
 
     def moments(self, scale: float, k: int) -> np.ndarray:
         """(1/2 pi i) times the integral of (z/scale)^j f'/f dz, j < k."""
@@ -414,16 +444,21 @@ class _Circle:
 def eigenvalues(pair: TransferPair, r_min: float) -> list[SpectralPoint]:
     """Every eigenvalue with |lambda| > r_min, certified complete.
 
-    The winding number of f on |z| = 1/r_min counts the eigenvalues.  Further
-    circles cut the disc into annuli until each holds at most _MAX_PENCIL
-    zeros; the contour moments of an annulus form a small Hankel pencil whose
-    eigenvalues approximate its zeros, and Newton's method on f'/f polishes
-    them.  An annulus that does not yield as many distinct zeros as it counts
-    is split again.
+    The winding number of f on |z| = 1/r_min counts the eigenvalues; where
+    that circle's count does not settle (a zero lies on it, or f is not
+    resolved in float64 there), the circle _STEP_OUT times as large is tried
+    once, and only its zeros inside |z| < 1/r_min are kept.  Further
+    circles (_split_circle) cut the disc into annuli until each holds at
+    most _MAX_PENCIL zeros; the contour moments of an annulus form a small
+    Hankel pencil whose eigenvalues approximate its zeros, and Newton's
+    method on f'/f polishes them.  A pencil of more than _UNCHECKED_PENCIL
+    zeros is polished only when its eigenvalues all lie in the annulus.  An
+    annulus that does not yield as many distinct zeros as it counts is split
+    again.
 
-    A circle whose count does not settle (a zero lies on it, or f is not
-    resolved in float64 there) is moved in by _STEP_IN steps.  When the
-    outer circle has to move, or an annulus cannot be split, the list is
+    When no circle settles, the outer one (after the step out) or the last
+    one tried in an annulus moves in by _STEP_IN steps.  When the outer
+    circle has to move in, or an annulus cannot be split, the list is
     complete only above a larger modulus, which a UserWarning names; no
     eigenvalue beyond that modulus is returned.
 
@@ -445,8 +480,9 @@ def eigenvalues(pair: TransferPair, r_min: float) -> list[SpectralPoint]:
             f"r_min raised to {r_min:.3g} (overflow floor of the scheme)",
             stacklevel=2,
         )
-    outer = _settled_circle(pair, 1 / r_min, 0.0)
-    bound = outer.radius  # the zeros are certified complete in |z| < bound
+    outer = _outer_circle(pair, 1 / r_min)
+    # the zeros are certified complete in |z| < bound
+    bound = min(outer.radius, 1 / r_min)
     zeros: list[complex] = []
     regions = [(_Circle(pair, 0.0), outer)]
     while regions:
@@ -459,7 +495,7 @@ def eigenvalues(pair: TransferPair, r_min: float) -> list[SpectralPoint]:
             if found is not None:
                 zeros.extend(found)
                 continue
-        mid = _settled_circle(pair, (inner.radius + outer.radius) / 2, inner.radius)
+        mid = _split_circle(pair, inner, outer)
         if mid is None or not inner.count <= mid.count <= outer.count:
             bound = inner.radius  # its zeros could not be separated
             continue
@@ -515,9 +551,61 @@ def _angle_key(p: SpectralPoint) -> tuple[float, float]:
     return abs(angle), angle
 
 
+def _outer_circle(pair: TransferPair, radius: float) -> _Circle:
+    """The circle of radius whose count settles, else the one of radius *
+    _STEP_OUT, whose zeros beyond radius the caller drops, else the first
+    of radius * _STEP_IN, radius * _STEP_IN^2, ... that settles."""
+    for r in (radius, radius * _STEP_OUT):
+        circle = _Circle(pair, r)
+        if circle.count is not None:
+            return circle
+    return _settled_circle(pair, radius * _STEP_IN, 0.0)
+
+
+def _split_circle(pair: TransferPair, inner: _Circle, outer: _Circle) -> _Circle | None:
+    """A circle between inner and outer whose count settles; None when none
+    does.
+
+    Unlike the outer circle's, a split circle's radius is free.  The
+    midpoint comes first, sampled up to _SPLIT_POINTS.  When it has not
+    settled there, a zero lies near it (its spike exceeds _NEAR_ZERO) and f
+    is resolved on it, the next radius of _SPLIT_AT across the annulus is
+    tried the same way, and so on.  If none settles, the doubling resumes
+    on the samples taken: first on the circle of the lowest spike, the
+    farthest from a zero, then on the midpoint; where f is resolved on the
+    midpoint, then on the radii of _SPLIT_AT not yet tried, and on the rest.
+    Last, _settled_circle steps in from the midpoint.
+    """
+    lo, hi = inner.radius, outer.radius
+    tried = []
+    for t in _SPLIT_AT:
+        circle = _Circle(pair, lo + t * (hi - lo), _SPLIT_POINTS)
+        if circle.count is not None:
+            return circle
+        tried.append(circle)
+        if not (circle.spike() > _NEAR_ZERO and circle.resolved()):
+            break
+    mid = tried[0]
+
+    def resumed() -> Iterator[_Circle]:
+        yield min(tried, key=_Circle.spike)
+        yield mid
+        if mid.resolved():
+            for t in _SPLIT_AT[len(tried) :]:
+                yield _Circle(pair, lo + t * (hi - lo), _CONTOUR_POINTS)
+            yield from tried[1:]
+
+    for circle in resumed():
+        circle.refine(pair)
+        if circle.count is not None:
+            return circle
+    return _settled_circle(pair, mid.radius * _STEP_IN, lo)
+
+
 def _settled_circle(pair: TransferPair, radius: float, lo: float) -> _Circle | None:
     """The first circle of radius, radius * _STEP_IN, ... above lo whose count
-    settles; None when none does."""
+    settles, each doubled up to _MAX_CONTOUR_POINTS; None when none does.
+    The last resort of the outer circle and of a split."""
     while radius > lo:
         circle = _Circle(pair, radius)
         if circle.count is not None:
@@ -541,6 +629,9 @@ def _annulus_zeros(
         w = np.linalg.eigvals(np.linalg.solve(mu[idx], mu[idx + 1]))
     except np.linalg.LinAlgError:
         return None
+    r = np.abs(w) * scale
+    if k > _UNCHECKED_PENCIL and not np.all((inner.radius < r) & (r < outer.radius)):
+        return None  # the pencil does not separate these zeros: split instead
     z = _polish(pair, w * scale, inner.radius, outer.radius)
     z = np.where(np.abs(z.imag) <= _SAME_TOL * np.abs(z), z.real + 0j, z)
     canon: list[complex] = []  # distinct zeros, each real or in the upper half

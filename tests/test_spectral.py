@@ -1,6 +1,7 @@
 """Transfer pairs, the spectral determinant, and the certified eigenvalue finder."""
 
 import cmath
+import json
 import math
 import warnings
 from fractions import Fraction
@@ -348,6 +349,72 @@ def test_eigenvalues_no_runs_6():
     points = eigenvalues(pair, 0.1)
     assert len(points) == 32
     assert all(p.simple for p in points)
+
+
+def test_eigenvalues_no_runs_5_split_circles_move_off_zeros(monkeypatch):
+    # the midpoint split circle |z| = 15 lies within 0.1% of three zeros;
+    # it and its neighbours once doubled to 1024 or 2048 points, 3,983
+    # evaluations of f'/f in all (the count of tools/finder_sweep.py)
+    text = "m = 5\nwt aaaaa = 0\nwt bbbbb = 0\n"
+    pair = build_transfer(load_scheme(text))
+    evaluations = []
+    log_derivative = spectral._log_derivative
+
+    def counted(pair, zs):
+        evaluations.append(len(zs))
+        return log_derivative(pair, zs)
+
+    monkeypatch.setattr(spectral, "_log_derivative", counted)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        points = eigenvalues(pair, 0.05)
+    assert len(points) == 51
+    assert sum(evaluations) <= 1650
+
+
+def test_eigenvalues_step_out_before_stepping_in():
+    # no 7 consecutive ascents or descents at 0.1: |z| = 10 does not settle
+    # by 2048 points, |z| = 10.2 settles at 38 from 1024, and the 36 zeros
+    # inside |z| < 10 are certified with no warning (stepping in to 9.8
+    # certified them only above 0.102041)
+    text = "m = 7\nwt aaaaaaa = 0\nwt bbbbbbb = 0\n"
+    pair = build_transfer(load_scheme(text))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        points = eigenvalues(pair, 0.1)
+    assert len(points) == 36
+    assert all(abs(p.lam) > 0.1 for p in points)
+
+
+# the schemes of tools/finder_sweep.py whose lists the split and step-out
+# rules of eigenvalues changed, all certified down to 0.05 now: each zero z
+# of f refined by Newton's method on f'/f at 50 digits (mpmath: the
+# exponential of [[zC, I], [0, 0]] gives e^(zC) and gamma(zC)) from a listed
+# value, and 1/z recorded to 40 digits, in the upper half plane or on the
+# real axis;
+# "winding" is the zeros' count in |z| < 20 by the trapezoid rule on z f'/f
+# at 50 digits, its points doubled up to 8192: the last mean lay within
+# 0.011 of the count on every scheme
+SWEEP_ZEROS = json.loads(
+    (Path(__file__).parent / "schemes" / "finder-sweep-zeros.json").read_text()
+)
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_ZEROS))
+def test_eigenvalues_are_the_40_digit_zeros(name):
+    entry = SWEEP_ZEROS[name]
+    scheme = WeightScheme(entry["m"], {w: Fraction(v) for w, v in entry["wt"].items()})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        points = eigenvalues(build_transfer(scheme), entry["r_min"])
+    upper = [complex(mpmath.mpc(re, im)) for re, im in entry["zeros"]]
+    zeros = upper + [z.conjugate() for z in upper if z.imag != 0]
+    assert len(zeros) == entry["winding"]
+    lams = np.array([p.lam for p in points])
+    # each listed value is the nearest listed one to exactly one zero
+    nearest = [int(np.argmin(np.abs(lams - z))) for z in zeros]
+    assert sorted(nearest) == list(range(len(lams)))
+    assert all(abs(lams[i] - z) < 1e-8 * abs(z) for i, z in zip(nearest, zeros))
 
 
 def scipy_winding_count(pair, r, points):

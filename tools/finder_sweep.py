@@ -3,40 +3,47 @@
 Per scheme it records the evaluations of f'/f (the points at which
 spectral._log_derivative is called, on circles and in Newton steps), how
 many of them went to circles that never settle (``unsettled``) and to
-Newton steps (``newton``), the circles sampled (radius > 0), the modulus
-above which the list is certified complete (r_min, or the modulus a
-warning names), the eigenvalues, the warnings and the wall time.  The
-schemes: the presets at r_min = 0.05; the no-runs schemes at m = 5 (0.05),
-6 and 7 (0.1); alternating permutations read through windows of length 5,
-each window weighted 3/4, 1 and 5/4 (0.05); 60 random schemes at 0.05
-(random.Random(11), m = randint(2, 4), each window weight drawn from
-RANDOM_WEIGHTS in the order of all_words(m)); and, at 0.05, draws 233 and
-740 of the same generator with m = randint(1, 5), two m = 4 schemes whose
-block basis of A - B has cond(W) > 2e4, so that ``compare`` watches the
-contour kernel through an ill-conditioned basis.
+Newton steps (``newton``), the circles sampled (radius > 0), how many of
+them settled at each number of points (``settled``, keyed by the points
+as a string), the modulus above which the list is certified complete
+(r_min, or the modulus a warning names), the eigenvalues, the warnings and
+the wall time.  The schemes: the presets at r_min = 0.05; the no-runs
+schemes at m = 5 (0.05), 6 and 7 (0.1); alternating permutations read
+through windows of length 5, each window weighted 3/4, 1 and 5/4 (0.05);
+60 random schemes at 0.05 (random.Random(11), m = randint(2, 4), each
+window weight drawn from RANDOM_WEIGHTS in the order of all_words(m)); and,
+at 0.05, draws 233 and 740 of the same generator with m = randint(1, 5),
+two m = 4 schemes whose block basis of A - B has cond(W) > 2e4, so that
+``compare`` watches the contour kernel through an ill-conditioned basis.
 
     python tools/finder_sweep.py run OUT.json [--only NAME ...]
     python tools/finder_sweep.py compare OLD.json NEW.json
 
 ``run`` imports descentsum from the interpreter's path, so
 ``PYTHONPATH=src`` sweeps this checkout and ``PYTHONPATH=<other>/src``
-another one.  ``compare`` prints both records per scheme and the totals,
-names the schemes whose eigenvalue list changed (another count, or a value
-of either list farther than SHIFT_TOL relative from the nearest of the
-other) and those whose warnings changed, and exits 1 when a certified bound
-is worse (larger) in NEW.  A record written before ``unsettled`` and
-``newton`` were kept has no total of them, which ``compare`` prints as -.
+another one; it ends with the settle histogram of the whole run: the
+circles settled at each number of points, and the evaluations on circles
+that never settled.  ``compare`` prints both records per scheme, the
+totals and the settle histograms of both files, names the schemes whose
+eigenvalue list changed (another count, or a value of either list farther
+than SHIFT_TOL relative from the nearest of the other) with the values
+found in only one of the two lists, names those whose warnings changed,
+and exits 1 when a certified bound is worse (larger) in NEW.  A record
+written before ``unsettled``, ``newton`` or ``settled`` were kept has no
+total or histogram of them, which ``compare`` prints as -.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import re
 import sys
 import time
 import warnings
+from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
 
@@ -71,24 +78,28 @@ def schemes() -> dict[str, tuple[object, float]]:
 
 
 @contextmanager
-def _counting(spectral, counts: dict[str, int]):
-    """Counts the f'/f evaluations and the circles of spectral's finder, and
-    the evaluations on circles that never settle and in Newton steps."""
+def _counting(spectral, counts: dict):
+    """Counts the f'/f evaluations and the circles of spectral's finder, the
+    evaluations on circles that never settle and in Newton steps, and, in
+    ``settled``, how many circles settled at each number of points."""
     log_derivative, circle, polish = (
         spectral._log_derivative, spectral._Circle, spectral._polish
     )
+    circles = []
 
     def counted(pair, zs):
         counts["evaluations"] += len(zs)
         return log_derivative(pair, zs)
 
     class Counted(circle):
-        def __init__(self, pair, radius):
-            counts["circles"] += radius > 0
-            before = counts["evaluations"]
-            super().__init__(pair, radius)
-            if self.count is None:
-                counts["unsettled"] += counts["evaluations"] - before
+        def __init__(self, pair, radius, *args, **kwargs):
+            self.spent = 0  # evaluations on this circle, resumed ones too
+            circles.append(self)
+            super().__init__(pair, radius, *args, **kwargs)
+
+        def _sample(self, pair, j, n):
+            self.spent += len(j)
+            super()._sample(pair, j, n)
 
     def newton(*args):
         before = counts["evaluations"]
@@ -106,13 +117,22 @@ def _counting(spectral, counts: dict[str, int]):
         spectral._log_derivative, spectral._Circle, spectral._polish = (
             log_derivative, circle, polish
         )
+        sampled = [c for c in circles if c.radius > 0]
+        counts["circles"] += len(sampled)
+        counts["unsettled"] += sum(c.spent for c in sampled if c.count is None)
+        for c in sampled:
+            if c.count is not None:
+                key = str(round(1 / c.weight.min()))  # its points; 1/n on the axis
+                counts["settled"][key] = counts["settled"].get(key, 0) + 1
 
 
 def sweep_one(scheme, r_min: float) -> dict:
     """The finder's record on one scheme."""
     import descentsum.spectral as spectral
 
-    counts = {"evaluations": 0, "unsettled": 0, "newton": 0, "circles": 0}
+    counts = {
+        "evaluations": 0, "unsettled": 0, "newton": 0, "circles": 0, "settled": {}
+    }
     pair = spectral.build_transfer(scheme)
     start = time.perf_counter()
     with warnings.catch_warnings(record=True) as caught, _counting(spectral, counts):
@@ -146,9 +166,15 @@ def run(path: str, only: list[str] | None) -> int:
                   f"({rec['unsettled']} unsettled, {rec['newton']} newton) "
                   f"{rec['circles']:4} circles  bound {rec['bound']:.6g}  "
                   f"{len(rec['eigenvalues']):3} eigenvalues  {rec['seconds']:.3f} s")
+    print(f"settled at points: {_histogram(records, list(records))}")
     with open(path, "w") as f:
         json.dump(records, f, indent=1)
     return 0
+
+
+def _gaps(xs: list[complex], ys: list[complex]) -> list[float]:
+    """Per value of xs, its relative distance to the nearest value of ys."""
+    return [min((abs(x - y) for y in ys), default=math.inf) / abs(x) for x in xs]
 
 
 def _max_shift(old: list, new: list) -> float:
@@ -156,11 +182,29 @@ def _max_shift(old: list, new: list) -> float:
     of the other, so that a value that vanishes is seen even when a
     near-duplicate takes its place."""
     olds, news = [complex(*v) for v in old], [complex(*v) for v in new]
+    return max(_gaps(news, olds) + _gaps(olds, news), default=0.0)
 
-    def one_way(xs, ys):
-        return max((min(abs(x - y) for y in ys) / abs(x) for x in xs), default=0.0)
 
-    return max(one_way(news, olds), one_way(olds, news))
+def _only_in(these: list, others: list) -> list[complex]:
+    """The values of one list farther than SHIFT_TOL, relative, from every
+    value of the other."""
+    xs, ys = [complex(*v) for v in these], [complex(*v) for v in others]
+    return [x for x, gap in zip(xs, _gaps(xs, ys)) if gap > SHIFT_TOL]
+
+
+def _histogram(records: dict, names: list[str]) -> str:
+    """The circles settled at each number of points, summed over the named
+    records, and the evaluations on circles that never settled; - when a
+    record lacks them."""
+    if any("settled" not in records[name] for name in names):
+        return "-"
+    settled = Counter()
+    for name in names:
+        settled.update({int(n): c for n, c in records[name]["settled"].items()})
+    never = sum(records[name]["unsettled"] for name in names)
+    return ", ".join(f"{n}: {settled[n]}" for n in sorted(settled)) + (
+        f"; never settled: {never} evaluations"
+    )
 
 
 def _total(records: dict, names: list[str], key: str) -> str:
@@ -199,7 +243,14 @@ def compare(old_path: str, new_path: str) -> int:
     for key in ("evaluations", "unsettled", "newton", "circles", "seconds"):
         totals = [_total(records, both, key) for records in (old, new)]
         print(f"total {key}: {totals[0]} -> {totals[1]}")
+    for label, records in (("old", old), ("new", new)):
+        print(f"settled at points ({label}): {_histogram(records, both)}")
     print("changed lists: " + (", ".join(changed) or "none"))
+    for name in changed:
+        a, b = old[name]["eigenvalues"], new[name]["eigenvalues"]
+        for label, values in (("old", _only_in(a, b)), ("new", _only_in(b, a))):
+            print(f"  {name} only in {label}: "
+                  + (", ".join(f"{v:.9g}" for v in values) or "none"))
     print("changed warnings: " + (", ".join(warned) or "none"))
     print("worse bounds: " + (", ".join(worse) or "none"))
     return 1 if worse else 0
