@@ -20,7 +20,7 @@ numpy nor dataclasses; each command imports what it runs:
 - constants: constants, linalg and spectral;
 - verify: those three and exact.
 
-expfun, the ExpPoly calculus and the per-eigenvalue route to the constants
+expfun, the quadrature route to the constants one eigenvalue at a time
 that the tests hold the array pass of constants to, is loaded by no
 command.
 """
@@ -34,16 +34,14 @@ from .words import *
 __version__ = "0.1.0"
 
 # the names of each module that loads on first access: numpy comes in with
-# linalg and spectral, and the numeric halves of constants and expfun reach
+# linalg, spectral and expfun, and the numeric half of constants reaches
 # them at call time
 _LAZY_NAMES = {
     "exact": """BRUTE_FORCE_CAP WeightedCount alpha_by_operator_iteration
         brute_force_alpha brute_force_alpha_direct dp_alpha wt_of_permutation""",
     "sec6": """count_barred derangements double_descents genfun_coeffs
         nearest_integer_formula section6_recursion verify_genfun_equation""",
-    "expfun": """ExpPoly PiecewiseFn adjoint_eigenfunction apply_J apply_operator
-        constant_piecewise eigenfunction_pieces inner_products kappa_piecewise
-        mu_piecewise polytope_integral scheme_constant""",
+    "expfun": "apply_J apply_operator eigenfunction pairing scheme_constant",
     "constants": "Asymptotics asymptotic_constant asymptotics predict_alpha",
     "linalg": "det gamma mat_exp nullspace_vector",
     "spectral": """SpectralPoint TransferPair build_transfer det_P eigenvalues

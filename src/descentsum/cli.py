@@ -9,8 +9,9 @@ sequences and their identities).  Each process runs one command, so this
 module loads only words and presets, and each command imports what it
 runs: oracle exact, whichever methods it runs; sequence exact and sec6;
 spectrum linalg and spectral; constants the module constants, linalg and
-spectral; verify those three and exact.  No command loads expfun.  The
-csv module loads with --format csv alone.
+spectral; verify those three and exact.  No command loads expfun, the
+quadrature reference the tests hold the constants to.  The csv module
+loads with --format csv alone.
 
 Output is deterministic: floats are fixed at 12 significant digits, row
 order is fixed, and timing goes to stderr so identical invocations produce

@@ -20,15 +20,16 @@ function of one variable on every cell is an array of the coefficients of
 x^k e^(mu_e x), indexed by the eigenvalue, the class e, the cell u and the
 degree k, with one class per distinct centre c_i (blocks of equal centre
 share it) and, in the integrands, a last class for exponent 0.  An
-exponent within MU_MERGE_TOL of 0 is taken as 0, as expfun.ExpPoly takes
-it.  The integral over P_u runs innermost-out: x_m over [x_(m-1), 1] when
-u ends in a and over [0, x_(m-1)] when it ends in b, and so on down to
-x_2, each an antiderivative that is one (K x K) matrix per eigenvalue and
+exponent within MU_MERGE_TOL of 0 is taken as 0, so that no term is
+integrated by parts through 1/mu.  The integral over P_u runs
+innermost-out: x_m over [x_(m-1), 1] when u ends in a and over
+[0, x_(m-1)] when it ends in b, and so on down to x_2, each an
+antiderivative that is one (K x K) matrix per eigenvalue and
 class; the product with f(x_1) and the integral over [0, 1] then pair the
-degrees a, b of two classes through int_0^1 x^(a+b) e^((mu + mu')x) dx.
-This is the calculus of expfun (eigenfunction_pieces, apply_J,
-polytope_integral, inner_products) on arrays, for all the eigenvalues of a
-scheme at once; the tests hold the two to each other.  The integrals
+degrees a, b of two classes through int_0^1 x^(a+b) e^((mu + mu')x) dx,
+for all the eigenvalues of a scheme at once.  The tests hold this pass to
+expfun, which computes the same pairings one eigenvalue at a time by
+Chebyshev quadrature from A and B alone, without the blocks.  The integrals
 cancel down to the pairings, which are therefore known only to about
 eps e^(rho(A - B)/|lambda|) absolute, and <phi, conj(psi)>, a product of
 two eigenfunctions, only to about the square of that over eps.
@@ -116,8 +117,8 @@ def _snap(mu: np.ndarray) -> np.ndarray:
 def _integrals(mu: np.ndarray, n: int) -> np.ndarray:
     """int_0^1 x^k e^(mu x) dx for k < n, on a new last axis.
 
-    By parts, I_k = (e^mu - k I_(k-1))/mu from I_0 = (e^mu - 1)/mu: the
-    closed form of polytope_integral's last step; 1/(k + 1) where mu is 0.
+    By parts, I_k = (e^mu - k I_(k-1))/mu from I_0 = (e^mu - 1)/mu;
+    1/(k + 1) where mu is 0.
     """
     import numpy as np
 
@@ -305,7 +306,10 @@ class Asymptotics(_Frozen):
         The pairings of every real or upper-half eigenvalue come from one
         array pass.  Its conjugate is listed with the conjugated vector
         (spectral.eigenvalues), so it gets the conjugated constant and
-        pairings, and a refusal covers both.  A point is refused when the
+        pairings, and a refusal covers both.  At a real lambda the
+        constant and the pairings are real, as A, B, kappa, mu and the
+        null vector are: their imaginary parts, rounding from the complex
+        basis W, are dropped.  A point is refused when the
         basis W is ill-conditioned (every point then) or its denominator
         pairing vanishes (asymptotic_constant).  Raises ValueError, before
         any eigenvalue search, when the window weights are not
@@ -330,6 +334,10 @@ class Asymptotics(_Frozen):
                 const, pairings = got
                 pairings = tuple(z.conjugate() for z in pairings)
                 terms.append((p, const.conjugate(), pairings))
+            elif p.lam.imag == 0:
+                const, pairings = got
+                pairings = tuple(complex(z.real) for z in pairings)
+                terms.append((p, complex(const.real), pairings))
             else:
                 terms.append((p, *got))
         return terms, refused, r_hat

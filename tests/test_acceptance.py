@@ -17,33 +17,27 @@ import numpy as np
 import pytest
 
 from descentsum import (
-    ExpPoly,
-    PiecewiseFn,
     WeightScheme,
-    adjoint_eigenfunction,
     all_words,
     alpha_by_operator_iteration,
     apply_J,
     asymptotics,
     brute_force_alpha,
     build_transfer,
-    constant_piecewise,
     count_barred,
     derangements,
     descent_word,
     det_P,
     double_descents,
     dp_alpha,
-    eigenfunction_pieces,
+    eigenfunction,
     eigenvalues,
     gamma,
     genfun_coeffs,
-    inner_products,
     is_simple,
     mat_exp,
-    mu_piecewise,
     nearest_integer_formula,
-    polytope_integral,
+    pairing,
     preset_scheme,
     restrict_ends,
     scheme_constant,
@@ -366,47 +360,38 @@ def test_criterion_11_kernel_identities():
         worst_gamma = max(worst_gamma, float(resid))
     ok_gamma = worst_gamma < 1e-12
 
-    # adjoint pairing identity on symmetric presets with a located eigenvalue
+    # adjoint pairing identity <f, conj(psi)> = <phi, J f> on symmetric
+    # presets with a located eigenvalue, f a random polynomial on each cell
     worst_pair = 0.0
     rng2 = np.random.default_rng(7)
     for name in ("sec5-1", "sec5-2", "sec6", "alternating", "all-ones"):
         scheme = preset_scheme(name)
         pair = build_transfer(scheme)
         top = eigenvalues(pair, 0.05)[0]
-        phi = eigenfunction_pieces(pair, top.lam, top.vector)
-        psi = adjoint_eigenfunction(scheme, phi)
+        phi = eigenfunction(pair, top.lam, top.vector)
+        psi = apply_J(phi)
         for _ in range(10):
-            pieces = {}
-            for u in all_words(scheme.m - 1):
-                coefs = rng2.integers(-4, 5, size=3)
-                pieces[u] = ExpPoly(
-                    [(Fraction(int(c)), k, 0) for k, c in enumerate(coefs)]
-                )
-            f = PiecewiseFn(scheme.m, "first", pieces)
-            lhs = inner_products(phi, psi, f, mu_piecewise(scheme))[1]
-            rhs = inner_products(phi, psi, f, apply_J(f))[0]
-            worst_pair = max(worst_pair, abs(lhs - rhs))
+            f = rng2.integers(-4, 5, size=(pair.dim, 3)).astype(float)
+            gap = abs(pairing(f, psi) - pairing(phi, apply_J(f)))
+            worst_pair = max(worst_pair, gap)
     ok_pair = worst_pair < 1e-10
 
-    # J involution is exact on rational pieces
+    # J involution is exact on Chebyshev coefficients
     rng3 = random.Random(3)
     ok_J = True
     for m in (2, 3, 4):
-        pieces = {
-            u: ExpPoly(
-                [(Fraction(rng3.randint(-5, 5), rng3.randint(1, 4)), k, 0) for k in range(3)]
-            )
-            for u in all_words(m - 1)
-        }
-        f = PiecewiseFn(m, "first", pieces)
-        ok_J = ok_J and apply_J(apply_J(f)).pieces == f.pieces
+        f = np.array(
+            [[rng3.randint(-5, 5) / rng3.randint(1, 4) for _ in range(3)]
+             for _ in all_words(m - 1)]
+        )
+        ok_J = ok_J and np.array_equal(apply_J(apply_J(f)), f)
 
-    # descent polytope volumes partition the cube
-    one = ExpPoly.constant(1)
-    ok_vol = all(
-        sum(polytope_integral(u, one, one) for u in all_words(m - 1)) == 1
+    # descent polytope volumes partition the cube, to rounding
+    worst_vol = max(
+        abs(pairing(np.ones((2 ** (m - 1), 1)), np.ones((2 ** (m - 1), 1))) - 1)
         for m in range(1, 6)
     )
+    ok_vol = worst_vol < 1e-15
 
     ok = ok_gamma and ok_pair and ok_J and ok_vol
     report(
@@ -414,7 +399,8 @@ def test_criterion_11_kernel_identities():
         "criterion 11: kernel identities",
         f"gamma identity worst {worst_gamma:.2e} < 1e-12 (100 matrices); "
         f"pairing identity worst {worst_pair:.2e} < 1e-10; "
-        f"J involution exact: {ok_J}; volumes sum to 1 for m <= 5: {ok_vol}",
+        f"J involution exact: {ok_J}; volumes sum to 1 for m <= 5 "
+        f"within {worst_vol:.1e} < 1e-15",
     )
 
 

@@ -315,6 +315,32 @@ def test_verify_sec6(capsys):
     assert errs[12] < 1e-9
 
 
+@pytest.mark.parametrize(
+    "preset",
+    ["sec5-1", "sec5-2", "sec6", "no-descents", "no-peaks", "alternating", "all-ones"],
+)
+def test_real_eigenvalues_get_real_constants(capsys, preset):
+    # A, B, kappa, mu and the null vector are real at a real lambda, so its
+    # constant and pairings are: no rounding residue is left in their
+    # imaginary parts to add up in verify's prediction
+    rc, out, _ = run(capsys, "constants", "--preset", preset, "--format", "json")
+    rows = json.loads(out)["rows"] if rc == 0 else []
+    assert rc == 0 or preset == "no-peaks"  # not reversal-symmetric
+    for row in rows:
+        if row["lambda_im"] == 0.0:
+            for name in ("const", "phi_mu", "kappa_psi", "phi_psi"):
+                assert row[f"{name}_im"] == 0.0, (name, row)
+
+
+def test_verify_sec52_has_no_imaginary_residue(capsys):
+    # the rounding in the imaginary parts of real lambdas' constants (2.25e-9
+    # at lambda = -0.0539) added up to an imaginary residue that failed it
+    for n_max in ("14", "40"):
+        rc, _, err = run(capsys, "verify", "--preset", "sec5-2", "--n-max", n_max)
+        assert rc == 0, err
+        assert "imaginary residue" not in err
+
+
 def test_verify_bound_stops_at_float_resolution(capsys):
     # past n = 21 the decay bound would fall below what float64 resolves
     rc, out, err = run(capsys, "verify", "--preset", "sec5-1", "--n-max", "24")

@@ -20,6 +20,7 @@ from descentsum import (
     alpha_by_operator_iteration,
     brute_force_alpha,
     brute_force_alpha_direct,
+    build_transfer,
     count_barred,
     derangements,
     descent_word,
@@ -27,6 +28,7 @@ from descentsum import (
     dp_alpha,
     genfun_coeffs,
     is_symmetric,
+    load_scheme,
     nearest_integer_formula,
     preset_scheme,
     restrict_ends,
@@ -491,3 +493,44 @@ def test_no_descents_and_no_peaks_closed_forms():
         assert dp_alpha(preset_scheme("no-peaks"), n).value == 2 ** (n - 1)
     assert dp_alpha(preset_scheme("no-peaks"), 100).value == 2**99
     assert dp_alpha(preset_scheme("all-ones"), 100).value == factorial(100)
+
+
+def test_operator_iteration_examples():
+    assert alpha_by_operator_iteration(preset_scheme("sec6"), 3).value == 6
+    assert alpha_by_operator_iteration(preset_scheme("all-ones"), 6).value == 720
+    got = alpha_by_operator_iteration(preset_scheme("sec5-1"), 5).value
+    assert got == brute_force_alpha(preset_scheme("sec5-1"), 5).value
+    with pytest.raises(ValueError):
+        alpha_by_operator_iteration(preset_scheme("sec5-1"), 2)
+
+
+def test_operator_iteration_refinements():
+    s = preset_scheme("sec6")
+    for n in range(2, 8):
+        for x in "ab":
+            for y in "ab":
+                r = restrict_ends(s, x, y)
+                assert (
+                    alpha_by_operator_iteration(r, n).value == dp_alpha(r, n).value
+                )
+    with pytest.raises(ValueError, match="m >= 2"):
+        restrict_ends(preset_scheme("no-descents"), start="a")
+
+
+def test_operator_iteration_exact_type():
+    got = alpha_by_operator_iteration(preset_scheme("sec6"), 9)
+    assert isinstance(got.value, Fraction)
+    assert got.value == dp_alpha(preset_scheme("sec6"), 9).value
+
+
+def test_oracles_and_transfer_pair_at_window_length_one():
+    # at m = 1 every index word is empty; alpha_n sums the Eulerian numbers
+    # weighted 2 per ascent and 1/2 per descent, times wt1 * wt2 = 1
+    s = load_scheme("m = 1\nwt a = 2\nwt b = 1/2\nwt1 = 3\nwt2 = 1/3\n")
+    for n in range(1, 10):
+        want = dp_alpha(s, n).value
+        assert brute_force_alpha(s, n).value == want, n
+        assert alpha_by_operator_iteration(s, n).value == want, n
+    assert dp_alpha(s, 7).value == Fraction(606033, 64)
+    pair = build_transfer(s)
+    assert pair.A.tolist() == [[2]] and pair.B.tolist() == [[0.5]]

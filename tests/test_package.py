@@ -389,3 +389,14 @@ def test_readme_session_and_words_doctests():
     assert session.failed == 0 and session.attempted == 11
     words = doctest.testmod(descentsum.words)
     assert words.failed == 0 and words.attempted == 7
+
+
+def test_traced_benchmark_job_imports_every_layer(tmp_path):
+    # benchmark/shim.py wraps descentsum.linalg, .spectral, .expfun and .exact
+    # by module name: a job traced through it fails if any of them is gone
+    shim = Path(__file__).resolve().parent.parent / "benchmark" / "shim.py"
+    spans = tmp_path / "spans.json"
+    argv = ["constants", "--preset", "sec5-1", "--format", "json"]
+    done = _run(str(shim), str(spans), *argv)
+    assert done.returncode == 0, done.stderr.decode()
+    assert spans.stat().st_size > 0
