@@ -1,7 +1,7 @@
 """Asymptotic constants: the pairings of every eigenvalue in one array pass.
 
 alpha_n/n! is a sum of c lambda^(n-m) over the eigenvalues lambda of the
-weighted descent operator, and the constant of a simple lambda is
+weighted descent operator T, and the constant of a simple lambda is
 
     c = <phi, mu> <kappa, conj(psi)> / <phi, conj(psi)>
 
@@ -13,26 +13,39 @@ kappa, mu the boundary weights wt1(u), wt2(u), constant on the descent cell
 P_u.  A pairing is a sum over the cells of an integral over P_u of f(x_1)
 times g(x_m).
 
-Every eigenfunction of a pair has the same terms and only their numbers
-change with lambda: per block T_i = c_i I + N_i of TransferPair.blocks,
-x^j e^(mu x) with mu = c_i/lambda and j below the index of N_i.  So a
-function of one variable on every cell is an array of the coefficients of
-x^k e^(mu_e x), indexed by the eigenvalue, the class e, the cell u and the
-degree k, with one class per distinct centre c_i (blocks of equal centre
-share it) and, in the integrands, a last class for exponent 0.  An
-exponent within MU_MERGE_TOL of 0 is taken as 0, so that no term is
-integrated by parts through 1/mu.  The integral over P_u runs
-innermost-out: x_m over [x_(m-1), 1] when u ends in a and over
-[0, x_(m-1)] when it ends in b, and so on down to x_2, each an
-antiderivative that is one (K x K) matrix per eigenvalue and
-class; the product with f(x_1) and the integral over [0, 1] then pair the
-degrees a, b of two classes through int_0^1 x^(a+b) e^((mu + mu')x) dx,
-for all the eigenvalues of a scheme at once.  The tests hold this pass to
-expfun, which computes the same pairings one eigenvalue at a time by
-Chebyshev quadrature from A and B alone, without the blocks.  The integrals
-cancel down to the pairings, which are therefore known only to about
-eps e^(rho(A - B)/|lambda|) absolute, and <phi, conj(psi)>, a product of
-two eigenfunctions, only to about the square of that over eps.
+Only phi itself is integrated.  With the cell moments
+m_u = int_(P_u) phi_u(x_1) dx and R the reversal of the cell words,
+
+    <phi, mu> = wt2 . m,   <kappa, conj(psi)> = wt1 . Rm,
+    <phi, conj(psi)> = (Rm)^T B phi(1) / lambda.
+
+The second holds because x -> (1 - x_m, ..., 1 - x_1) maps P_u onto
+P_(reversed u) and takes psi_u(x_m) to phi_(reversed u)(x_1).  The third
+is a residue.  With z = 1/lambda and C = A - B, f = (I - zT)^-1 kappa
+solves f' = zCf with f(0) - zB int_0^1 f = kappa, so
+
+    (I - zT)^-1 kappa = exp(zCx) M(z)^-1 kappa,   M(z) = I - zB gamma(zC),
+
+for every kappa constant on the cells.  At z = 1/lambda the left side has
+the residue -phi <kappa, conj(psi)> / (lambda <phi, conj(psi)>) of the
+spectral projector, and the right side phi (l . kappa) / (l^T M' v), l a
+left null vector of M(1/lambda) = -P(lambda)/lambda and
+M'(z) = -B exp(zC).  As <kappa, conj(psi)> = kappa . Rm for every kappa,
+Rm is such an l, and with l = Rm and M' v = -B phi(1) the residues give
+the third identity.
+
+The moments come from the block basis of TransferPair.blocks: per block
+T_i = c_i I + N_i, phi has the terms x^j e^(mu x) with mu = c_i/lambda and
+j below the index p of N_i, for every eigenvalue at once.  Integrating 1
+from x_m down to x_2, x_(i+1) over [x_i, 1] where u_i is a and over
+[0, x_i] where it is b, leaves the volume vol_u(x_1) of the slice of P_u,
+a polynomial of degree m - 1, so m_u pairs the coefficients of phi_u
+and vol_u through int_0^1 x^k e^(mu x) dx = k! psi_k(mu), k < p + m - 1,
+the contour kernel's spectral._psi.  m and phi(1) are known to about
+eps e^(rho(A - B)/|lambda|) absolute, as their terms reach e^|mu|, and so
+is each factor of <phi, conj(psi)>.  The tests hold the pass to expfun,
+which computes the pairings from their definition, one eigenvalue at a
+time by Chebyshev quadrature from A and B alone.
 
 asymptotics() is the analysis entry point: a scheme's spectrum, truncated
 to the top eigenvalues, with the symmetry gate and, on request, one
@@ -52,7 +65,6 @@ eigenvalues are first asked for.
 from __future__ import annotations
 
 from functools import cached_property
-from math import comb
 from typing import TYPE_CHECKING, Sequence
 
 from .words import WeightScheme, _Frozen, all_words, symmetry_defect
@@ -62,7 +74,6 @@ if TYPE_CHECKING:
 
     from .spectral import SpectralPoint, TransferPair
 
-MU_MERGE_TOL = 1e-9  # exponents closer than this are one, and 0 below it
 _BASIS_COND = 1e4  # largest cond(W) an eigenfunction is read through
 
 __all__ = [
@@ -107,59 +118,45 @@ def asymptotic_constant(p_phi_mu, p_kappa_psi, p_phi_psi) -> complex:
     return p_phi_mu * p_kappa_psi / p_phi_psi
 
 
-def _snap(mu: np.ndarray) -> np.ndarray:
-    """mu, with every exponent within MU_MERGE_TOL of 0 made exactly 0."""
+def _moments(
+    pair: TransferPair, lams: Sequence[complex], vectors: Sequence[np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The cell moments m and the values phi(1) of the eigenfunctions of
+    the eigenvalues lams with null vectors vectors: two (L, cells) arrays."""
     import numpy as np
 
-    return np.where(abs(mu) <= MU_MERGE_TOL, 0, mu)
+    from .spectral import _psi
 
-
-def _integrals(mu: np.ndarray, n: int) -> np.ndarray:
-    """int_0^1 x^k e^(mu x) dx for k < n, on a new last axis.
-
-    By parts, I_k = (e^mu - k I_(k-1))/mu from I_0 = (e^mu - 1)/mu;
-    1/(k + 1) where mu is 0.
-    """
-    import numpy as np
-
-    zero = mu == 0
-    safe, e = np.where(zero, 1, mu), np.exp(mu)
-    out = [np.expm1(safe) / safe]
-    for k in range(1, n):
-        out.append((e - k * out[-1]) / safe)
-    return np.where(zero[..., None], 1 / np.arange(1, n + 1), np.stack(out, axis=-1))
-
-
-def _antiderivative_maps(mu: np.ndarray, K: int) -> np.ndarray:
-    """Per exponent, the (K x K) matrix that takes the row of coefficients of
-    x^k e^(mu x), k < K, to that of its antiderivative, before the constant
-    that makes it 0 at 0: by parts, x^k e^(mu x) -> sum_(j<=k) (-1)^(k-j)
-    k!/j! x^j e^(mu x)/mu^(k-j+1); x^k -> x^(k+1)/(k+1) where mu is 0."""
-    import numpy as np
-
-    k, j = np.arange(K)[:, None], np.arange(K)
-    fact = np.cumprod([1.0, *range(1, K)])
-    by_parts = np.where(j <= k, (-1.0) ** (k - j) * fact[k] / fact[j], 0)
-    zero = mu == 0
-    inverse = (1 / np.where(zero, 1, mu))[..., None] ** np.arange(1, K + 1)
-    maps = by_parts * inverse[..., np.maximum(k - j, 0)]
-    shift = np.where(j == k + 1, 1 / (k + 1.0), 0)
-    return np.where(zero[..., None, None], shift, maps)
-
-
-def _integrate_cells(f: np.ndarray, mu: np.ndarray, words: list[str]) -> np.ndarray:
-    """f[l, e, u, k] integrated over the cell P_u from x_m down to x_2: a
-    function of x_1 of the same shape, the last class of exponent 0."""
-    import numpy as np
-
-    maps, e = _antiderivative_maps(mu, f.shape[-1]), np.exp(mu)
-    for i in reversed(range(len(words[0]))):
-        f = f @ maps
-        f[:, -1, :, 0] = -f[:, :, :, 0].sum(axis=1)  # F(0) = 0
+    blocks = pair.blocks
+    words, m, p = pair.index_words, pair.m, len(blocks.powers)
+    lam = np.asarray(lams, dtype=complex)
+    # phi[l, j, u, i]: the coefficient of x^j e^(mu_i x), mu_i = c_i/lambda,
+    # on cell u: the sum over the columns b of block i of
+    # W[u, b] (N^j W^-1 v)_b/(lambda^j j!)
+    scale = lam[:, None] ** np.arange(p) * np.cumprod([1.0, *range(1, p)])
+    Ny = np.einsum("jab,lb->lja", blocks.powers, np.asarray(vectors) @ blocks.Winv.T)
+    Ny /= scale[:, :, None]
+    onehot = blocks.label[:, None] == np.arange(len(blocks.centre))
+    phi = (blocks.W * Ny[:, :, None, :]) @ onehot
+    mu = blocks.centre / lam[:, None]
+    # vol[u, k]: the coefficient of x^k in vol_u(x), 1 integrated from x_m down
+    one = np.eye(1, m)
+    vol = one.repeat(len(words), axis=0)
+    antiderivative = np.diag(1 / np.arange(1.0, m), 1)  # F, 0 at 0
+    for i in reversed(range(m - 1)):
+        vol = vol @ antiderivative
         upper = np.array([w[i] == "a" for w in words])  # over [x, 1]: F(1) - F
-        f[:, :, upper] *= -1
-        f[:, -1, upper, 0] -= np.einsum("leuk,le->lu", f[:, :, upper], e)
-    return f
+        vol[upper] = one * vol[upper].sum(axis=1, keepdims=True) - vol[upper]
+    # ints[l, k, i]: int_0^1 x^k e^(mu_i x) dx, undoing _psi's e^-mu
+    n = p + m - 1
+    ints = _psi(mu, n) * np.cumprod([1.0, *range(1, n)])[:, None]
+    ints *= np.exp(np.where(mu.real > 1, mu, 0))[:, None]
+    degree = np.arange(p)[:, None] + np.arange(m)
+    vol_ints = np.einsum("uk,ljki->ljui", vol, ints[:, degree])
+    return (
+        np.einsum("ljui,ljui->lu", phi, vol_ints),
+        np.einsum("ljui,li->lu", phi, np.exp(mu)),
+    )
 
 
 def _pairings(
@@ -174,49 +171,17 @@ def _pairings(
     boundary weights wt1 and wt2 per cell in index order."""
     import numpy as np
 
-    blocks = pair.blocks
-    words, m, d, p = pair.index_words, pair.m, pair.dim, len(blocks.powers)
-    lam = np.asarray(lams, dtype=complex)
-    L = len(lam)
-    # phi[l, u, e, j]: the coefficient of x^j e^(nu_e x/lambda) on cell u,
-    # summed over the columns i of class e: W[u, i] (N^j W^-1 v)_i/(lambda^j j!)
-    centres = blocks.centre.tolist()
-    nu = list(dict.fromkeys(centres))  # the distinct centres
-    onehot = np.array([nu.index(c) for c in centres])[blocks.label, None]
-    onehot, nu = onehot == np.arange(len(nu)), np.array(nu)
-    scale = lam[:, None] ** np.arange(p) * np.cumprod([1.0, *range(1, p)])
-    Ny = np.einsum("jab,lb->lja", blocks.powers, np.asarray(vectors) @ blocks.Winv.T)
-    Ny /= scale[:, :, None]
-    phi = ((blocks.W * Ny[:, :, None, :]) @ onehot).transpose(0, 2, 3, 1)
-    mu_phi = _snap(nu / lam[:, None])
-    # psi[l, e, u, k]: psi_u(x) = phi_(reversed u)(1 - x), (1 - x)^j expanded,
-    # exponents -mu_phi and a last class of exponent 0; degrees up to K - 1,
-    # as the class of exponent 0 gains one a cell
-    K = p + m - 1
-    reverse = [words.index(w[::-1]) for w in words]
-    binom = [[comb(j, i) * (-1) ** i for i in range(K)] for j in range(p)]
-    psi = np.zeros((L, len(nu) + 1, d, K), dtype=complex)
-    reflected = phi[:, reverse] * np.exp(mu_phi)[:, None, :, None] @ binom
-    psi[:, :-1] = reflected.swapaxes(1, 2)
-    mu_psi = np.concatenate([-mu_phi, np.zeros((L, 1))], axis=1)
-    psi = _integrate_cells(psi, mu_psi, words)
+    moments, at_one = _moments(pair, lams, vectors)
+    words = pair.index_words
+    reflected = moments[:, [words.index(w[::-1]) for w in words]]
     # complex like the rest: a real product would load numpy's real matrix
-    # kernels for this alone, 0.2 MB of peak memory
-    wt2_cells = np.zeros((1, 1, d, K), dtype=complex)
-    wt2_cells[0, 0, :, 0] = wt2
-    wt2_cells = _integrate_cells(wt2_cells, np.zeros((1, 1), complex), words)[0, 0]
-    # X[l, u, e', b]: the sum over (e, a) of phi[l, u, e, a] times
-    # int_0^1 x^(a+b) e^((mu_e + mu_e')x) dx
-    degree = np.arange(p)[:, None] + np.arange(K)
-    inner = _integrals(_snap(mu_phi[:, :, None] + mu_psi[:, None, :]), p + K - 1)
-    G = inner[..., degree].transpose(0, 1, 3, 2, 4).reshape(L, len(nu) * p, -1)
-    X = (phi.reshape(L, d, -1) @ G).reshape(L, d, len(nu) + 1, K)
-    wt1 = np.asarray(wt1, dtype=float)
+    # kernels for this alone, 0.1 MB of peak memory
+    wt1, wt2 = (np.asarray(wt, dtype=complex) for wt in (wt1, wt2))
     return np.stack(
         [
-            np.einsum("lub,ub->l", X[:, :, -1], wt2_cells),
-            np.einsum("u,leub,leb->l", wt1, psi, _integrals(mu_psi, K)),
-            np.einsum("lueb,leub->l", X, psi),
+            moments @ wt2,
+            reflected @ wt1,
+            np.einsum("lu,uv,lv->l", reflected, pair.B, at_one) / np.asarray(lams),
         ],
         axis=1,
     )

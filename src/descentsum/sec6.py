@@ -30,8 +30,10 @@ __all__ = [
     "double_descents",
 ]
 
-# the refinements with a closed form: (a, b) stands for (b, a) too
-_KEYS = ("aa", "ab", "bb", "total")
+# the refinements with a closed form, (a, b) standing for (b, a) too, and
+# its constant c = ce e + c0 + cm/e as (ce, c0, cm)
+_FORMS = {"aa": (1, -4, 4), "ab": (0, 1, -2), "bb": (0, 0, 1), "total": (1, -2, 1)}
+_KEYS = tuple(_FORMS)
 
 
 def derangements(n: int) -> int:
@@ -66,35 +68,39 @@ def section6_recursion(n: int) -> dict[str, int]:
     return {"aa": aa, "ab": ab, "bb": bb, "total": total}
 
 
-# Truncated-series integer formulas: value = sum_{k<=n} coef(k) * n!/k!,
-# where coef(k) comes from the numerator series of the closed form.
 _NEAREST_THRESHOLD = {"aa": 8, "ab": 3, "bb": 2, "total": 4}
+_TAIL_TERMS = 3  # terms of each tail summed before its geometric bound
 
 
-def _series_coef(which: str, k: int) -> int:
-    at0 = 1 if k == 0 else 0
-    sign = -1 if k % 2 else 1
-    if which == "aa":
-        return 1 - 4 * at0 + 4 * sign
-    if which == "ab":
-        return at0 - 2 * sign
-    if which == "bb":
-        return sign
-    if which == "total":
-        return 1 - 2 * at0 + sign
-    raise ValueError(f"which must be one of {_KEYS}, got {which!r}")
+def _rounding_gap(n: int, which: str) -> Fraction:
+    """An upper bound on |c n! - sum_(k<=n) coef(k) n!/k!|.
+
+    n! e and n!/e are the series sum_(k<=n) n!/k! and sum_(k<=n) (-1)^k n!/k!
+    plus the tails r = sum_(k>n) n!/k! and s = sum_(k>n) (-1)^k n!/k!, so
+    the gap is |ce r + cm s|.  Each tail is its first K = _TAIL_TERMS terms,
+    n!/(n + i)! for i <= K, plus a rest no larger in modulus than the
+    geometric series of the next term, n!/(n + K + 1)! (n + K + 2)/(n + K + 1).
+    """
+    ce, _, cm = _FORMS[which]
+    terms = list(accumulate((Fraction(1, n + i) for i in range(1, _TAIL_TERMS + 2)),
+                            lambda t, q: t * q))
+    r = sum(terms[:-1])
+    s = sum((-1) ** (n + i) * t for i, t in enumerate(terms[:-1], 1))
+    rest = terms[-1] * (n + _TAIL_TERMS + 2) / (n + _TAIL_TERMS + 1)
+    return abs(ce * r + cm * s) + (abs(ce) + abs(cm)) * rest
 
 
 def nearest_integer_formula(n: int, which: str) -> int:
     """Nearest integer to c * n! for the wt(aa)=0, wt(bb)=2 refined counts.
 
     c is (per refinement) e - 4 + 4/e, 1 - 2/e, 1/e, or e - 2 + 1/e.  The
-    value is computed by the exact truncated series sum_{k<=n} coef(k)*n!/k!
-    in big-integer arithmetic -- no floating point.  Below the per-refinement
-    threshold (aa: 8, ab: 3, bb: 2, total: 4) the rounding claim does not
-    hold, so the call is refused.  The series is the one genfun_coeffs
-    expands, so the value equals genfun_coeffs(n)[which][n]: the nearest_*
-    columns of the sequence command repeat its genfun_ok column.
+    value is the exact truncated series sum_{k<=n} coef(k)*n!/k!, coef(k) =
+    ce + cm (-1)^k + c0 [k = 0], in big-integer arithmetic -- no floating
+    point -- which genfun_coeffs(n)[which][n] expands too.  It is the
+    nearest integer to c * n! when the tails the series leaves out sum to
+    less than 1/2 in modulus, which _rounding_gap encloses in Fractions;
+    where that is not certified, and below the per-refinement threshold
+    (aa: 8, ab: 3, bb: 2, total: 4), the call is refused.
     """
     if which not in _KEYS:
         raise ValueError(f"which must be one of {_KEYS}, got {which!r}")
@@ -104,8 +110,15 @@ def nearest_integer_formula(n: int, which: str) -> int:
             f"nearest-integer formula for {which!r} is only valid for "
             f"n >= {threshold}, got n = {n}"
         )
+    gap = _rounding_gap(n, which)
+    if gap >= Fraction(1, 2):
+        raise ValueError(
+            f"c * n! for {which!r} at n = {n} is not certified to round to the "
+            f"series: the tails it leaves out reach {float(gap):.3g}"
+        )
+    ce, c0, cm = _FORMS[which]
     nf = factorial(n)
-    return sum(_series_coef(which, k) * (nf // factorial(k)) for k in range(n + 1))
+    return c0 * nf + sum((ce + cm * (-1) ** k) * (nf // factorial(k)) for k in range(n + 1))
 
 
 # --- exact power series (ordinary coefficients, Fractions) ---
@@ -146,17 +159,17 @@ def _closed_form_series(order: int) -> dict[str, list[Fraction]]:
         numerator = (ce * ep[k] + cm * em[k] for k in range(order + 1))
         return list(accumulate(numerator, initial=Fraction(c0)))[1:]
 
-    f_aa = over_1_minus_z(1, -4, 4)
+    f_aa = over_1_minus_z(*_FORMS["aa"])
     f_aa[0] -= 1
     if order >= 1:
         f_aa[1] += 2
-    f_ab = over_1_minus_z(0, 1, -2)
+    f_ab = over_1_minus_z(*_FORMS["ab"])
     f_ab[0] += 1
     if order >= 1:
         f_ab[1] -= 1
-    f_bb = over_1_minus_z(0, 0, 1)
+    f_bb = over_1_minus_z(*_FORMS["bb"])
     f_bb[0] -= 1
-    f_tot = over_1_minus_z(1, -2, 1)
+    f_tot = over_1_minus_z(*_FORMS["total"])
     return {"aa": f_aa, "ab": f_ab, "bb": f_bb, "total": f_tot}
 
 
@@ -300,11 +313,13 @@ def sequence_table(n_max: int) -> tuple[list[list], list[str], list[str]]:
         row = [n, rec["aa"], rec["ab"], rec["ab"], rec["bb"], rec["total"],
                dp_ok, der_ok, gen_ok]
         for key in _KEYS:
-            try:
-                near = nearest_integer_formula(n, key)
-            except ValueError:
+            if n < _NEAREST_THRESHOLD[key]:
                 row.append("-")
                 continue
+            try:
+                near = nearest_integer_formula(n, key)
+            except ValueError as exc:  # the rounding is not certified
+                near = exc
             row.append("ok" if near == rec[key] else "fail")
             if near != rec[key]:
                 failures.append(

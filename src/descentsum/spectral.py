@@ -74,11 +74,13 @@ _NEAR_ZERO = 100  # max |z f'/f| above this: a zero within about 1% of the circl
 _SAME_TOL = 1e-5  # polished zeros this close, relative to |z|, are one zero
 _TIE_TOL = 1e-12  # moduli this close, relative, sort by |angle|
 _STACK_BYTES = 2**16  # one (points, d, d) or (points, p, clusters) array: bounds memory
-_INV_FACTORIAL = 1 / np.cumprod([1.0, *range(1, MAX_DIM + 1)])
+# 1/j! and psi_j for j < MAX_DIM + 7: the kernel asks for j below the index
+# of a block, the cell moments of descentsum.constants for m - 1 more
+_INV_FACTORIAL = 1 / np.cumprod([1.0, *range(1, MAX_DIM + 7)])
 _PSI_TERMS = 18  # Taylor terms of psi_j on |x| < 1: truncation error below 1e-17
 _PSI_SERIES = (  # [i, j] -> 1 / (i! j! (i + j + 1))
     _INV_FACTORIAL[:_PSI_TERMS, None] * _INV_FACTORIAL[None, :]
-    / (np.arange(_PSI_TERMS)[:, None] + np.arange(MAX_DIM + 1)[None, :] + 1)
+    / (np.arange(_PSI_TERMS)[:, None] + np.arange(MAX_DIM + 7)[None, :] + 1)
 )
 
 __all__ = [
@@ -263,11 +265,15 @@ def _psi(x: np.ndarray, p: int) -> np.ndarray:
     (points, clusters) array, on a new axis 1, times e^-x where Re x > 1.
 
     psi_0(x) = expm1(x)/x, and psi_j = (e^x/j! - psi_(j-1))/x by parts,
-    which loses few digits for |x| >= 1; where Re x > 1 the same recurrence
+    which loses few digits for j <= |x|; where Re x > 1 the same recurrence
     runs on e^-x psi_j, from -expm1(-x)/x with 1/j! in place of e^x/j!, so
-    nothing overflows.  Below |x| = 1 the Taylor series
-    psi_j(x) = sum_i x^i / (i! j! (i + j + 1)) is used, at x = 0 its first
-    term 1/(j+1)!.  Each x takes one of the three, on its own.
+    nothing overflows.  Past j = |x| >= 1 a step shrinks the error by |x|
+    but psi_j by about j + 1, so the recurrence loses about
+    log10(e^max(0, -Re x) (j + 1)!/|x|^(j + 1)) digits.  The cell moments of
+    descentsum.constants ask for j up to a block's index plus m - 2, 9 on
+    the no-runs schemes up to m = 7, where about 6 digits go at |x| = 1.  Below
+    |x| = 1 the Taylor series psi_j(x) = sum_i x^i / (i! j! (i + j + 1)) is
+    used, at x = 0 its first term 1/(j+1)!.  Each x takes one of the three, on its own.
     (psi_j is not the phi_(j+1) of exponential integrators.)
     """
     out = np.empty((len(x), p, x.shape[1]), dtype=complex)

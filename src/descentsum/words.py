@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import permutations, product
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 Letter = str  # 'a' or 'b'
@@ -137,7 +138,8 @@ class WeightScheme(_Frozen):
 
     ``wt`` is total on all 2^m words of length m; ``wt1`` and ``wt2`` are
     total on all 2^(m-1) words of length m - 1 (for m = 1 that is the single
-    empty word).  Unlisted weights default to 1.  Instances are immutable.
+    empty word).  Unlisted weights default to 1.  Instances are immutable:
+    the tables are read-only views, and a scheme hashes by their items.
     """
 
     __slots__ = ("m", "wt", "wt1", "wt2")
@@ -167,8 +169,14 @@ class WeightScheme(_Frozen):
             extra = set(table) - set(full)
             if extra:
                 raise ValueError(f"{name} has words of wrong length: {sorted(extra)}")
-            tables.append(full)
+            tables.append(MappingProxyType(full))
         self._set(m, *tables)
+
+    def __hash__(self) -> int:
+        return hash((self.m, *(tuple(sorted(t.items())) for t in self._values()[1:])))
+
+    def __reduce__(self):  # a read-only view does not pickle: plain dicts do
+        return type(self), (self.m, *map(dict, self._values()[1:]))
 
     def max_abs_weight(self) -> Fraction:
         vals = [abs(v) for v in self.wt.values()]

@@ -1,13 +1,19 @@
 """The constants of the array pass against the quadrature route of expfun.
 
-descentsum.constants computes the pairings of every eigenvalue of a scheme
-in one pass over coefficient arrays, read through the block decomposition
-of A - B (TransferPair.blocks); expfun builds them one eigenvalue at a time
-by Chebyshev quadrature from A and B alone (eigenfunction, apply_J,
-pairing, scheme_constant).  The two must agree to the resolution of the
-pairings, and refuse the same points for the same cause.  The module also
-tests the rest of descentsum.constants: the truncation, the symmetry gate,
-the refusals and predict_alpha.
+descentsum.constants takes the pairings of every eigenvalue of a scheme
+from the cell moments of phi alone, through two identities: the reflection
+of the cells, and the residue that makes the reversed moments a left null
+vector of P(lambda).  It reads the moments through the block decomposition
+of A - B (TransferPair.blocks).  expfun computes the pairings from their
+definition, reflecting phi and integrating products of two eigenfunctions,
+one eigenvalue at a time by Chebyshev quadrature from A and B alone
+(eigenfunction, apply_J, pairing, scheme_constant).  So the parity test
+checks the identities against the definition: the two routes must agree
+to the resolution of the pairings, and refuse the same points for the same
+cause.  The null vector half of the residue identity is also checked on its
+own, without expfun.  The module also tests the rest of
+descentsum.constants: the truncation, the symmetry gate, the refusals and
+predict_alpha.
 """
 
 from __future__ import annotations
@@ -35,6 +41,7 @@ from descentsum import (
     load_scheme,
     predict_alpha,
     preset_scheme,
+    restrict_ends,
     scheme_constant,
 )
 from descentsum.cli import main
@@ -147,6 +154,32 @@ def test_array_pass_matches_the_expoly_route(name):
     pair = analysis.pair
     rho = float(np.max(np.abs(np.linalg.eigvals(pair.A - pair.B))))
     assert_matches_reference(SCHEMES[name], analysis, rho)
+
+
+NULL_VECTOR_SCHEMES = {
+    name: SCHEMES[name]
+    for name in [*(n for n in PRESETS if n != "no-peaks"), "no-runs-4"]
+} | {"sec5-1 from a": restrict_ends(preset_scheme("sec5-1"), "a", None)}
+
+
+@pytest.mark.parametrize("name", list(NULL_VECTOR_SCHEMES))
+def test_reversed_moments_are_a_left_null_vector(name):
+    # the residue identity behind <phi, conj(psi)> = (Rm)^T B phi(1)/lambda:
+    # the cell moments m, read in reversed cell order, are a left null
+    # vector of P(lambda) at every simple eigenvalue
+    analysis = asymptotics(NULL_VECTOR_SCHEMES[name], 0.05)
+    pair = analysis.pair
+    points = [p for p in analysis.points if abs(p.lam) > 0.1]
+    if not points:
+        assert name == "no-descents"  # a Volterra operator: no nonzero eigenvalue
+        return
+    moments, _ = constants._moments(pair, [p.lam for p in points], [p.vector for p in points])
+    words = pair.index_words
+    for p, m in zip(points, moments):
+        reversed_m = m[[words.index(w[::-1]) for w in words]]
+        P = -p.lam * np.eye(pair.dim) + pair.B @ linalg.gamma((pair.A - pair.B) / p.lam)
+        scale = np.linalg.norm(reversed_m) * np.linalg.norm(P, 2)
+        assert np.linalg.norm(reversed_m @ P) <= 1e-9 * scale, (name, p.lam)
 
 
 def test_basis_refusal_covers_every_point_with_the_same_message(monkeypatch):

@@ -36,6 +36,7 @@ from descentsum import (
     verify_genfun_equation,
     wt_of_permutation,
 )
+import descentsum.sec6 as sec6
 from descentsum.exact import _dp_pass
 
 
@@ -446,6 +447,42 @@ def test_nearest_integer_is_the_nearest_integer():
         for which, n in (("aa", 7), ("ab", 2), ("total", 3)):
             miss = abs(constants[which] * mpmath.factorial(n) - section6_recursion(n)[which])
             assert 0.5 < miss < 1, (which, n)
+
+
+def test_nearest_integer_formula_certifies_its_rounding(monkeypatch):
+    # the series leaves out ce r + cm s of c * n!, r and s the tails of n! e
+    # and n!/e: their Fraction enclosure bounds the true gap, mpmath's, and
+    # stays below 1/2 from every threshold on
+    thresholds = {"aa": 8, "ab": 3, "bb": 2, "total": 4}
+    with mpmath.workdps(80):
+        e = mpmath.e
+        constants = {
+            "aa": e - 4 + 4 / e, "ab": 1 - 2 / e, "bb": 1 / e, "total": e - 2 + 1 / e
+        }
+        for which, c in constants.items():
+            for n in range(2, 41):
+                gap = abs(c * mpmath.factorial(n) - genfun_coeffs(n)[which][n])
+                bound = sec6._rounding_gap(n, which)
+                assert gap <= mpmath.mpf(bound.numerator) / bound.denominator <= gap + 0.05
+    for which, n0 in thresholds.items():
+        assert all(sec6._rounding_gap(n, which) < Fraction(1, 2) for n in range(n0, 300))
+    # negative control: c * n! is 0.59, 0.528 and 0.517 from the count at
+    # these points, so without the thresholds the claim is refused there
+    monkeypatch.setattr(sec6, "_NEAREST_THRESHOLD", dict.fromkeys(thresholds, 0))
+    for which, n, off in (("aa", 7, 0.59), ("ab", 2, 0.528), ("total", 3, 0.517)):
+        miss = abs(constants[which] * mpmath.factorial(n) - section6_recursion(n)[which])
+        assert abs(miss - off) < 1e-3, (which, n)
+        with pytest.raises(ValueError, match="not certified to round"):
+            nearest_integer_formula(n, which)
+
+
+def test_sequence_flags_an_uncertified_rounding_as_failed(monkeypatch):
+    monkeypatch.setattr(sec6, "_rounding_gap", lambda n, which: Fraction(n == 9))
+    rows, _, failures = sec6.sequence_table(10)
+    flags = {row[0]: row[-4:] for row in rows}
+    assert flags[9] == ["fail"] * 4 and flags[10] == ["ok"] * 4
+    assert flags[2] == ["-", "-", "ok", "-"]
+    assert len(failures) == 4 and all(f.startswith("n=9: ") for f in failures)
 
 
 def test_genfun_coeffs_examples():

@@ -21,9 +21,10 @@ compared cell by cell, as its columns are padded to their widest cell;
 other text is compared as it stands.  stderr is compared without its
 ``elapsed:`` line.
 
-To record the outputs of the code on the path afresh::
+To record the outputs of some jobs afresh, from the code on the path, and
+leave every other record as it stands, name the jobs as the test ids do::
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py 'verify --preset sec5-2'
 """
 
 from __future__ import annotations
@@ -255,7 +256,40 @@ def test_pairing_resolution_grows_as_the_modulus_falls():
     assert pairing_resolution("sec5-1", 0.9) < 1e-15
 
 
+def rerecord(jobs: list[list[str]], path: Path = GOLDEN) -> None:
+    """Record the outputs of jobs afresh in the golden file at path: each
+    replaces its own record, or is appended when it has none, and every
+    other record stays byte for byte as it is."""
+    records = json.loads(path.read_text())
+    keys = [" ".join(rec["argv"]) for rec in records]
+    for argv in jobs:
+        if " ".join(argv) in keys:
+            records[keys.index(" ".join(argv))] = run_cli(argv)
+        else:
+            records.append(run_cli(argv))
+    path.write_text(json.dumps(records, indent=1) + "\n")
+
+
+def test_rerecording_one_job_leaves_every_other_record_as_it_is(tmp_path, monkeypatch):
+    job = EXACT_JOBS[0]
+    records = json.loads(GOLDEN.read_text())
+    at = [rec["argv"] for rec in records].index(job)
+    records[at]["stdout"] = "stale"
+    copy = tmp_path / "golden_cli.json"
+    copy.write_text(json.dumps(records, indent=1) + "\n")
+    calls, real = [], run_cli
+    monkeypatch.setattr(
+        sys.modules[__name__], "run_cli", lambda argv: calls.append(argv) or real(argv)
+    )
+    rerecord([job], copy)
+    assert calls == [job]
+    assert copy.read_text() == GOLDEN.read_text()
+
+
 if __name__ == "__main__":
-    records = [run_cli(argv) for argv in EXACT_JOBS + FLOAT_JOBS]
-    GOLDEN.write_text(json.dumps(records, indent=1) + "\n")
-    print(f"wrote {len(records)} records to {GOLDEN}", file=sys.stderr)
+    named = {" ".join(argv): argv for argv in EXACT_JOBS + FLOAT_JOBS}
+    unknown = [job for job in sys.argv[1:] if job not in named]
+    if unknown or len(sys.argv) < 2:
+        sys.exit(f"name one or more of the jobs: {unknown or sorted(named)}")
+    rerecord([named[job] for job in sys.argv[1:]])
+    print(f"re-recorded {len(sys.argv) - 1} of the records in {GOLDEN}", file=sys.stderr)

@@ -637,6 +637,29 @@ def test_psi_matches_its_closed_form_across_the_series_boundary():
             assert abs(value - complex(want)) <= 1e-14 * abs(complex(want)), (x, j)
 
 
+def test_psi_has_every_column_the_cell_moments_ask_for():
+    # the cell moments of descentsum.constants ask for j < p + m - 1, up to
+    # MAX_DIM + 6.  The series (|x| < 1) and the recurrence while j <= |x|
+    # hold every column to rounding; past j = |x| the recurrence loses the
+    # digits _psi's docstring counts, 89 of them at x = 1.5 and j = 70
+    n = spectral.MAX_DIM + 7
+    xs = np.array([0.3, -0.9 + 0.2j, 0.5j, 1.5, -2, 3j, -10 + 5j, 80, -80, 75 - 60j])
+    got = spectral._psi(xs[:, None], n)[:, :, 0]
+    with mpmath.workdps(250):  # the closed form cancels 140 digits at x = 0.3
+        for x, row in zip(xs, got):
+            z = mpmath.mpc(complex(x))
+            for j, value in enumerate(row):
+                tail = sum((-z) ** i / mpmath.factorial(i) for i in range(j + 1))
+                want = (-1) ** (j + 1) * (1 - mpmath.exp(z) * tail) / z ** (j + 1)
+                if z.real > 1:
+                    want *= mpmath.exp(-z)
+                loss = 1
+                if j > abs(x) >= 1:
+                    loss = mpmath.exp(max(0, -x.real)) * mpmath.factorial(j + 1)
+                    loss /= abs(z) ** (j + 1)
+                assert abs(value - want) <= 1e-14 * loss * abs(want), (x, j)
+
+
 def test_newton_drops_iterates_that_leave_their_annulus(monkeypatch):
     # alternating permutations through windows of length 5, each weighted
     # 5/4: the 16 eigenvalues +-(5/4) 2/((2k + 1) pi) above 0.05.  A spurious

@@ -1,5 +1,7 @@
 """Descent words, weight schemes, and the scheme file format."""
 
+import copy
+import pickle
 from collections import Counter
 from fractions import Fraction
 from itertools import permutations
@@ -217,6 +219,23 @@ def test_dump_scheme_round_trip():
     for name in ("sec5-1", "sec6", "no-descents", "all-ones"):
         s = preset_scheme(name)
         assert load_scheme(dump_scheme(s)) == s
+
+
+def test_weight_scheme_is_immutable_and_hashable():
+    s = preset_scheme("sec6")
+    for table in (s.wt, s.wt1, s.wt2):
+        with pytest.raises(TypeError):
+            table[next(iter(table))] = Fraction(5)
+    assert s.wt["aa"] == 0
+    with pytest.raises(AttributeError):
+        s.m = 3
+    again = load_scheme(dump_scheme(s))
+    assert again == s and hash(again) == hash(s)
+    assert len({s, again, preset_scheme("sec5-1")}) == 2
+    for copied in (pickle.loads(pickle.dumps(s)), copy.deepcopy(s), copy.copy(s)):
+        assert copied == s and hash(copied) == hash(s)
+        with pytest.raises(TypeError):
+            copied.wt["aa"] = Fraction(5)
 
 
 def test_dump_scheme_round_trip_m1_boundary():
