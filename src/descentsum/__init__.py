@@ -37,8 +37,8 @@ __version__ = "0.1.0"
 # linalg, spectral and expfun, and the numeric half of constants reaches
 # them at call time
 _LAZY_NAMES = {
-    "exact": """BRUTE_FORCE_CAP WeightedCount alpha_by_operator_iteration
-        brute_force_alpha brute_force_alpha_direct dp_alpha wt_of_permutation""",
+    "exact": """BRUTE_FORCE_CAP alpha_by_operator_iteration brute_force_alpha
+        brute_force_alpha_direct dp_alpha wt_of_permutation""",
     "sec6": """count_barred derangements double_descents genfun_coeffs
         nearest_integer_formula section6_recursion verify_genfun_equation""",
     "expfun": "apply_J apply_operator eigenfunction pairing scheme_constant",

@@ -5,7 +5,10 @@ routes, cross-checked), ``spectrum`` (eigenvalues of the transfer operator),
 ``constants`` (asymptotic coefficients from eigenfunction pairings),
 ``verify`` (exact counts against spectral predictions with a decay check),
 and ``sequence`` (the two-letter wt(aa)=0, wt(bb)=2 scheme's four integer
-sequences and their identities).  Each process runs one command, so this
+sequences and their identities).  The first four read one scheme, named by
+exactly one of --scheme FILE or --preset NAME; ``verify`` checks the
+constants, so like ``constants`` it refuses a scheme whose window weights
+are not reversal-symmetric.  Each process runs one command, so this
 module loads only words and presets, and each command imports what it
 runs: oracle exact, whichever methods it runs; sequence exact and sec6;
 spectrum linalg and spectral; constants the module constants, linalg and
@@ -141,25 +144,17 @@ def _emit(report: RunReport, fmt: str) -> None:
 
 
 def _resolve_scheme(args) -> tuple[WeightScheme, str]:
-    if getattr(args, "preset", None):
+    if args.preset is not None:
         try:
             return preset_scheme(args.preset), args.preset
         except KeyError as exc:
             raise UsageFailure(exc.args[0]) from None
-    if getattr(args, "scheme", None):
-        path = Path(args.scheme)
-        try:
-            text = path.read_text()
-        except OSError as exc:
-            raise UsageFailure(f"cannot read scheme file {path}: {exc}") from None
-        return load_scheme(text), str(path)
-    raise UsageFailure("one of --scheme FILE or --preset NAME is required")
-
-
-def _spectrum_report(command: str, label: str, params: dict, points) -> RunReport:
-    columns = ["lambda_re", "lambda_im", "abs_lambda", "simple", "residual"]
-    rows = [(p.lam.real, p.lam.imag, abs(p.lam), p.simple, p.residual) for p in points]
-    return RunReport(command, label, params, columns, rows)
+    path = Path(args.scheme)
+    try:
+        text = path.read_text()
+    except OSError as exc:
+        raise UsageFailure(f"cannot read scheme file {path}: {exc}") from None
+    return load_scheme(text), str(path)
 
 
 # each complex value of a constants row, split into _re and _im columns
@@ -208,7 +203,7 @@ def _cmd_oracle(args) -> tuple[RunReport, list[str]]:
     values: dict[str, Fraction] = {}
     for method in methods:
         try:
-            value = oracles[method](scheme, n).value
+            value = oracles[method](scheme, n)
         except ValueError as exc:
             raise UsageFailure(str(exc)) from None
         values[method] = value
@@ -236,8 +231,14 @@ def _cmd_spectrum(args) -> tuple[RunReport, list[str]]:
 
     scheme, label = _resolve_scheme(args)
     points, _ = top_eigenvalues(build_transfer(scheme), args.min_modulus, args.top)
-    params = {"min_modulus": args.min_modulus, "top": args.top}
-    return _spectrum_report("spectrum", label, params, points), []
+    report = RunReport(
+        command="spectrum",
+        scheme_label=label,
+        params={"min_modulus": args.min_modulus, "top": args.top},
+        columns=["lambda_re", "lambda_im", "abs_lambda", "simple", "residual"],
+        rows=[(p.lam.real, p.lam.imag, abs(p.lam), p.simple, p.residual) for p in points],
+    )
+    return report, []
 
 
 def _cmd_constants(args) -> tuple[RunReport, list[str]]:
@@ -273,21 +274,7 @@ def _cmd_verify(args) -> tuple[RunReport, list[str]]:
         raise UsageFailure(f"--n-max must be at least m = {m}")
     tol = args.tol
 
-    analysis = asymptotics(scheme, args.min_modulus, args.top)
-    if analysis.defect is not None:
-        print(
-            f"note: scheme is not reversal-symmetric ({analysis.defect}); "
-            "constants are unavailable, showing the spectrum only",
-            file=sys.stderr,
-        )
-        params = {
-            "mode": "spectrum-only",
-            "min_modulus": args.min_modulus,
-            "top": args.top,
-        }
-        return _spectrum_report("verify", label, params, analysis.points), []
-
-    found, refused, r_hat = analysis.constants()
+    found, refused, r_hat = asymptotics(scheme, args.min_modulus, args.top).constants()
     for p, msg in refused:
         print(
             f"note: no constant at lambda = {p.lam:.12g} ({msg}); "
@@ -370,7 +357,7 @@ def _cmd_sequence(args) -> tuple[RunReport, list[str]]:
 
 
 def _add_scheme_flags(sp: argparse.ArgumentParser) -> None:
-    group = sp.add_mutually_exclusive_group()
+    group = sp.add_mutually_exclusive_group(required=True)
     group.add_argument("--scheme", metavar="FILE", help="weight scheme file")
     group.add_argument(
         "--preset",

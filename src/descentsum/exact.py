@@ -31,30 +31,18 @@ from math import factorial, lcm
 from operator import gt
 from typing import Iterator, Sequence
 
-from .words import WeightScheme, _Frozen, descent_word
+from .words import WeightScheme, descent_word
 
 BRUTE_FORCE_CAP = 10
 
 __all__ = [
     "BRUTE_FORCE_CAP",
-    "WeightedCount",
     "wt_of_permutation",
     "brute_force_alpha",
     "brute_force_alpha_direct",
     "dp_alpha",
     "alpha_by_operator_iteration",
 ]
-
-
-class WeightedCount(_Frozen):
-    """An exact weighted permutation count for one n."""
-
-    __slots__ = ("n", "value")
-    n: int
-    value: Fraction
-
-    def __init__(self, n: int, value: Fraction) -> None:
-        self._set(n, Fraction(value))
 
 
 def wt_of_permutation(scheme: WeightScheme, pi: Sequence[int]) -> Fraction:
@@ -129,7 +117,7 @@ def _word_multiplicities(n: int) -> dict[str, int]:
     return dict(counts)
 
 
-def brute_force_alpha(scheme: WeightScheme, n: int) -> WeightedCount:
+def brute_force_alpha(scheme: WeightScheme, n: int) -> Fraction:
     """alpha_n by enumerating all n! permutations.
 
     The sum is accumulated per descent word (the weight of a permutation
@@ -144,16 +132,16 @@ def brute_force_alpha(scheme: WeightScheme, n: int) -> WeightedCount:
             f"n = {n} exceeds the brute-force cap {BRUTE_FORCE_CAP}; use dp_alpha"
         )
     if n < scheme.m:
-        return WeightedCount(n, Fraction(factorial(n)))
+        return Fraction(factorial(n))
     total = Fraction(0)
     for word, count in _word_multiplicities(n).items():
         w = _wt_of_word(scheme, word)
         if w:
             total += count * w
-    return WeightedCount(n, total)
+    return total
 
 
-def brute_force_alpha_direct(scheme: WeightScheme, n: int) -> WeightedCount:
+def brute_force_alpha_direct(scheme: WeightScheme, n: int) -> Fraction:
     """alpha_n summed permutation by permutation, with no grouping.
 
     Quadratically slower than brute_force_alpha; exists so tests can check
@@ -164,12 +152,12 @@ def brute_force_alpha_direct(scheme: WeightScheme, n: int) -> WeightedCount:
             f"n = {n} exceeds the brute-force cap {BRUTE_FORCE_CAP}; use dp_alpha"
         )
     if n < scheme.m:
-        return WeightedCount(n, Fraction(factorial(n)))
+        return Fraction(factorial(n))
     total = sum(
         (wt_of_permutation(scheme, p) for p in permutations(range(1, n + 1))),
         Fraction(0),
     )
-    return WeightedCount(n, total)
+    return total
 
 
 def _scaled(table: dict[str, Fraction]) -> tuple[dict[str, int], int]:
@@ -229,7 +217,7 @@ def _dp_pass(scheme: WeightScheme, n_max: int) -> Iterator[Fraction]:
         states = nxt
 
 
-def dp_alpha(scheme: WeightScheme, n: int) -> WeightedCount:
+def dp_alpha(scheme: WeightScheme, n: int) -> Fraction:
     """alpha_n by the insertion dynamic program, exactly.
 
     Permutations are built by appending entries on the right; the state is
@@ -247,7 +235,7 @@ def dp_alpha(scheme: WeightScheme, n: int) -> WeightedCount:
         raise ValueError("n must be nonnegative")
     for value in _dp_pass(scheme, n):
         pass
-    return WeightedCount(n, value)
+    return value
 
 
 def _as_ints(table: dict[str, Fraction]) -> tuple[dict[str, int], int]:
@@ -272,7 +260,7 @@ def _integrate(coefs: list[int], s: int) -> list[int]:
     return out
 
 
-def alpha_by_operator_iteration(scheme: WeightScheme, n: int) -> WeightedCount:
+def alpha_by_operator_iteration(scheme: WeightScheme, n: int) -> Fraction:
     """alpha_n as n! <T^(n-m)(kappa), mu>, in integers up to one division.
 
     T is the weighted descent operator on the cube [0,1]^m: on the cell P_w
@@ -321,4 +309,4 @@ def alpha_by_operator_iteration(scheme: WeightScheme, n: int) -> WeightedCount:
             F = _integrate(p, i)
             p = [0, *F] if letter == "a" else [sum(F), *(-c for c in F)]
         total += wt2[u] * sum(_integrate(p, n))
-    return WeightedCount(n, Fraction(total, d ** (n - m) * d1 * d2))
+    return Fraction(total, d ** (n - m) * d1 * d2)

@@ -87,20 +87,19 @@ def det(M: np.ndarray) -> complex:
     return complex(np.linalg.det(_as_square(M)))
 
 
-def nullspace_vector(M: np.ndarray, tol: float | None = None) -> np.ndarray:
+def nullspace_vector(M: np.ndarray) -> np.ndarray:
     """A unit vector spanning the (numerical) nullspace of M, or of each
     matrix in a (..., d, d) stack, with shape (..., d).
 
-    The smallest singular value must fall below tol (default 1e-8 * ||M||),
+    The smallest singular value must fall below 1e-8 * max(1, ||M||_1),
     otherwise ValueError reports the gap.  The returned right singular vector
     has unit 2-norm and its largest-modulus entry rotated to be real positive,
     which pins the sign/phase deterministically.
     """
     M = _as_square(M)
-    if tol is None:
-        tol = 1e-8 * np.maximum(1.0, np.linalg.norm(M, 1, axis=(-2, -1)))
+    tol = 1e-8 * np.maximum(1.0, np.linalg.norm(M, 1, axis=(-2, -1)))
     _, sing, vh = np.linalg.svd(M)
-    smallest, tol = np.broadcast_arrays(sing[..., -1], tol)
+    smallest = sing[..., -1]
     if (smallest >= tol).any():
         i = np.argmax(smallest >= tol)
         raise ValueError(

@@ -245,16 +245,16 @@ def test_criterion_07_exact_oracle_equality():
     checked_pair = 0
     for s in schemes:
         for n in range(1, 10):
-            b = brute_force_alpha(s, n).value
-            d = dp_alpha(s, n).value
+            b = brute_force_alpha(s, n)
+            d = dp_alpha(s, n)
             assert b == d, (s, n)
             if n >= s.m:
-                o = alpha_by_operator_iteration(s, n).value
+                o = alpha_by_operator_iteration(s, n)
                 assert d == o, (s, n)
             checked_triple += 1
         for n in range(10, 13):
-            d = dp_alpha(s, n).value
-            o = alpha_by_operator_iteration(s, n).value
+            d = dp_alpha(s, n)
+            o = alpha_by_operator_iteration(s, n)
             assert d == o, (s, n)
             checked_pair += 1
     elapsed = perf_counter() - t0
@@ -275,7 +275,7 @@ def decay_errors(box, n_lo, n_hi):
     m = scheme.m
     errs = []
     for n in range(n_lo, n_hi + 1):
-        exact = Fraction(dp_alpha(scheme, n).value, math.factorial(n))
+        exact = Fraction(dp_alpha(scheme, n), math.factorial(n))
         errs.append(abs(float(exact) - c * lam0 ** (n - m)))
     return errs
 
@@ -305,11 +305,11 @@ def test_criterion_09_sec6_exact_sequences():
     checks = 0
     for n in range(2, 21):
         rec = section6_recursion(n)
-        assert rec["aa"] == dp_alpha(restrict_ends(scheme, "a", "a"), n).value
-        assert rec["ab"] == dp_alpha(restrict_ends(scheme, "a", "b"), n).value
-        assert rec["ab"] == dp_alpha(restrict_ends(scheme, "b", "a"), n).value
-        assert rec["bb"] == dp_alpha(restrict_ends(scheme, "b", "b"), n).value
-        assert rec["total"] == dp_alpha(scheme, n).value
+        assert rec["aa"] == dp_alpha(restrict_ends(scheme, "a", "a"), n)
+        assert rec["ab"] == dp_alpha(restrict_ends(scheme, "a", "b"), n)
+        assert rec["ab"] == dp_alpha(restrict_ends(scheme, "b", "a"), n)
+        assert rec["bb"] == dp_alpha(restrict_ends(scheme, "b", "b"), n)
+        assert rec["total"] == dp_alpha(scheme, n)
         assert rec["bb"] == derangements(n)
         for key in ("aa", "ab", "bb", "total"):
             assert coeffs[key][n] == rec[key], (key, n)
@@ -330,15 +330,15 @@ def test_criterion_09_sec6_exact_sequences():
 
 def test_criterion_10_classical_examples():
     ok_nd = all(
-        dp_alpha(preset_scheme("no-descents"), n).value == 1 for n in range(1, 15)
+        dp_alpha(preset_scheme("no-descents"), n) == 1 for n in range(1, 15)
     )
     ok_np = all(
-        dp_alpha(preset_scheme("no-peaks"), n).value == 2 ** (n - 1)
+        dp_alpha(preset_scheme("no-peaks"), n) == 2 ** (n - 1)
         for n in range(1, 15)
     )
     euler = euler_numbers(12)
     alt = preset_scheme("alternating")
-    ok_alt = all(dp_alpha(alt, n).value == 2 * euler[n] for n in range(2, 13))
+    ok_alt = all(dp_alpha(alt, n) == 2 * euler[n] for n in range(2, 13))
     ok = ok_nd and ok_np and ok_alt
     report(
         ok,

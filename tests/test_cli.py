@@ -93,10 +93,18 @@ def test_oracle_brute_over_cap_is_usage_error(capsys):
     assert "dp" in err
 
 
-def test_oracle_requires_a_scheme(capsys):
-    rc, _, err = run(capsys, "oracle", "--n", "4")
-    assert rc == 2
-    assert "--scheme" in err or "--preset" in err
+@pytest.mark.parametrize(
+    "argv", [["oracle", "--n", "4"], ["spectrum"], ["constants"], ["verify"]],
+    ids=lambda argv: argv[0],
+)
+def test_scheme_commands_require_a_scheme(capsys, argv):
+    # argparse refuses before any command runs or imports what it needs
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "error: one of the arguments --scheme --preset is required" in err
 
 
 def test_unknown_preset_is_usage_error(capsys):
@@ -283,7 +291,6 @@ def test_boundary_weights_need_no_symmetry(tmp_path, capsys):
     )
     rc, out, err = run(capsys, "verify", "--scheme", str(f), "--n-max", "24")
     assert rc == 0, err
-    assert "spectrum only" not in err
     _, rows = table_rows(out)
     assert [int(r["n"]) for r in rows] == list(range(3, 25))
     assert all(float(r["abs_error"]) <= float(r["bound"]) for r in rows)
@@ -370,28 +377,33 @@ def test_library_errors_are_check_failures(capsys, monkeypatch):
         assert out == ""
 
 
-def test_verify_spectrum_only_fallback_for_asymmetric(tmp_path, capsys):
-    # no-peaks is not reversal-symmetric; verify degrades with a note
-    rc, out, err = run(capsys, "verify", "--preset", "no-peaks")
-    assert rc == 0
-    assert "spectrum only" in err or "spectrum-only" in out + err
-    # the fallback keeps the same eigenvalues as spectrum under --top
+def test_verify_fails_as_constants_on_asymmetric_schemes(tmp_path, capsys):
+    # the prediction needs the constants, which need reversal symmetry
+    f = tmp_path / "lop.scheme"
+    f.write_text("m = 3\nwt aab = 0\n")
+    for source in (["--preset", "no-peaks"], ["--scheme", str(f)]):
+        got = {}
+        for command in ("constants", "verify"):
+            rc, out, err = run(capsys, command, *source)
+            assert rc == 1 and out == ""
+            assert "check failed: constants need a reversal-symmetric scheme" in err
+            got[command] = rc, [ln for ln in err.splitlines() if "elapsed" not in ln]
+        assert got["verify"] == got["constants"]
+
+
+def test_spectrum_top_on_an_asymmetric_scheme(tmp_path, capsys):
     f = tmp_path / "lop.scheme"
     f.write_text("m = 3\nwt aab = 0\n")
     for top, count in (("0", 11), ("1", 1)):
-        _, spec, _ = run(capsys, "spectrum", "--scheme", str(f), "--top", top)
-        rc, out, err = run(capsys, "verify", "--scheme", str(f), "--top", top)
-        assert rc == 0 and "spectrum only" in err
+        rc, out, _ = run(capsys, "spectrum", "--scheme", str(f), "--top", top)
+        assert rc == 0
         _, rows = table_rows(out)
         assert len(rows) == count
-        assert out == spec
     # the json record names the flags that chose those rows
-    rc, out, _ = run(capsys, "verify", "--scheme", str(f), "--top", "1",
+    rc, out, _ = run(capsys, "spectrum", "--scheme", str(f), "--top", "1",
                      "--min-modulus", "0.2", "--format", "json")
     assert rc == 0
-    assert json.loads(out)["params"] == {
-        "mode": "spectrum-only", "min_modulus": 0.2, "top": 1
-    }
+    assert json.loads(out)["params"] == {"min_modulus": 0.2, "top": 1}
 
 
 def test_verify_validation(capsys):

@@ -77,17 +77,17 @@ def test_wt_of_permutation_uses_boundary_weights():
 
 
 def test_brute_force_examples():
-    assert brute_force_alpha(preset_scheme("sec5-1"), 4).value == 22
-    assert brute_force_alpha(preset_scheme("sec6"), 3).value == 6
-    assert brute_force_alpha(preset_scheme("no-peaks"), 4).value == 8
-    assert brute_force_alpha(preset_scheme("all-ones"), 5).value == 120
+    assert brute_force_alpha(preset_scheme("sec5-1"), 4) == 22
+    assert brute_force_alpha(preset_scheme("sec6"), 3) == 6
+    assert brute_force_alpha(preset_scheme("no-peaks"), 4) == 8
+    assert brute_force_alpha(preset_scheme("all-ones"), 5) == 120
 
 
 def test_brute_force_short_lengths_are_unweighted():
     # n < m: every permutation has weight 1 regardless of the scheme
     s = WeightScheme(m=3, wt={"aaa": 0}, wt1={"aa": 7})
-    assert brute_force_alpha(s, 2).value == 2
-    assert brute_force_alpha(s, 1).value == 1
+    assert brute_force_alpha(s, 2) == 2
+    assert brute_force_alpha(s, 1) == 1
 
 
 def test_brute_force_cap():
@@ -138,22 +138,22 @@ def test_brute_force_grouped_equals_direct():
     ]
     for s in schemes:
         for n in range(1, 7):
-            assert brute_force_alpha(s, n).value == brute_force_alpha_direct(s, n).value
+            assert brute_force_alpha(s, n) == brute_force_alpha_direct(s, n)
 
 
 def test_dp_examples():
     sec6 = preset_scheme("sec6")
-    assert dp_alpha(restrict_ends(sec6, "b", "b"), 3).value == 2
-    assert dp_alpha(sec6, 4).value == 26
+    assert dp_alpha(restrict_ends(sec6, "b", "b"), 3) == 2
+    assert dp_alpha(sec6, 4) == 26
     for n in range(1, 8):
-        assert dp_alpha(preset_scheme("all-ones"), n).value == factorial(n)
+        assert dp_alpha(preset_scheme("all-ones"), n) == factorial(n)
 
 
 def test_dp_equals_brute_on_presets():
     for name in ("sec5-1", "sec5-2", "sec6", "no-descents", "no-peaks", "alternating"):
         s = preset_scheme(name)
         for n in range(1, 8):
-            assert dp_alpha(s, n).value == brute_force_alpha(s, n).value, (name, n)
+            assert dp_alpha(s, n) == brute_force_alpha(s, n), (name, n)
 
 
 def test_dp_refinement_validation():
@@ -174,11 +174,11 @@ def test_refinements_partition_the_total():
     for s in schemes:
         for n in range(2, 10):
             parts = [
-                dp_alpha(restrict_ends(s, x, y), n).value
+                dp_alpha(restrict_ends(s, x, y), n)
                 for x in "ab"
                 for y in "ab"
             ]
-            assert sum(parts) == dp_alpha(s, n).value
+            assert sum(parts) == dp_alpha(s, n)
 
 
 def test_refinements_cross_symmetry():
@@ -187,9 +187,9 @@ def test_refinements_cross_symmetry():
         s = preset_scheme(name)
         assert is_symmetric(s)
         for n in range(2, 9):
-            assert dp_alpha(restrict_ends(s, "a", "b"), n).value == dp_alpha(
+            assert dp_alpha(restrict_ends(s, "a", "b"), n) == dp_alpha(
                 restrict_ends(s, "b", "a"), n
-            ).value
+            )
 
 
 # signed, with zero drawn often: zero weights prune DP transitions, and
@@ -210,10 +210,10 @@ def random_scheme(m, data):
 @given(m=st.integers(min_value=1, max_value=5), data=st.data())
 def test_dp_equals_brute_on_random_rational_schemes(m, data):
     s = random_scheme(m, data)
-    want = [brute_force_alpha(s, n).value for n in range(9)]
+    want = [brute_force_alpha(s, n) for n in range(9)]
     assert list(_dp_pass(s, 8)) == want  # every length from one DP pass
     for n in range(1, 9):
-        assert dp_alpha(s, n).value == want[n], n
+        assert dp_alpha(s, n) == want[n], n
 
 
 @settings(max_examples=15, deadline=None)
@@ -225,7 +225,7 @@ def test_dp_refinements_equal_brute_on_random_schemes(data):
             for end in (None, "a", "b"):
                 r = restrict_ends(s, start, end)
                 assert (
-                    dp_alpha(r, n).value == brute_force_alpha(r, n).value
+                    dp_alpha(r, n) == brute_force_alpha(r, n)
                 ), (n, start, end)
 
 
@@ -246,8 +246,8 @@ def test_operator_iteration_equals_brute_on_random_rational_schemes(m, data):
         tables.append(table)
     s = WeightScheme(m, *tables)
     for n in range(m, 9):
-        want = brute_force_alpha(s, n).value
-        assert alpha_by_operator_iteration(s, n).value == want, n
+        want = brute_force_alpha(s, n)
+        assert alpha_by_operator_iteration(s, n) == want, n
 
 
 # m = 3; each of wt, wt1 and wt2 mixes weights with denominators 2, 3 (and 4)
@@ -281,9 +281,9 @@ def test_oracles_run_on_ints_for_rational_weights(monkeypatch, oracle, n):
 
 
 def test_oracles_agree_on_the_rational_scheme_at_n_40():
-    want = dp_alpha(RATIONAL_SCHEME, 40).value
+    want = dp_alpha(RATIONAL_SCHEME, 40)
     assert want.denominator > 1
-    assert alpha_by_operator_iteration(RATIONAL_SCHEME, 40).value == want
+    assert alpha_by_operator_iteration(RATIONAL_SCHEME, 40) == want
 
 
 def test_operator_iteration_equals_dp_up_to_n_40_on_presets():
@@ -291,7 +291,7 @@ def test_operator_iteration_equals_dp_up_to_n_40_on_presets():
         scheme = preset_scheme(name)
         want = list(_dp_pass(scheme, 40))
         for n in range(scheme.m, 41):
-            assert alpha_by_operator_iteration(scheme, n).value == want[n], (name, n)
+            assert alpha_by_operator_iteration(scheme, n) == want[n], (name, n)
 
 
 def test_operator_iteration_equals_dp_up_to_n_40_on_random_signed_schemes():
@@ -308,7 +308,7 @@ def test_operator_iteration_equals_dp_up_to_n_40_on_random_signed_schemes():
         scheme = WeightScheme(m, *tables)
         want = list(_dp_pass(scheme, 40))
         for n in range(m, 41):
-            got = alpha_by_operator_iteration(scheme, n).value
+            got = alpha_by_operator_iteration(scheme, n)
             assert got == want[n], (tables, n)
 
 
@@ -341,7 +341,7 @@ def assert_restricted_oracles_filter(scheme, lengths=range(2, 10)):
             want = filtered_alpha(scheme, n, start, end)
             r = restrict_ends(scheme, start, end)
             for oracle in (dp_alpha, brute_force_alpha, alpha_by_operator_iteration):
-                assert oracle(r, n).value == want, (oracle.__name__, n, start, end)
+                assert oracle(r, n) == want, (oracle.__name__, n, start, end)
 
 
 @pytest.mark.parametrize("name", ["sec6", "no-peaks", "alternating", "all-ones"])
@@ -373,7 +373,7 @@ def test_derangements_table():
 def test_derangements_match_descent_refinement():
     sec6 = preset_scheme("sec6")
     for n in range(2, 15):
-        assert dp_alpha(restrict_ends(sec6, "b", "b"), n).value == derangements(n)
+        assert dp_alpha(restrict_ends(sec6, "b", "b"), n) == derangements(n)
 
 
 def test_section6_recursion_seeds_and_values():
@@ -391,11 +391,11 @@ def test_section6_recursion_matches_dp():
     sec6 = preset_scheme("sec6")
     for n in [*range(2, 41), *range(50, 151, 10)]:
         rec = section6_recursion(n)
-        assert rec["aa"] == dp_alpha(restrict_ends(sec6, "a", "a"), n).value
-        assert rec["bb"] == dp_alpha(restrict_ends(sec6, "b", "b"), n).value
-        assert rec["ab"] == dp_alpha(restrict_ends(sec6, "a", "b"), n).value
-        assert rec["ab"] == dp_alpha(restrict_ends(sec6, "b", "a"), n).value
-        assert rec["total"] == dp_alpha(sec6, n).value, n
+        assert rec["aa"] == dp_alpha(restrict_ends(sec6, "a", "a"), n)
+        assert rec["bb"] == dp_alpha(restrict_ends(sec6, "b", "b"), n)
+        assert rec["ab"] == dp_alpha(restrict_ends(sec6, "a", "b"), n)
+        assert rec["ab"] == dp_alpha(restrict_ends(sec6, "b", "a"), n)
+        assert rec["total"] == dp_alpha(sec6, n), n
 
 
 def test_nearest_integer_examples():
@@ -403,7 +403,7 @@ def test_nearest_integer_examples():
     assert nearest_integer_formula(4, "total") == 26
     sec6 = preset_scheme("sec6")
     aa = restrict_ends(sec6, "a", "a")
-    assert nearest_integer_formula(8, "aa") == dp_alpha(aa, 8).value
+    assert nearest_integer_formula(8, "aa") == dp_alpha(aa, 8)
 
 
 def test_nearest_integer_thresholds():
@@ -521,22 +521,22 @@ def test_alternating_preset_counts_twice_the_euler_numbers():
     alt = preset_scheme("alternating")
     euler = euler_numbers(120)
     for n in range(2, 121):
-        assert dp_alpha(alt, n).value == 2 * euler[n], n
+        assert dp_alpha(alt, n) == 2 * euler[n], n
 
 
 def test_no_descents_and_no_peaks_closed_forms():
     for n in range(1, 10):
-        assert dp_alpha(preset_scheme("no-descents"), n).value == 1
-        assert dp_alpha(preset_scheme("no-peaks"), n).value == 2 ** (n - 1)
-    assert dp_alpha(preset_scheme("no-peaks"), 100).value == 2**99
-    assert dp_alpha(preset_scheme("all-ones"), 100).value == factorial(100)
+        assert dp_alpha(preset_scheme("no-descents"), n) == 1
+        assert dp_alpha(preset_scheme("no-peaks"), n) == 2 ** (n - 1)
+    assert dp_alpha(preset_scheme("no-peaks"), 100) == 2**99
+    assert dp_alpha(preset_scheme("all-ones"), 100) == factorial(100)
 
 
 def test_operator_iteration_examples():
-    assert alpha_by_operator_iteration(preset_scheme("sec6"), 3).value == 6
-    assert alpha_by_operator_iteration(preset_scheme("all-ones"), 6).value == 720
-    got = alpha_by_operator_iteration(preset_scheme("sec5-1"), 5).value
-    assert got == brute_force_alpha(preset_scheme("sec5-1"), 5).value
+    assert alpha_by_operator_iteration(preset_scheme("sec6"), 3) == 6
+    assert alpha_by_operator_iteration(preset_scheme("all-ones"), 6) == 720
+    got = alpha_by_operator_iteration(preset_scheme("sec5-1"), 5)
+    assert got == brute_force_alpha(preset_scheme("sec5-1"), 5)
     with pytest.raises(ValueError):
         alpha_by_operator_iteration(preset_scheme("sec5-1"), 2)
 
@@ -548,7 +548,7 @@ def test_operator_iteration_refinements():
             for y in "ab":
                 r = restrict_ends(s, x, y)
                 assert (
-                    alpha_by_operator_iteration(r, n).value == dp_alpha(r, n).value
+                    alpha_by_operator_iteration(r, n) == dp_alpha(r, n)
                 )
     with pytest.raises(ValueError, match="m >= 2"):
         restrict_ends(preset_scheme("no-descents"), start="a")
@@ -556,8 +556,18 @@ def test_operator_iteration_refinements():
 
 def test_operator_iteration_exact_type():
     got = alpha_by_operator_iteration(preset_scheme("sec6"), 9)
-    assert isinstance(got.value, Fraction)
-    assert got.value == dp_alpha(preset_scheme("sec6"), 9).value
+    assert isinstance(got, Fraction)
+    assert got == dp_alpha(preset_scheme("sec6"), 9)
+
+
+def test_oracles_return_fractions():
+    # below m too, where no weight applies: the oracle command prints a
+    # Fraction as a string in its json record
+    s = preset_scheme("sec5-1")
+    for oracle in (brute_force_alpha, brute_force_alpha_direct, dp_alpha):
+        for n in (0, 2, 5):
+            assert type(oracle(s, n)) is Fraction, (oracle.__name__, n)
+    assert type(alpha_by_operator_iteration(s, 5)) is Fraction
 
 
 def test_oracles_and_transfer_pair_at_window_length_one():
@@ -565,9 +575,9 @@ def test_oracles_and_transfer_pair_at_window_length_one():
     # weighted 2 per ascent and 1/2 per descent, times wt1 * wt2 = 1
     s = load_scheme("m = 1\nwt a = 2\nwt b = 1/2\nwt1 = 3\nwt2 = 1/3\n")
     for n in range(1, 10):
-        want = dp_alpha(s, n).value
-        assert brute_force_alpha(s, n).value == want, n
-        assert alpha_by_operator_iteration(s, n).value == want, n
-    assert dp_alpha(s, 7).value == Fraction(606033, 64)
+        want = dp_alpha(s, n)
+        assert brute_force_alpha(s, n) == want, n
+        assert alpha_by_operator_iteration(s, n) == want, n
+    assert dp_alpha(s, 7) == Fraction(606033, 64)
     pair = build_transfer(s)
     assert pair.A.tolist() == [[2]] and pair.B.tolist() == [[0.5]]

@@ -325,7 +325,7 @@ def test_apply_operator_iterated_pairing_matches_dp():
     f = kappa
     for _ in range(2):  # T^2 kappa pairs to alpha_4/4!
         f = apply_operator(s, f)
-    assert dp_alpha(s, 4).value == 26
+    assert dp_alpha(s, 4) == 26
     assert pairing(f, mu) == pytest.approx(26 / 24, abs=4 * EPS)
 
 

@@ -172,9 +172,12 @@ def test_nullspace_vector_of_a_stack_matches_each_matrix():
         nullspace_vector(np.array([stack[0], np.eye(4)]))
 
 
-def test_nullspace_vector_tol_override():
-    M = np.diag([1.0, 1e-6])
-    with pytest.raises(ValueError):
-        nullspace_vector(M)
-    v = nullspace_vector(M, tol=1e-3)
-    assert abs(abs(v[1]) - 1.0) < 1e-12
+def test_nullspace_vector_tolerance_scales_with_norm():
+    # a singular value counts as zero below 1e-8 * max(1, ||M||_1)
+    with pytest.raises(ValueError, match="tolerance 1e-08"):
+        nullspace_vector(np.diag([1.0, 1e-6]))
+    for M in (np.diag([1.0, 1e-9]), np.diag([1e3, 5e-6]), np.diag([1e-3, 5e-9])):
+        v = nullspace_vector(M)
+        assert abs(abs(v[1]) - 1.0) < 1e-12
+    with pytest.raises(ValueError, match="tolerance 1e-05"):
+        nullspace_vector(np.diag([1e3, 2e-5]))

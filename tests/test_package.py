@@ -82,6 +82,13 @@ def test_float_routes_load_numpy(argv):
     assert _fresh("-c", _PROBE, *argv) == want
 
 
+@pytest.mark.parametrize("command", ["constants", "verify"])
+def test_symmetry_refusal_loads_no_numpy(command):
+    # no-peaks is not reversal-symmetric: refused before any eigenvalue search
+    want = "numpy loaded: False scipy loaded: False exit: 1"
+    assert _fresh("-c", _PROBE, command, "--preset", "no-peaks") == want
+
+
 # runs the CLI in a fresh interpreter, then reports its exit code and which
 # of these modules it loaded, in the order they entered sys.modules; a fresh
 # interpreter because pytest itself loads dataclasses
