@@ -6,15 +6,14 @@ routes, cross-checked), ``spectrum`` (eigenvalues of the transfer operator),
 ``verify`` (exact counts against spectral predictions with a decay check),
 and ``sequence`` (the two-letter wt(aa)=0, wt(bb)=2 scheme's four integer
 sequences and their identities).  The first four read one scheme, named by
-exactly one of --scheme FILE or --preset NAME; ``verify`` checks the
-constants, so like ``constants`` it refuses a scheme whose window weights
-are not reversal-symmetric.  Each process runs one command, so this
-module loads only words and presets, and each command imports what it
-runs: oracle exact, whichever methods it runs; sequence exact and sec6;
-spectrum linalg and spectral; constants the module constants, linalg and
-spectral; verify those three and exact.  No command loads expfun, the
-quadrature reference the tests hold the constants to.  The csv module
-loads with --format csv alone.
+exactly one of --scheme FILE or --preset NAME; ``constants`` and
+``verify`` take every scheme, whatever the symmetry of its weights.  Each
+process runs one command, so this module loads only words and presets,
+and each command imports what it runs: oracle exact, whichever methods it
+runs; sequence exact and sec6; spectrum linalg and spectral; constants
+the module constants, linalg and spectral; verify those three and exact.
+No command loads expfun, the quadrature reference the tests hold the
+constants to.  The csv module loads with --format csv alone.
 
 Output is deterministic: floats are fixed at 12 significant digits, row
 order is fixed, and timing goes to stderr so identical invocations produce
@@ -25,14 +24,15 @@ a POSIX shell.
 
 ``python -m descentsum.cli`` and the ``descentsum`` script both run
 ``process_main``: it sets BLAS threads and SIGPIPE for the process, runs
-``main``, and freezes the heap for interpreter shutdown.  ``main(argv)``
-is the in-process API and leaves all three as its caller set them.
+``main``, and ends the process without interpreter teardown.  ``main(argv)``
+is the in-process API: it leaves threads and SIGPIPE as its caller set
+them, and returns.
 """
 
 from __future__ import annotations
 
 import argparse
-import gc
+import atexit
 import json
 import os
 import sys
@@ -41,7 +41,7 @@ from fractions import Fraction
 from itertools import islice
 from math import factorial, isfinite
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, NoReturn, Sequence
 
 from .presets import PRESETS, preset_scheme
 from .words import SchemeParseError, WeightScheme, _Frozen, load_scheme, restrict_ends
@@ -268,8 +268,7 @@ def _cmd_verify(args) -> tuple[RunReport, list[str]]:
     from .exact import _dp_pass
 
     scheme, label = _resolve_scheme(args)
-    m = scheme.m
-    n_max = args.n_max
+    m, n_max = scheme.m, args.n_max
     if n_max < m:
         raise UsageFailure(f"--n-max must be at least m = {m}")
     tol = args.tol
@@ -516,8 +515,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     return 1 if failures else 0
 
 
-def process_main() -> int:
-    """Run ``main(sys.argv[1:])`` as a process of its own; return its exit code.
+def process_main() -> NoReturn:
+    """Run ``main(sys.argv[1:])`` as a process of its own, and end the
+    process with its exit code.
 
     Three settings that belong to the whole process, so ``main`` never
     makes them:
@@ -527,11 +527,12 @@ def process_main() -> int:
       at most 2^m rows, which more threads slow down.
     - The default SIGPIPE action: output into a closed pipe ends the
       process quietly, as it ends coreutils.
-    - The heap frozen when ``main`` returns.  Interpreter shutdown runs
-      full garbage collections, and frozen objects are out of their reach,
-      so they no longer walk every object of numpy's import.  Collections
-      during the run stay on: turning them off saved no measurable time
-      and raised peak memory.
+    - No interpreter teardown when ``main`` returns: the exit functions
+      registered with atexit run, stdout and stderr are flushed, and the
+      process ends with ``os._exit``.  Teardown would clear every module
+      and run full garbage collections over every object of numpy's
+      import, for about 3 ms, and the process holds nothing else to
+      release.  An exception, and argparse's SystemExit, exit as usual.
     """
     import signal  # here, not at the top: its enums cost every importer ~1 ms
 
@@ -539,11 +540,12 @@ def process_main() -> int:
         os.environ.setdefault(name, "1")
     if hasattr(signal, "SIGPIPE"):
         signal.signal(signal.SIGPIPE, signal.SIG_DFL)
-    try:
-        return main()
-    finally:
-        gc.freeze()
+    code = main()
+    atexit._run_exitfuncs()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":
-    sys.exit(process_main())
+    process_main()

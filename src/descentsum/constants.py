@@ -7,32 +7,35 @@ weighted descent operator T, and the constant of a simple lambda is
 
 (descentsum, arXiv 2013, after Ehrenborg, Kitaev and Perry): phi is the
 eigenfunction exp((A - B)x/lambda) v of the null vector v of P(lambda), psi
-= J phi its reflection, psi_u(x) = phi_(reversed u)(1 - x), which is the
-adjoint eigenfunction when the window weights are reversal-symmetric, and
-kappa, mu the boundary weights wt1(u), wt2(u), constant on the descent cell
-P_u.  A pairing is a sum over the cells of an integral over P_u of f(x_1)
-times g(x_m).
+the adjoint eigenfunction, and kappa, mu the boundary weights wt1(u),
+wt2(u), constant on the descent cell P_u.  A pairing is a sum over the
+cells of an integral over P_u of f(x_1) times g(x_m).
 
 Only phi itself is integrated.  With the cell moments
-m_u = int_(P_u) phi_u(x_1) dx and R the reversal of the cell words,
+m_u = int_(P_u) phi_u(x_1) dx and l the left null vector of P(lambda),
+l^T P(lambda) = 0 (SpectralPoint.left),
 
-    <phi, mu> = wt2 . m,   <kappa, conj(psi)> = wt1 . Rm,
-    <phi, conj(psi)> = (Rm)^T B phi(1) / lambda.
+    <phi, mu> = wt2 . m,   <kappa, conj(psi)> = wt1 . l,
+    <phi, conj(psi)> = l^T B phi(1) / lambda.
 
-The second holds because x -> (1 - x_m, ..., 1 - x_1) maps P_u onto
-P_(reversed u) and takes psi_u(x_m) to phi_(reversed u)(x_1).  The third
-is a residue.  With z = 1/lambda and C = A - B, f = (I - zT)^-1 kappa
-solves f' = zCf with f(0) - zB int_0^1 f = kappa, so
+The first is the definition.  The other two are a residue.  With z =
+1/lambda and C = A - B, f = (I - zT)^-1 kappa solves f' = zCf with
+f(0) - zB int_0^1 f = kappa, so
 
     (I - zT)^-1 kappa = exp(zCx) M(z)^-1 kappa,   M(z) = I - zB gamma(zC),
 
 for every kappa constant on the cells.  At z = 1/lambda the left side has
 the residue -phi <kappa, conj(psi)> / (lambda <phi, conj(psi)>) of the
-spectral projector, and the right side phi (l . kappa) / (l^T M' v), l a
-left null vector of M(1/lambda) = -P(lambda)/lambda and
-M'(z) = -B exp(zC).  As <kappa, conj(psi)> = kappa . Rm for every kappa,
-Rm is such an l, and with l = Rm and M' v = -B phi(1) the residues give
-the third identity.
+spectral projector, and the right side phi (l . kappa) / (l^T M' v), as l
+is a left null vector of M(1/lambda) = -P(lambda)/lambda, with
+M'(z) = -B exp(zC) and M' v = -B phi(1).  So for every kappa the ratio of
+the last two pairings is that of wt1 . l to l^T B phi(1)/lambda: psi is
+fixed up to a scale that c does not see, and l fixes it.  Nothing asks
+for a symmetry of the weights.  When the window weights are
+reversal-symmetric, psi is the reflection J phi, psi_u(x) =
+phi_(reversed u)(1 - x), and <kappa, conj(psi)> = kappa . Rm, R the
+reversal of the cell words, for every kappa: Rm is parallel to l, the
+paper's J identity.
 
 The moments come from the block basis of TransferPair.blocks: per block
 T_i = c_i I + N_i, phi has the terms x^j e^(mu x) with mu = c_i/lambda and
@@ -42,21 +45,18 @@ from x_m down to x_2, x_(i+1) over [x_i, 1] where u_i is a and over
 a polynomial of degree m - 1, so m_u pairs the coefficients of phi_u
 and vol_u through int_0^1 x^k e^(mu x) dx = k! psi_k(mu), k < p + m - 1,
 the contour kernel's spectral._psi.  m and phi(1) are known to about
-eps e^(rho(A - B)/|lambda|) absolute, as their terms reach e^|mu|, and so
-is each factor of <phi, conj(psi)>.  The tests hold the pass to expfun,
-which computes the pairings from their definition, one eigenvalue at a
-time by Chebyshev quadrature from A and B alone.
+eps e^(rho(A - B)/|lambda|) absolute, as their terms reach e^|mu|.  The
+tests hold the pass to expfun, which computes the pairings from their
+definition, one eigenvalue at a time by Chebyshev quadrature from A and B
+alone, with psi = J phi on the reversal-symmetric schemes it takes.
 
 asymptotics() is the analysis entry point: a scheme's spectrum, truncated
-to the top eigenvalues, with the symmetry gate and, on request, one
-constant per eigenvalue, computed once per conjugate pair.  The gate asks
-only that the window weights be invariant under word reversal: the
-boundary weights wt1 and wt2 enter the constants only through kappa and mu
-in the pairings, so they are free, and a count restricted to a first or
-last descent letter (words.restrict_ends) gets its constant like any other
-scheme.  Read through an ill-conditioned basis W of the blocks, the
-eigenfunctions would lose digits: when cond(W) exceeds _BASIS_COND, every
-constant of the pair is refused, though its eigenvalues are not.
+to the top eigenvalues, and, on request, one constant per eigenvalue,
+computed once per conjugate pair.  Every scheme has them, a count
+restricted to a first or last descent letter (words.restrict_ends) too.
+Read through an ill-conditioned basis W of the blocks, the eigenfunctions
+would lose digits: when cond(W) exceeds _BASIS_COND, every constant of
+the pair is refused, though its eigenvalues are not.
 
 The module loads words alone; numpy and spectral come in when the
 eigenvalues are first asked for.
@@ -67,7 +67,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import TYPE_CHECKING, Sequence
 
-from .words import WeightScheme, _Frozen, all_words, symmetry_defect
+from .words import WeightScheme, _Frozen, all_words
 
 if TYPE_CHECKING:
     import numpy as np
@@ -82,11 +82,6 @@ __all__ = [
     "asymptotic_constant",
     "predict_alpha",
 ]
-
-
-def _window_defect(scheme: WeightScheme) -> str | None:
-    """symmetry_defect of the window weights alone, boundary weights aside."""
-    return symmetry_defect(WeightScheme(scheme.m, scheme.wt))
 
 
 def _basis_refusal(pair: TransferPair) -> str | None:
@@ -163,25 +158,26 @@ def _pairings(
     pair: TransferPair,
     lams: Sequence[complex],
     vectors: Sequence[np.ndarray],
+    lefts: Sequence[np.ndarray],
     wt1: Sequence[float],
     wt2: Sequence[float],
 ) -> np.ndarray:
     """(<phi, mu>, <kappa, conj(psi)>, <phi, conj(psi)>) per eigenvalue: an
-    (L, 3) array for the eigenvalues lams with null vectors vectors, and the
-    boundary weights wt1 and wt2 per cell in index order."""
+    (L, 3) array for the eigenvalues lams with right and left null vectors
+    vectors and lefts, and the boundary weights wt1 and wt2 per cell in
+    index order."""
     import numpy as np
 
     moments, at_one = _moments(pair, lams, vectors)
-    words = pair.index_words
-    reflected = moments[:, [words.index(w[::-1]) for w in words]]
+    left = np.asarray(lefts)
     # complex like the rest: a real product would load numpy's real matrix
     # kernels for this alone, 0.1 MB of peak memory
     wt1, wt2 = (np.asarray(wt, dtype=complex) for wt in (wt1, wt2))
     return np.stack(
         [
             moments @ wt2,
-            reflected @ wt1,
-            np.einsum("lu,uv,lv->l", reflected, pair.B, at_one) / np.asarray(lams),
+            left @ wt1,
+            np.einsum("lu,uv,lv->l", left, pair.B, at_one) / np.asarray(lams),
         ],
         axis=1,
     )
@@ -201,6 +197,7 @@ def _constants(
         pair,
         [p.lam for p in points],
         [p.vector for p in points],
+        [p.left for p in points],
         [float(scheme.wt1[u]) for u in cells],
         [float(scheme.wt2[u]) for u in cells],
     )
@@ -218,24 +215,18 @@ class Asymptotics(_Frozen):
 
     ``points`` are the eigenvalues above ``r_min`` kept, by falling modulus;
     ``r_hat`` is the modulus of the largest one left out by truncation (None
-    when none is).  ``defect`` names a window-weight pair that breaks
-    reversal symmetry (None when the window weights are symmetric and
-    constants are available; the boundary weights wt1 and wt2 are free).
-    The transfer pair and the one eigenvalue search behind ``points`` and
-    ``r_hat`` are made on first access, and spectral, with numpy, is
-    imported then: a refused constants() call pays for neither.
+    when none is).  The transfer pair and the one eigenvalue search behind
+    ``points`` and ``r_hat`` are made on first access, and spectral, with
+    numpy, is imported then.
     """
 
-    __slots__ = ("scheme", "r_min", "top", "defect", "__dict__")
+    __slots__ = ("scheme", "r_min", "top", "__dict__")
     scheme: WeightScheme
     r_min: float
     top: int
-    defect: str | None
 
-    def __init__(
-        self, scheme: WeightScheme, r_min: float, top: int, defect: str | None
-    ) -> None:
-        self._set(scheme, r_min, top, defect)
+    def __init__(self, scheme: WeightScheme, r_min: float, top: int) -> None:
+        self._set(scheme, r_min, top)
 
     @cached_property
     def pair(self) -> TransferPair:
@@ -269,21 +260,15 @@ class Asymptotics(_Frozen):
         refused point, and r_hat widened by the refused ones.
 
         The pairings of every real or upper-half eigenvalue come from one
-        array pass.  Its conjugate is listed with the conjugated vector
+        array pass.  Its conjugate is listed with the conjugated vectors
         (spectral.eigenvalues), so it gets the conjugated constant and
         pairings, and a refusal covers both.  At a real lambda the
         constant and the pairings are real, as A, B, kappa, mu and the
-        null vector are: their imaginary parts, rounding from the complex
-        basis W, are dropped.  A point is refused when the
-        basis W is ill-conditioned (every point then) or its denominator
-        pairing vanishes (asymptotic_constant).  Raises ValueError, before
-        any eigenvalue search, when the window weights are not
-        reversal-symmetric.
+        null vectors are: their imaginary parts, rounding from the complex
+        basis W, are dropped.  A point is refused when the basis W is
+        ill-conditioned (every point then) or its denominator pairing
+        vanishes (asymptotic_constant).
         """
-        if self.defect is not None:
-            raise ValueError(
-                f"constants need a reversal-symmetric scheme: {self.defect}"
-            )
         # per real or upper-half lambda: (constant, pairings), or why not
         upper = [p for p in self.points if p.lam.imag >= 0]
         found = dict(
@@ -316,7 +301,7 @@ def asymptotics(scheme: WeightScheme, r_min: float, top: int = 0) -> Asymptotics
     keeps all.  The eigenvalues are searched for when the record is first
     asked for them, and constants only when it is asked for those.
     """
-    return Asymptotics(scheme, r_min, top, _window_defect(scheme))
+    return Asymptotics(scheme, r_min, top)
 
 
 def predict_alpha(

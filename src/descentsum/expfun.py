@@ -34,9 +34,9 @@ from typing import TYPE_CHECKING
 import numpy as np
 from numpy.polynomial import chebyshev, legendre
 
-from .constants import _window_defect, asymptotic_constant
+from .constants import asymptotic_constant
 from .linalg import mat_exp
-from .words import WeightScheme, all_words
+from .words import WeightScheme, all_words, symmetry_defect
 
 if TYPE_CHECKING:
     from .spectral import SpectralPoint, TransferPair
@@ -118,7 +118,7 @@ def scheme_constant(
     on the cells.  Raises ValueError when the window weights are not
     reversal-symmetric, where J phi is not the adjoint eigenfunction, or
     the denominator pairing vanishes (constants.asymptotic_constant)."""
-    defect = _window_defect(scheme)
+    defect = symmetry_defect(WeightScheme(scheme.m, scheme.wt))  # windows alone
     if defect is not None:
         raise ValueError(
             "adjoint eigenfunctions via the J reflection need a "

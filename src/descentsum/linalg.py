@@ -87,18 +87,20 @@ def det(M: np.ndarray) -> complex:
     return complex(np.linalg.det(_as_square(M)))
 
 
-def nullspace_vector(M: np.ndarray) -> np.ndarray:
-    """A unit vector spanning the (numerical) nullspace of M, or of each
-    matrix in a (..., d, d) stack, with shape (..., d).
+def nullspace_vector(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unit vectors v and l spanning the (numerical) right and left
+    nullspaces of M, M v = 0 and l^T M = 0, or of each matrix in a
+    (..., d, d) stack, each with shape (..., d).
 
     The smallest singular value must fall below 1e-8 * max(1, ||M||_1),
-    otherwise ValueError reports the gap.  The returned right singular vector
-    has unit 2-norm and its largest-modulus entry rotated to be real positive,
-    which pins the sign/phase deterministically.
+    otherwise ValueError reports the gap.  Both come from the one SVD, the
+    conjugates of its last right and left singular vectors, with unit 2-norm
+    and their largest-modulus entry rotated to be real positive, which pins
+    the sign/phase deterministically.
     """
     M = _as_square(M)
     tol = 1e-8 * np.maximum(1.0, np.linalg.norm(M, 1, axis=(-2, -1)))
-    _, sing, vh = np.linalg.svd(M)
+    u, sing, vh = np.linalg.svd(M)
     smallest = sing[..., -1]
     if (smallest >= tol).any():
         i = np.argmax(smallest >= tol)
@@ -106,11 +108,12 @@ def nullspace_vector(M: np.ndarray) -> np.ndarray:
             f"matrix is not singular at tolerance {tol.flat[i]:.3g} "
             f"(smallest singular value {smallest.flat[i]:.3g})"
         )
-    v = vh[..., -1, :].conj()
-    j = np.argmax(np.abs(v), axis=-1)[..., None]
-    phase = np.take_along_axis(v, j, axis=-1)
-    v = v / (phase / np.abs(phase))
-    return v / np.linalg.norm(v, axis=-1, keepdims=True)
+    both = np.stack([vh[..., -1, :], u[..., :, -1]]).conj()
+    j = np.argmax(np.abs(both), axis=-1)[..., None]
+    phase = np.take_along_axis(both, j, axis=-1)
+    both = both / (phase / np.abs(phase))
+    v, l = both / np.linalg.norm(both, axis=-1, keepdims=True)
+    return v, l
 
 
 def invariant_subspaces(

@@ -174,21 +174,22 @@ class _Blocks(NamedTuple):
 class SpectralPoint(_Frozen):
     """One located eigenvalue with its certificate data.
 
+    ``vector`` and ``left`` are the unit right and left null vectors of
+    P(lambda) = -lambda I + B gamma((A-B)/lambda): P v = 0 and l^T P = 0.
     ``residual`` is |P(lambda) vector| / (|lambda| + |B gamma((A-B)/lambda)|)
     in 2-norms: how far P is from singular, relative to the size of its two
     terms, so it stays near float64 rounding however large P's entries get.
     """
 
-    __slots__ = ("lam", "vector", "simple", "residual")
+    __slots__ = ("lam", "vector", "left", "simple", "residual")
     lam: complex
     vector: np.ndarray
+    left: np.ndarray
     simple: bool
     residual: float
 
-    def __init__(
-        self, lam: complex, vector: np.ndarray, simple: bool, residual: float
-    ) -> None:
-        self._set(lam, vector, simple, residual)
+    def __init__(self, lam, vector, left, simple, residual) -> None:
+        self._set(lam, vector, left, simple, residual)
 
 
 def build_transfer(scheme: WeightScheme) -> TransferPair:
@@ -332,21 +333,22 @@ def _trace_solve(M: np.ndarray, U: np.ndarray, L: np.ndarray):
 
 def _make_points(pair: TransferPair, lams: list[complex]) -> list[SpectralPoint]:
     """The SpectralPoint of each lambda above the overflow floor, from one
-    stack of P(lambda): one exp and gamma, and one SVD each for the null
-    vectors and the 2-norms, for them all."""
+    stack of P(lambda): one exp and gamma, and one SVD each for the right
+    and left null vectors and the 2-norms, for them all."""
     if not lams:
         return []
     lam = np.array(lams, dtype=complex)[:, None, None]
     E, G = _exp_and_gamma((pair.A - pair.B) / lam)
     BG = pair.B @ G
     P = BG - lam * np.eye(pair.dim)
-    vectors = nullspace_vector(P)
+    vectors, lefts = nullspace_vector(P)
     # not |det P|, which grows with the entries of P, and not
     # sigma_min/sigma_max, which is 1 for any nonzero 1 x 1 P (m = 1)
     scale = np.abs(lam[:, 0, 0]) + np.linalg.svd(BG, compute_uv=False)[:, 0]
     residual = np.linalg.norm(_apply(P, vectors), axis=-1) / scale
     simple = _maps_to_nonzero(pair.B @ E, vectors)
-    return list(map(SpectralPoint, lams, vectors, simple.tolist(), residual.tolist()))
+    rows = zip(lams, vectors, lefts, simple.tolist(), residual.tolist())
+    return [SpectralPoint(*row) for row in rows]
 
 
 def is_simple(pair: TransferPair, lam: complex, vector: np.ndarray) -> bool:
@@ -469,7 +471,7 @@ def eigenvalues(pair: TransferPair, r_min: float) -> list[SpectralPoint]:
     eigenvalue beyond that modulus is returned.
 
     Real eigenvalues have an imaginary part of exactly 0; every non-real one
-    is reported with its exact conjugate and the conjugated vector.  An
+    is reported with its exact conjugate and the conjugated vectors.  An
     r_min at or below the overflow floor is raised above it, with a warning;
     a nonpositive or non-finite r_min raises ValueError.  The result is
     sorted by falling modulus, except that a run of moduli each within
@@ -519,9 +521,8 @@ def eigenvalues(pair: TransferPair, r_min: float) -> list[SpectralPoint]:
     for p in _make_points(pair, lams):
         points.append(p)
         if p.lam.imag != 0:
-            points.append(
-                SpectralPoint(p.lam.conjugate(), p.vector.conj(), p.simple, p.residual)
-            )
+            twin = (p.vector.conj(), p.left.conj(), p.simple, p.residual)
+            points.append(SpectralPoint(p.lam.conjugate(), *twin))
     # a pair +-lambda is equal in modulus only to rounding: runs of moduli
     # that agree to _TIE_TOL sort by |angle|, which keeps conjugates adjacent
     runs: list[list[SpectralPoint]] = []

@@ -241,7 +241,7 @@ def test_section6_refined_constants():
 
 def test_adjoint_refuses_asymmetric_scheme():
     lopsided = WeightScheme(m=3, wt={"aab": 0})
-    point = spectral.SpectralPoint(1.0, np.ones(4), True, 0.0)
+    point = spectral.SpectralPoint(1.0, np.ones(4), np.ones(4), True, 0.0)
     with pytest.raises(ValueError, match="aab"):
         scheme_constant(lopsided, build_transfer(lopsided), point)
 

@@ -138,19 +138,34 @@ def test_det_matches_numpy():
 
 
 def test_nullspace_vector_basic():
+    # M is not symmetric: its right and left null vectors differ
     M = np.array([[1.0, -1.0], [2.0, -2.0]])
-    v = nullspace_vector(M)
-    assert np.linalg.norm(M @ v) < 1e-12
+    v, l = nullspace_vector(M)
+    assert np.linalg.norm(M @ v) < 1e-12 and np.linalg.norm(l @ M) < 1e-12
     assert abs(np.linalg.norm(v) - 1.0) < 1e-12
+    assert abs(np.linalg.norm(l) - 1.0) < 1e-12
+    assert np.allclose(l, np.array([2.0, -1.0]) / np.sqrt(5), rtol=0, atol=1e-12)
 
 
 def test_nullspace_vector_phase_convention():
-    # the largest-modulus entry comes out real and positive
+    # the largest-modulus entry of each comes out real and positive
     M = np.array([[1.0, -1.0], [2.0, -2.0]]) * (0.3 + 0.4j)
-    v = nullspace_vector(M)
-    i = int(np.argmax(np.abs(v)))
-    assert abs(v[i].imag) < 1e-12
-    assert v[i].real > 0
+    for v in nullspace_vector(M):
+        i = int(np.argmax(np.abs(v)))
+        assert abs(v[i].imag) < 1e-12
+        assert v[i].real > 0
+
+
+def test_nullspace_vector_left_of_a_complex_matrix_is_not_conjugated():
+    # l^T M = 0, not l^H M = 0: the left null vector of M is the right null
+    # vector of M^T
+    rng = np.random.default_rng(3)
+    M = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
+    M = M @ (rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3)))
+    v, l = nullspace_vector(M)
+    assert np.linalg.norm(l @ M) < 1e-12
+    assert np.allclose(l, nullspace_vector(M.T)[0], rtol=0, atol=1e-12)
+    assert np.allclose(v, nullspace_vector(M.T)[1], rtol=0, atol=1e-12)
 
 
 def test_nullspace_vector_rejects_nonsingular():
@@ -164,10 +179,12 @@ def test_nullspace_vector_of_a_stack_matches_each_matrix():
     for _ in range(3):  # rank 3 of 4: a one-dimensional nullspace
         M = rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3))
         stack.append(M @ (rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))))
-    vectors = nullspace_vector(np.array(stack))
-    assert vectors.shape == (3, 4)
-    for M, v in zip(stack, vectors):
-        assert np.allclose(v, nullspace_vector(M), rtol=0, atol=1e-14)
+    vectors, lefts = nullspace_vector(np.array(stack))
+    assert vectors.shape == lefts.shape == (3, 4)
+    for M, v, l in zip(stack, vectors, lefts):
+        one_v, one_l = nullspace_vector(M)
+        assert np.allclose(v, one_v, rtol=0, atol=1e-14)
+        assert np.allclose(l, one_l, rtol=0, atol=1e-14)
     with pytest.raises(ValueError, match="singular value"):
         nullspace_vector(np.array([stack[0], np.eye(4)]))
 
@@ -177,7 +194,7 @@ def test_nullspace_vector_tolerance_scales_with_norm():
     with pytest.raises(ValueError, match="tolerance 1e-08"):
         nullspace_vector(np.diag([1.0, 1e-6]))
     for M in (np.diag([1.0, 1e-9]), np.diag([1e3, 5e-6]), np.diag([1e-3, 5e-9])):
-        v = nullspace_vector(M)
-        assert abs(abs(v[1]) - 1.0) < 1e-12
+        v, l = nullspace_vector(M)
+        assert abs(abs(v[1]) - 1.0) < 1e-12 and abs(abs(l[1]) - 1.0) < 1e-12
     with pytest.raises(ValueError, match="tolerance 1e-05"):
         nullspace_vector(np.diag([1e3, 2e-5]))

@@ -229,6 +229,7 @@ def test_find_complex_roots_one_sided_region_completes_conjugates(spectra):
                 continue
             twin = by_lam[p.lam.conjugate()]
             assert np.array_equal(twin.vector, p.vector.conj())
+            assert np.array_equal(twin.left, p.left.conj())
             assert twin.simple == p.simple
 
 
@@ -751,7 +752,8 @@ def test_ties_in_modulus_sort_by_angle(monkeypatch):
     monkeypatch.setattr(
         spectral, "_make_points",
         lambda pair, lams: [
-            spectral.SpectralPoint(lam, np.ones(1), True, 0.0) for lam in lams
+            spectral.SpectralPoint(lam, np.ones(1), np.ones(1), True, 0.0)
+            for lam in lams
         ],
     )
     half_pi = math.pi / 2
