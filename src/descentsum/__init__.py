@@ -34,8 +34,7 @@ from .words import *
 __version__ = "0.1.0"
 
 # the names of each module that loads on first access: numpy comes in with
-# linalg, spectral and expfun, and the numeric half of constants reaches
-# them at call time
+# linalg, spectral, constants and expfun
 _LAZY_NAMES = {
     "exact": """BRUTE_FORCE_CAP alpha_by_operator_iteration brute_force_alpha
         brute_force_alpha_direct dp_alpha wt_of_permutation""",

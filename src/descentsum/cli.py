@@ -18,7 +18,8 @@ constants to.  The csv module loads with --format csv alone.
 Output is deterministic: floats are fixed at 12 significant digits, row
 order is fixed, and timing goes to stderr so identical invocations produce
 byte-identical stdout.  Exit codes: 0 success, 1 a numeric check failed,
-2 usage or parse error.  Output into a closed pipe (``descentsum ... |
+2 usage or parse error, a window whose transfer matrices pass linalg's
+dimension cap among them.  Output into a closed pipe (``descentsum ... |
 head``) ends the process by SIGPIPE, without a traceback: status 141 in
 a POSIX shell.
 
@@ -39,7 +40,7 @@ import sys
 import time
 from fractions import Fraction
 from itertools import islice
-from math import factorial, isfinite
+from math import exp, factorial, isfinite, lgamma, log
 from pathlib import Path
 from typing import Callable, NoReturn, Sequence
 
@@ -157,6 +158,21 @@ def _resolve_scheme(args) -> tuple[WeightScheme, str]:
     return load_scheme(text), str(path)
 
 
+def _resolve_transfer_scheme(args) -> tuple[WeightScheme, str]:
+    """_resolve_scheme for the commands that build the transfer pair: a
+    window whose 2^(m-1) x 2^(m-1) matrices pass linalg's cap is a usage
+    error, refused before any numeric work."""
+    from .linalg import MAX_DIM
+
+    scheme, label = _resolve_scheme(args)
+    if 2 ** (scheme.m - 1) > MAX_DIM:
+        raise UsageFailure(
+            f"window length m = {scheme.m} needs transfer matrices of dimension "
+            f"{2 ** (scheme.m - 1)}, above the cap {MAX_DIM}"
+        )
+    return scheme, label
+
+
 # each complex value of a constants row, split into _re and _im columns
 _CONSTANT_PARTS = ("lambda", "const", "phi_mu", "kappa_psi", "phi_psi")
 _CONSTANT_COLUMNS = [f"{name}_{part}" for name in _CONSTANT_PARTS for part in ("re", "im")]
@@ -229,7 +245,7 @@ def _cmd_oracle(args) -> tuple[RunReport, list[str]]:
 def _cmd_spectrum(args) -> tuple[RunReport, list[str]]:
     from .spectral import build_transfer, top_eigenvalues
 
-    scheme, label = _resolve_scheme(args)
+    scheme, label = _resolve_transfer_scheme(args)
     points, _ = top_eigenvalues(build_transfer(scheme), args.min_modulus, args.top)
     report = RunReport(
         command="spectrum",
@@ -244,14 +260,14 @@ def _cmd_spectrum(args) -> tuple[RunReport, list[str]]:
 def _cmd_constants(args) -> tuple[RunReport, list[str]]:
     from .constants import asymptotics
 
-    scheme, label = _resolve_scheme(args)
-    terms, refused, _ = asymptotics(scheme, args.min_modulus, args.top).constants()
-    if refused:
-        p, reason = refused[0]
+    scheme, label = _resolve_transfer_scheme(args)
+    analysis = asymptotics(scheme, args.min_modulus, args.top)
+    if analysis.refused:
+        p, reason = analysis.refused[0]
         raise CheckFailure(f"at lambda = {p.lam:.12g}: {reason}")
     rows = [
         [z for v in map(complex, (p.lam, const, *pairings)) for z in (v.real, v.imag)]
-        for p, const, pairings in terms
+        for p, const, pairings in analysis.terms
     ]
     report = RunReport(
         command="constants",
@@ -264,26 +280,29 @@ def _cmd_constants(args) -> tuple[RunReport, list[str]]:
 
 
 def _cmd_verify(args) -> tuple[RunReport, list[str]]:
-    from .constants import asymptotics, predict_alpha
+    # exact before constants, which loads numpy: compiled first, exact
+    # leaves memory that numpy's import reuses, 0.2 MB of peak RSS
     from .exact import _dp_pass
+    from .constants import asymptotics, predict_alpha
 
-    scheme, label = _resolve_scheme(args)
+    scheme, label = _resolve_transfer_scheme(args)
     m, n_max = scheme.m, args.n_max
     if n_max < m:
         raise UsageFailure(f"--n-max must be at least m = {m}")
     tol = args.tol
 
-    found, refused, r_hat = asymptotics(scheme, args.min_modulus, args.top).constants()
-    for p, msg in refused:
+    analysis = asymptotics(scheme, args.min_modulus, args.top)
+    r_hat = analysis.r_hat
+    for p, msg in analysis.refused:
         print(
             f"note: no constant at lambda = {p.lam:.12g} ({msg}); "
             "treating it as excluded",
             file=sys.stderr,
         )
-    terms = [(complex(const), complex(p.lam)) for p, const, _ in found]
+    terms = [(complex(const), complex(p.lam)) for p, const, _ in analysis.terms]
     # reference decay scale when every found eigenvalue is in the prediction:
     # remaining-spectrum contributions shrink at least factorially
-    ref_base = max(2.0, 2.0 * float(scheme.max_abs_weight()))
+    log_base = log(max(2.0, 2.0 * float(scheme.max_abs_weight())))
 
     rows: list[tuple] = []
     failures: list[str] = []
@@ -296,7 +315,8 @@ def _cmd_verify(args) -> tuple[RunReport, list[str]]:
         if r_hat is not None:
             bound = tol * r_hat**n
         else:
-            bound = tol * ref_base**n / factorial(n + 1)
+            # base^n/(n + 1)! in logs: it underflows to 0 rather than overflow
+            bound = tol * exp(n * log_base - lgamma(n + 2))
         bound = max(bound, PREDICTION_RTOL * float(exact_norm))
         rows.append((n, exact, float(exact_norm), predicted, err, bound))
         if n >= m + 5:

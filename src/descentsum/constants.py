@@ -51,28 +51,27 @@ definition, one eigenvalue at a time by Chebyshev quadrature from A and B
 alone, with psi = J phi on the reversal-symmetric schemes it takes.
 
 asymptotics() is the analysis entry point: a scheme's spectrum, truncated
-to the top eigenvalues, and, on request, one constant per eigenvalue,
-computed once per conjugate pair.  Every scheme has them, a count
-restricted to a first or last descent letter (words.restrict_ends) too.
+to the top eigenvalues, and one constant per eigenvalue, computed once per
+conjugate pair.  Every scheme has them, a count restricted to a first or
+last descent letter (words.restrict_ends) too.
 Read through an ill-conditioned basis W of the blocks, the eigenfunctions
 would lose digits: when cond(W) exceeds _BASIS_COND, every constant of
 the pair is refused, though its eigenvalues are not.
 
-The module loads words alone; numpy and spectral come in when the
-eigenvalues are first asked for.
+The module imports numpy and spectral, as spectral imports numpy; the
+package and the command line import it only when constants are asked for.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
+# spectral before numpy: its source is compiled before numpy loads, and
+# numpy's import reuses the freed memory, 1.3 MB of peak RSS per command
+from .spectral import SpectralPoint, TransferPair, _psi, build_transfer, top_eigenvalues
 from .words import WeightScheme, _Frozen, all_words
 
-if TYPE_CHECKING:
-    import numpy as np
-
-    from .spectral import SpectralPoint, TransferPair
+import numpy as np
 
 _BASIS_COND = 1e4  # largest cond(W) an eigenfunction is read through
 
@@ -86,8 +85,6 @@ __all__ = [
 
 def _basis_refusal(pair: TransferPair) -> str | None:
     """Why no eigenfunction is read through the pair's basis W, or None."""
-    import numpy as np
-
     cond = np.linalg.cond(pair.blocks.W)
     if cond > _BASIS_COND:
         return (
@@ -118,10 +115,6 @@ def _moments(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The cell moments m and the values phi(1) of the eigenfunctions of
     the eigenvalues lams with null vectors vectors: two (L, cells) arrays."""
-    import numpy as np
-
-    from .spectral import _psi
-
     blocks = pair.blocks
     words, m, p = pair.index_words, pair.m, len(blocks.powers)
     lam = np.asarray(lams, dtype=complex)
@@ -166,8 +159,6 @@ def _pairings(
     (L, 3) array for the eigenvalues lams with right and left null vectors
     vectors and lefts, and the boundary weights wt1 and wt2 per cell in
     index order."""
-    import numpy as np
-
     moments, at_one = _moments(pair, lams, vectors)
     left = np.asarray(lefts)
     # complex like the rest: a real product would load numpy's real matrix
@@ -211,97 +202,64 @@ def _constants(
 
 
 class Asymptotics(_Frozen):
-    """A scheme's kept eigenvalues, with what their constants need.
+    """A scheme's kept eigenvalues and their constants.
 
-    ``points`` are the eigenvalues above ``r_min`` kept, by falling modulus;
-    ``r_hat`` is the modulus of the largest one left out by truncation (None
-    when none is).  The transfer pair and the one eigenvalue search behind
-    ``points`` and ``r_hat`` are made on first access, and spectral, with
-    numpy, is imported then.
+    ``pair`` is the scheme's transfer pair, and ``points`` are the
+    eigenvalues above r_min kept, by falling modulus.  ``terms`` holds
+    (point, constant, pairings) per point with a constant, and ``refused``
+    (point, reason) per point without one.  ``r_hat`` is the modulus of the
+    largest eigenvalue left out, by the truncation or by a refusal (None
+    when none is).
     """
 
-    __slots__ = ("scheme", "r_min", "top", "__dict__")
-    scheme: WeightScheme
-    r_min: float
-    top: int
+    __slots__ = ("pair", "points", "terms", "refused", "r_hat")
+    pair: TransferPair
+    points: tuple[SpectralPoint, ...]
+    terms: tuple[tuple[SpectralPoint, complex, tuple[complex, complex, complex]], ...]
+    refused: tuple[tuple[SpectralPoint, str], ...]
+    r_hat: float | None
 
-    def __init__(self, scheme: WeightScheme, r_min: float, top: int) -> None:
-        self._set(scheme, r_min, top)
-
-    @cached_property
-    def pair(self) -> TransferPair:
-        from .spectral import build_transfer
-
-        return build_transfer(self.scheme)
-
-    @cached_property
-    def _kept(self) -> tuple[tuple[SpectralPoint, ...], float | None]:
-        from .spectral import top_eigenvalues
-
-        points, r_hat = top_eigenvalues(self.pair, self.r_min, self.top)
-        return tuple(points), r_hat
-
-    @property
-    def points(self) -> tuple[SpectralPoint, ...]:
-        return self._kept[0]
-
-    @property
-    def r_hat(self) -> float | None:
-        return self._kept[1]
-
-    def constants(
-        self,
-    ) -> tuple[
-        list[tuple[SpectralPoint, complex, tuple[complex, complex, complex]]],
-        list[tuple[SpectralPoint, str]],
-        float | None,
-    ]:
-        """(point, constant, pairings) per kept point, (point, reason) per
-        refused point, and r_hat widened by the refused ones.
-
-        The pairings of every real or upper-half eigenvalue come from one
-        array pass.  Its conjugate is listed with the conjugated vectors
-        (spectral.eigenvalues), so it gets the conjugated constant and
-        pairings, and a refusal covers both.  At a real lambda the
-        constant and the pairings are real, as A, B, kappa, mu and the
-        null vectors are: their imaginary parts, rounding from the complex
-        basis W, are dropped.  A point is refused when the basis W is
-        ill-conditioned (every point then) or its denominator pairing
-        vanishes (asymptotic_constant).
-        """
-        # per real or upper-half lambda: (constant, pairings), or why not
-        upper = [p for p in self.points if p.lam.imag >= 0]
-        found = dict(
-            zip((p.lam for p in upper), _constants(self.scheme, self.pair, upper))
-        )
-        terms, refused, r_hat = [], [], self.r_hat
-        for p in self.points:
-            got = found[p.lam.conjugate()] if p.lam.imag < 0 else found[p.lam]
-            if isinstance(got, str):
-                refused.append((p, got))
-                r_hat = abs(p.lam) if r_hat is None else max(r_hat, abs(p.lam))
-            elif p.lam.imag < 0:
-                const, pairings = got
-                pairings = tuple(z.conjugate() for z in pairings)
-                terms.append((p, const.conjugate(), pairings))
-            elif p.lam.imag == 0:
-                const, pairings = got
-                pairings = tuple(complex(z.real) for z in pairings)
-                terms.append((p, complex(const.real), pairings))
-            else:
-                terms.append((p, *got))
-        return terms, refused, r_hat
+    def __init__(self, pair, points, terms, refused, r_hat) -> None:
+        self._set(pair, points, terms, refused, r_hat)
 
 
 def asymptotics(scheme: WeightScheme, r_min: float, top: int = 0) -> Asymptotics:
-    """The scheme's eigenvalues above r_min, kept to the top K by modulus.
+    """The scheme's eigenvalues above r_min, kept to the top K by modulus,
+    with their constants.
 
     The truncation is spectral.top_eigenvalues: top = K > 0 keeps the K
     largest, and one more when that completes a conjugate pair; top <= 0
-    keeps all.  The eigenvalues are searched for when the record is first
-    asked for them, and constants only when it is asked for those.
+    keeps all.  The pairings of every real or upper-half eigenvalue come
+    from one array pass.  Its conjugate is listed with the conjugated
+    vectors (spectral.eigenvalues), so it gets the conjugated constant and
+    pairings, and a refusal covers both.  At a real lambda the constant and
+    the pairings are real, as A, B, kappa, mu and the null vectors are:
+    their imaginary parts, rounding from the complex basis W, are dropped.
+    A point is refused when the basis W is ill-conditioned (every point
+    then) or its denominator pairing vanishes (asymptotic_constant).
     """
-    return Asymptotics(scheme, r_min, top)
+    pair = build_transfer(scheme)
+    points, r_hat = top_eigenvalues(pair, r_min, top)
+    # per real or upper-half lambda: (constant, pairings), or why not
+    upper = [p for p in points if p.lam.imag >= 0]
+    found = dict(zip((p.lam for p in upper), _constants(scheme, pair, upper)))
+    terms, refused = [], []
+    for p in points:
+        got = found[p.lam.conjugate()] if p.lam.imag < 0 else found[p.lam]
+        if isinstance(got, str):
+            refused.append((p, got))
+            r_hat = abs(p.lam) if r_hat is None else max(r_hat, abs(p.lam))
+        elif p.lam.imag < 0:
+            const, pairings = got
+            pairings = tuple(z.conjugate() for z in pairings)
+            terms.append((p, const.conjugate(), pairings))
+        elif p.lam.imag == 0:
+            const, pairings = got
+            pairings = tuple(complex(z.real) for z in pairings)
+            terms.append((p, complex(const.real), pairings))
+        else:
+            terms.append((p, *got))
+    return Asymptotics(pair, tuple(points), tuple(terms), tuple(refused), r_hat)
 
 
 def predict_alpha(

@@ -28,7 +28,6 @@ __all__ = [
     "descent_word",
     "standardize",
     "reverse_complement",
-    "is_symmetric",
     "symmetry_defect",
     "restrict_ends",
     "pattern_set",
@@ -192,22 +191,15 @@ class WeightScheme(_Frozen):
         return f"WeightScheme({', '.join(parts)})"
 
 
-def is_symmetric(scheme: WeightScheme) -> bool:
-    """True when the scheme is invariant under reading words backwards.
+def symmetry_defect(scheme: WeightScheme) -> str | None:
+    """None when the scheme is invariant under reading words backwards, else
+    a message naming one offending pair.
 
     The reflection pi -> (n+1-pi_n, ..., n+1-pi_1) reverses the descent word,
     so a scheme with wt(w) = wt(reversed w) for every window and
     wt1(u) = wt2(reversed u) on the boundary gives every permutation and its
-    reflection the same weight.  The asymptotic constants need only the
-    window half: then the apply_J reflection conjugates the transfer
-    operator into its adjoint, and the boundary weights enter the constants
-    only through the pairings, so they are free.
+    reflection the same weight.
     """
-    return symmetry_defect(scheme) is None
-
-
-def symmetry_defect(scheme: WeightScheme) -> str | None:
-    """None if symmetric, else a message naming one offending pair."""
     for w, v in scheme.wt.items():
         if v != scheme.wt[w[::-1]]:
             return f"wt({w}) = {v} differs from wt({w[::-1]}) = {scheme.wt[w[::-1]]}"

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import math
 import warnings
 from pathlib import Path
 
@@ -334,6 +335,47 @@ def test_verify_bound_stops_at_float_resolution(capsys):
                      "--tol", "1e-3")
     assert rc == 1
     assert "exceeds the decay bound" in err
+
+
+def test_verify_envelope_underflows_at_large_n(capsys):
+    # every found eigenvalue of sec6 is used, so the bound is the envelope
+    # tol * 4^n/(n + 1)!, 4 twice the largest weight: from n = 170 its
+    # (n + 1)! no longer converts to a float, and in logs the envelope falls
+    # to 0, under the 1e-13 relative floor
+    rc, out, err = run(capsys, "verify", "--preset", "sec6", "--n-max", "400",
+                       "--format", "json")
+    assert rc == 0, err
+    rows = json.loads(out)["rows"]
+    assert [r["n"] for r in rows] == list(range(2, 401))
+    for r in rows:
+        n, exact = r["n"], r["alpha_over_n_factorial"]
+        envelope = 3 * 4.0**n / math.factorial(n + 1) if n < 170 else 0.0
+        assert r["bound"] == pytest.approx(max(envelope, 1e-13 * exact), rel=1e-11)
+
+
+def test_a_window_past_the_matrix_cap_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    import descentsum.constants as constants
+    import descentsum.spectral as spectral
+
+    def barred(scheme):
+        raise AssertionError("the transfer pair was built")
+
+    for module in (spectral, constants):
+        monkeypatch.setattr(module, "build_transfer", barred)
+    f = tmp_path / "m8.scheme"
+    f.write_text("m = 8\nwt aaaaaaaa = 0\n")
+    for command in ("spectrum", "constants", "verify"):
+        rc, out, err = run(capsys, command, "--scheme", str(f))
+        assert (rc, out) == (2, ""), err
+        assert err.startswith(
+            "error: window length m = 8 needs transfer matrices of dimension "
+            "128, above the cap 64\n"
+        )
+    # the exact routes have no cap: only the identity has eight ascents
+    rc, out, err = run(capsys, "oracle", "--scheme", str(f), "--n", "9",
+                       "--method", "dp", "--format", "json")
+    assert rc == 0, err
+    assert json.loads(out)["rows"][0]["alpha"] == str(math.factorial(9) - 1)
 
 
 def test_library_errors_are_check_failures(capsys, monkeypatch):

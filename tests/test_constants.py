@@ -12,8 +12,8 @@ checks the identities against the definition: the two routes must agree
 to the resolution of the pairings, and refuse the same points for the same
 cause.  The null vector half of the residue identity is also checked on its
 own, without expfun.  The module also tests the rest of
-descentsum.constants: the truncation, the symmetry gate, the refusals and
-predict_alpha.
+descentsum.constants: the truncation, the schemes with no symmetry, the
+refusals and predict_alpha.
 """
 
 from __future__ import annotations
@@ -123,9 +123,8 @@ def assert_matches_reference(scheme, analysis, rho):
     The 1e-10 guard on p3 sees those two scales, so the routes must refuse
     the same points only where the reference's p3 is resolved.
     """
-    terms, refused, _ = analysis.constants()
-    got = {p.lam: (const, *pairings) for p, const, pairings in terms}
-    why = {p.lam: reason for p, reason in refused}
+    got = {p.lam: (const, *pairings) for p, const, pairings in analysis.terms}
+    why = {p.lam: reason for p, reason in analysis.refused}
     # the reference at the real and upper-half points; a lower-half point
     # has the conjugate vector, constant and pairings
     upper = {
@@ -169,12 +168,11 @@ SCHEMES = dict(schemes_under_test())
 # the test names keep the ExpPoly route the array pass was first held to
 @pytest.mark.parametrize("name", list(SCHEMES))
 def test_array_pass_matches_the_expoly_route(name):
-    analysis = asymptotics(SCHEMES[name], 0.05)
     with warnings.catch_warnings():
         # some draws are certified complete only above a larger modulus, with
         # a warning; the points found are what both routes are given
         warnings.simplefilter("ignore", UserWarning)
-        analysis.points
+        analysis = asymptotics(SCHEMES[name], 0.05)
     pair = analysis.pair
     rho = float(np.max(np.abs(np.linalg.eigvals(pair.A - pair.B))))
     assert_matches_reference(SCHEMES[name], analysis, rho)
@@ -213,29 +211,35 @@ def test_basis_refusal_covers_every_point_with_the_same_message(monkeypatch):
     monkeypatch.setattr(constants, "_BASIS_COND", 0.5)
     scheme = preset_scheme("sec5-1")
     analysis = asymptotics(scheme, 0.05, top=3)
-    terms, refused, r_hat = analysis.constants()
-    assert terms == [] and [p for p, _ in refused] == list(analysis.points)
+    refused = analysis.refused
+    assert analysis.terms == () and [p for p, _ in refused] == list(analysis.points)
     assert len({reason for _, reason in refused}) == 1
     for p, reason in refused:
         assert reason.startswith("the basis W of the generalized eigenspaces")
         # the quadrature route reads no W, so it has the constant
         assert not isinstance(reference(scheme, analysis.pair, p), str)
-    assert r_hat == abs(analysis.points[0].lam)
+    assert analysis.r_hat == abs(analysis.points[0].lam)
 
 
-def test_a_vanishing_denominator_is_refused_as_the_expoly_route_refuses():
+def test_a_vanishing_denominator_is_refused_as_the_expoly_route_refuses(
+    monkeypatch,
+):
     # scaling both null vectors by s scales <phi, conj(psi)> by s^2 on either
     # route (the reference reads v twice, the array pass v and l once each):
     # at s = 1e-6 every denominator of sec5-1 falls under the 1e-10 guard
+    def shrunk(pair, r_min, top):
+        points, r_hat = spectral.top_eigenvalues(pair, r_min, top)
+        small = [
+            SpectralPoint(p.lam, p.vector * 1e-6, p.left * 1e-6, p.simple, p.residual)
+            for p in points
+        ]
+        return small, r_hat
+
+    monkeypatch.setattr(constants, "top_eigenvalues", shrunk)
     scheme = preset_scheme("sec5-1")
     analysis = asymptotics(scheme, 0.05, top=3)
-    small = tuple(
-        SpectralPoint(p.lam, p.vector * 1e-6, p.left * 1e-6, p.simple, p.residual)
-        for p in analysis.points
-    )
-    analysis.__dict__["_kept"] = (small, analysis.r_hat)
-    terms, refused, _ = analysis.constants()
-    assert terms == [] and len(refused) == len(small)
+    refused = analysis.refused
+    assert analysis.terms == () and len(refused) == len(analysis.points) == 3
     for p, reason in refused:
         assert "vanishes at tolerance 1e-10" in reason
         assert cause(reference(scheme, analysis.pair, p)) == cause(reason)
@@ -259,9 +263,9 @@ def test_a_simple_eigenvalue_with_a_small_denominator_keeps_its_constant(
     # is 301.690753616 (the exact Taylor series of f, 40 digits); refused, it
     # left verify 1.44e-5 off at n = 8, above the bound 1.64e-10
     scheme = load_scheme(SMALL_DENOMINATOR)
-    terms, refused, _ = asymptotics(scheme, 0.05).constants()
-    assert [p.lam for p, _ in refused] == []
-    (c,) = [c for p, c, _ in terms if abs(p.lam + 0.0521460) < 1e-6]
+    analysis = asymptotics(scheme, 0.05)
+    assert analysis.refused == ()
+    (c,) = [c for p, c, _ in analysis.terms if abs(p.lam + 0.0521460) < 1e-6]
     assert abs(c - 301.690753616) <= 1e-6 * 301.690753616
     f = tmp_path / "small-denominator.scheme"
     f.write_text(SMALL_DENOMINATOR)
@@ -301,14 +305,15 @@ def test_eigenfunction_refuses_a_fallback_block(monkeypatch, tmp_path, capsys):
     # merged kernel case but not the nilpotency test: it is split into its
     # eigenvalues again, and every constant stays what it is unmerged
     scheme = load_scheme(SYMMETRIC_NEAR_PAIR)
-    unmerged = asymptotics(scheme, 0.5).constants()
+    unmerged = asymptotics(scheme, 0.5)
     with monkeypatch.context() as merge:
         merge.setattr(spectral, "_CLUSTER_TOL", 0.05)
         merge.setattr(linalg, "_JORDAN_TOL", 1e-4)
-        merged = asymptotics(scheme, 0.5).constants()
-    assert unmerged[1:] == merged[1:] == ([], None)
-    assert len(unmerged[0]) == len(merged[0]) == 6
-    for (p, c, _), (q, d, _) in zip(unmerged[0], merged[0]):
+        merged = asymptotics(scheme, 0.5)
+    for analysis in (unmerged, merged):
+        assert analysis.refused == () and analysis.r_hat is None
+        assert len(analysis.terms) == 6
+    for (p, c, _), (q, d, _) in zip(unmerged.terms, merged.terms):
         assert p.lam == q.lam and abs(c - d) <= 1e-12 * abs(c)
     # an ill-conditioned W keeps its eigenvalues, and only the constants of
     # the eigenfunctions read through it are refused
@@ -318,12 +323,12 @@ def test_eigenfunction_refuses_a_fallback_block(monkeypatch, tmp_path, capsys):
         r"\S+ > 0\.5: the eigenfunction would lose digits"
     )
     analysis = asymptotics(scheme, 0.5)
-    assert [p.lam for p in analysis.points] == [p.lam for p, _, _ in unmerged[0]]
+    assert [p.lam for p in analysis.points] == [p.lam for p, _, _ in unmerged.terms]
     top = analysis.points[0]
-    terms, refused, r_hat = analysis.constants()
-    assert terms == [] and [p for p, _ in refused] == list(analysis.points)
+    refused = analysis.refused
+    assert analysis.terms == () and [p for p, _ in refused] == list(analysis.points)
     assert all(re.match(refusal, reason) for _, reason in refused)
-    assert r_hat == abs(top.lam)
+    assert analysis.r_hat == abs(top.lam)
     scheme_file = tmp_path / "near-pair.scheme"
     scheme_file.write_text(SYMMETRIC_NEAR_PAIR)
     assert main(["constants", "--scheme", str(scheme_file), "--min-modulus", "0.5"]) == 1
@@ -346,7 +351,7 @@ def test_asymptotics_truncates_without_splitting_a_conjugate_pair(spectra):
     assert len(one.points) == 1 and one.r_hat == abs(every[1].lam)
 
 
-def test_asymptotics_computes_constants_only_when_asked(monkeypatch):
+def test_asymptotics_computes_each_conjugate_pair_once(monkeypatch):
     calls = []
     real = constants._pairings
 
@@ -359,8 +364,7 @@ def test_asymptotics_computes_constants_only_when_asked(monkeypatch):
     monkeypatch.setattr(constants, "_pairings", counted)
     scheme = preset_scheme("sec5-1")
     analysis = asymptotics(scheme, 0.05, top=4)
-    assert calls == []
-    terms, refused, r_hat = analysis.constants()
+    terms, refused = analysis.terms, analysis.refused
     # one pass over the real and upper-half eigenvalues: points 1 and 2 are
     # a conjugate pair, lower half first, and only point 2 is computed
     assert calls == [[analysis.points[i].lam for i in (0, 2, 3)]]
@@ -381,12 +385,13 @@ def test_asymptotics_computes_constants_only_when_asked(monkeypatch):
     assert [(p.lam, why) for p, why in refused] == [
         (analysis.points[i].lam, vanishes) for i in (1, 2)
     ]
-    assert analysis.r_hat < r_hat == abs(analysis.points[1].lam)
+    _, truncated = spectral.top_eigenvalues(analysis.pair, 0.05, 4)
+    assert truncated < analysis.r_hat == abs(analysis.points[1].lam)
 
 
 @pytest.mark.parametrize("name", ["sec5-1", "sec5-2"])
 def test_conjugate_constants_are_conjugated_not_recomputed(name):
-    # constants() computes each conjugate pair once, at its upper-half member;
+    # asymptotics computes each conjugate pair once, at its upper-half member;
     # the lower-half member's constant and pairings are the exact conjugates,
     # and its constant and <phi, mu> agree with a direct computation there to
     # the golden tolerance (the pairings with psi are in another scale there)
@@ -394,8 +399,8 @@ def test_conjugate_constants_are_conjugated_not_recomputed(name):
 
     scheme = preset_scheme(name)
     analysis = asymptotics(scheme, 0.05)
-    terms, refused, _ = analysis.constants()
-    assert refused == []
+    terms = analysis.terms
+    assert analysis.refused == ()
     found = {p.lam: (const, *pairings) for p, const, pairings in terms}
     lower = [p for p, _, _ in terms if p.lam.imag < 0]
     assert len(lower) == sum(p.lam.imag > 0 for p, _, _ in terms) > 0
@@ -416,8 +421,9 @@ def test_asymptotics_has_no_symmetry_gate():
     # through P(lambda), kappa and mu
     scheme = load_scheme((ROOT / "tests" / "schemes" / "asymmetric-3.scheme").read_text())
     assert symmetry_defect(WeightScheme(scheme.m, scheme.wt)) is not None
-    terms, refused, _ = asymptotics(scheme, 0.1).constants()
-    assert refused == [] and len(terms) == 6
+    analysis = asymptotics(scheme, 0.1)
+    terms = analysis.terms
+    assert analysis.refused == () and len(terms) == 6
     # the top constant from the exact Taylor series of f (ROADMAP item 15)
     assert abs(terms[0][1] - 2.69422688033) <= 1e-9 * 2.69422688033
     assert_predicts_the_dp(scheme, terms)
@@ -465,27 +471,24 @@ def test_constants_of_asymmetric_schemes_predict_the_dp(name):
     assert symmetry_defect(WeightScheme(scheme.m, scheme.wt)) is not None
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
-        terms, refused, _ = asymptotics(scheme, 0.1).constants()
-    assert refused == []
+        analysis = asymptotics(scheme, 0.1)
+    assert analysis.refused == ()
     if name in NO_EIGENVALUE:
-        assert terms == []
+        assert analysis.terms == ()
     else:
-        assert_predicts_the_dp(scheme, terms, LATE.get(name, (30, 40)))
+        assert_predicts_the_dp(scheme, analysis.terms, LATE.get(name, (30, 40)))
 
 
-def test_asymptotics_searches_eigenvalues_once_on_first_access(monkeypatch):
-    import descentsum.spectral as spectral
-
+def test_asymptotics_searches_eigenvalues_once_per_call(monkeypatch):
     calls = []
     real = spectral.eigenvalues
     monkeypatch.setattr(
         spectral, "eigenvalues", lambda *args: calls.append(args) or real(*args)
     )
     analysis = asymptotics(preset_scheme("sec5-1"), 0.05, top=1)
-    assert calls == []
-    assert len(analysis.points) == 1 and analysis.r_hat is not None
-    analysis.constants()
     assert len(calls) == 1
+    assert len(analysis.points) == len(analysis.terms) == 1
+    assert analysis.r_hat is not None
 
 
 def test_predict_alpha_examples(spectra):

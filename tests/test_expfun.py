@@ -150,7 +150,7 @@ def test_scheme_constant_reads_neither_the_blocks_nor_the_kernel_factors(monkeyp
     # fault in the block decomposition cannot hide in both
     scheme = preset_scheme("sec5-1")
     analysis = asymptotics(scheme, 0.05, top=1)
-    (top, batch, _), = analysis.constants()[0]
+    (top, batch, _), = analysis.terms
 
     def barred(pair):
         raise AssertionError("the reference read the block decomposition")
@@ -307,8 +307,9 @@ def test_apply_operator_eigen_residual_presets(spectra):
     # nilpotency index 2
     cases = {name: (preset_scheme(name), *spectra[name])
              for name in ("sec5-1", "sec5-2", "sec6", "alternating", "all-ones")}
-    no_runs = asymptotics(load_scheme("m = 5\nwt aaaaa = 0\nwt bbbbb = 0\n"), 0.1)
-    cases["no-runs-5"] = (no_runs.scheme, no_runs.pair, no_runs.points[:10])
+    no_runs = load_scheme("m = 5\nwt aaaaa = 0\nwt bbbbb = 0\n")
+    analysis = asymptotics(no_runs, 0.1)
+    cases["no-runs-5"] = (no_runs, analysis.pair, analysis.points[:10])
     for name, (scheme, pair, points) in cases.items():
         for pt in points[:10] if name == "no-runs-5" else points[:3]:
             phi = eigenfunction(pair, pt.lam, pt.vector)

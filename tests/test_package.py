@@ -397,7 +397,7 @@ def test_unknown_attribute_raises_naming_it():
 def test_readme_session_and_words_doctests():
     readme = Path(__file__).resolve().parent.parent / "README.md"
     session = doctest.testfile(str(readme), module_relative=False)
-    assert session.failed == 0 and session.attempted == 11
+    assert session.failed == 0 and session.attempted == 10
     words = doctest.testmod(descentsum.words)
     assert words.failed == 0 and words.attempted == 7
 

@@ -17,7 +17,6 @@ from descentsum import (
     all_words,
     descent_word,
     dump_scheme,
-    is_symmetric,
     load_scheme,
     pattern_set,
     preset_scheme,
@@ -108,27 +107,25 @@ def test_weight_scheme_m1_boundary_word_is_empty():
 
 
 def test_is_symmetric_presets():
-    assert is_symmetric(preset_scheme("sec6"))
-    assert is_symmetric(preset_scheme("sec5-1"))
-    assert is_symmetric(preset_scheme("sec5-2"))
-    assert is_symmetric(WeightScheme(m=3, wt={"aaa": 0, "bbb": 0}))
+    assert symmetry_defect(preset_scheme("sec6")) is None
+    assert symmetry_defect(preset_scheme("sec5-1")) is None
+    assert symmetry_defect(preset_scheme("sec5-2")) is None
+    assert symmetry_defect(WeightScheme(m=3, wt={"aaa": 0, "bbb": 0})) is None
 
 
 def test_is_symmetric_needs_reversed_mate():
     # aab reversed is baa; zeroing only one of them breaks the symmetry
     lopsided = WeightScheme(m=3, wt={"aab": 0})
-    assert not is_symmetric(lopsided)
     msg = symmetry_defect(lopsided)
     assert "aab" in msg and "baa" in msg
     balanced = WeightScheme(m=3, wt={"aab": 0, "baa": 0})
-    assert is_symmetric(balanced)
     assert symmetry_defect(balanced) is None
 
 
 def test_is_symmetric_couples_wt1_to_wt2():
-    assert not is_symmetric(WeightScheme(m=2, wt1={"a": 2}))
+    assert symmetry_defect(WeightScheme(m=2, wt1={"a": 2})) is not None
     s = WeightScheme(m=2, wt1={"a": 2}, wt2={"a": 2})
-    assert is_symmetric(s)
+    assert symmetry_defect(s) is None
     # reversal swaps the boundary tables, so a lone wt2 entry also breaks it
     msg = symmetry_defect(WeightScheme(m=2, wt2={"b": 3}))
     assert "wt1" in msg or "wt2" in msg
