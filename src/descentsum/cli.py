@@ -42,10 +42,10 @@ from fractions import Fraction
 from itertools import islice
 from math import exp, factorial, isfinite, lgamma, log
 from pathlib import Path
-from typing import Callable, NoReturn, Sequence
+from typing import Callable, NamedTuple, NoReturn, Sequence
 
 from .presets import PRESETS, preset_scheme
-from .words import SchemeParseError, WeightScheme, _Frozen, load_scheme, restrict_ends
+from .words import SchemeParseError, WeightScheme, load_scheme, restrict_ends
 
 __all__ = ["main", "process_main"]
 
@@ -63,27 +63,15 @@ class CheckFailure(Exception):
     """A numeric assertion failed before any table was produced; exit 1."""
 
 
-class RunReport(_Frozen):
+class RunReport(NamedTuple):
     """One command's output: a table with its column names, and summary lines."""
 
-    __slots__ = ("command", "scheme_label", "params", "columns", "rows", "summary")
     command: str
     scheme_label: str
     params: dict
     columns: list[str]
     rows: list[Sequence]  # one value per column, in column order
-    summary: list[str]
-
-    def __init__(
-        self,
-        command: str,
-        scheme_label: str,
-        params: dict,
-        columns: list[str],
-        rows: list[Sequence],
-        summary: list[str] | None = None,
-    ) -> None:
-        self._set(command, scheme_label, params, columns, rows, summary or [])
+    summary: Sequence[str] = ()
 
 
 # --- value formatting ---

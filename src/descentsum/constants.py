@@ -64,12 +64,12 @@ package and the command line import it only when constants are asked for.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 # spectral before numpy: its source is compiled before numpy loads, and
 # numpy's import reuses the freed memory, 1.3 MB of peak RSS per command
 from .spectral import SpectralPoint, TransferPair, _psi, build_transfer, top_eigenvalues
-from .words import WeightScheme, _Frozen, all_words
+from .words import WeightScheme, all_words
 
 import numpy as np
 
@@ -201,7 +201,7 @@ def _constants(
     return out
 
 
-class Asymptotics(_Frozen):
+class Asymptotics(NamedTuple):
     """A scheme's kept eigenvalues and their constants.
 
     ``pair`` is the scheme's transfer pair, and ``points`` are the
@@ -212,15 +212,11 @@ class Asymptotics(_Frozen):
     when none is).
     """
 
-    __slots__ = ("pair", "points", "terms", "refused", "r_hat")
     pair: TransferPair
     points: tuple[SpectralPoint, ...]
     terms: tuple[tuple[SpectralPoint, complex, tuple[complex, complex, complex]], ...]
     refused: tuple[tuple[SpectralPoint, str], ...]
     r_hat: float | None
-
-    def __init__(self, pair, points, terms, refused, r_hat) -> None:
-        self._set(pair, points, terms, refused, r_hat)
 
 
 def asymptotics(scheme: WeightScheme, r_min: float, top: int = 0) -> Asymptotics:

@@ -31,8 +31,8 @@ f'/f is evaluated in a basis W that splits C into one block T_i per cluster
 of its eigenvalues.  Removing the cluster's centre c leaves N = T_i - cI,
 nilpotent of some index p (exactly 0 on a 1 x 1 block; p <= 4 on the no-runs
 schemes up to m = 7), so every contour point needs only scalar factors
-times the powers of N, which are computed once per pair (TransferPair.blocks,
-which the eigenfunctions behind the constants read too):
+times the powers of N, which build_transfer computes once per pair
+(TransferPair.blocks, which the eigenfunctions behind the constants read too):
 
     exp(zT_i) = e^(zc) sum_{j<p} (zN)^j / j!
     z gamma(zT_i) = z sum_{j<p} (zN)^j psi_j(zc),  psi_j(x) = int_0^1 t^j e^(tx) dt / j!
@@ -48,14 +48,13 @@ ill-conditioned W (constants._basis_refusal).
 from __future__ import annotations
 
 import warnings
-from functools import cached_property
 from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from .linalg import _EXP_NORM_LIMIT, MAX_DIM, _exp_and_gamma, det, gamma
 from .linalg import invariant_subspaces, mat_exp, nullspace_vector
-from .words import WeightScheme, _Frozen, all_words
+from .words import WeightScheme, all_words
 
 _SIMPLE_TOL = 1e-8
 _CLUSTER_TOL = 1e-3  # eigenvalues of A - B this close (relative) share a block
@@ -94,16 +93,16 @@ __all__ = [
 ]
 
 
-class TransferPair(_Frozen):
-    """The pair (A, B) for a scheme, with the index order recorded."""
+class TransferPair(NamedTuple):
+    """The pair (A, B) for a scheme, with the index order recorded, and the
+    decomposition of A - B with the contour kernel's factors (_decompose),
+    computed once when build_transfer builds the pair."""
 
-    __slots__ = ("m", "A", "B", "__dict__")
     m: int
     A: np.ndarray
     B: np.ndarray
-
-    def __init__(self, m: int, A: np.ndarray, B: np.ndarray) -> None:
-        self._set(m, A, B)
+    blocks: _Blocks
+    factors: tuple[np.ndarray, np.ndarray, np.ndarray]
 
     @property
     def dim(self) -> int:
@@ -118,46 +117,6 @@ class TransferPair(_Frozen):
         norm = float(np.linalg.norm(self.A - self.B, 1))
         return norm / _EXP_NORM_LIMIT
 
-    @cached_property
-    def blocks(self) -> _Blocks:
-        """B in a basis W of generalized eigenspaces of C = A - B.
-
-        The one decomposition of C that the contour kernel and the
-        eigenfunctions (descentsum.constants) share, from
-        linalg.invariant_subspaces with clusters of eigenvalues within
-        _CLUSTER_TOL: cluster by cluster, W holds orthonormal columns V_i on
-        which C acts as T_i = V_i^H C V_i = c_i I + N_i, N_i nilpotent, so
-        W^-1 C W is block-diagonal.  The centre c_i is tr(T_i)/k_i, so
-        N_i = 0 on a 1 x 1 block; a larger cluster at 0 has c_i = 0.  A
-        cluster that is not one Jordan structure has been split into 1 x 1
-        blocks.  W is kept however ill-conditioned it is; the eigenfunctions
-        refuse to be read through one with cond(W) > constants._BASIS_COND.
-        """
-        C, d = self.A - self.B, self.dim
-        tol = _CLUSTER_TOL * max(1.0, float(np.linalg.norm(C, 1)))
-        spaces = invariant_subspaces(C, tol)
-        W = np.hstack([V for _, V, _ in spaces])
-        sizes = [V.shape[1] for _, V, _ in spaces]
-        label = np.repeat(np.arange(len(sizes)), sizes)
-        powers = [np.eye(d, dtype=complex)]
-        for (_, _, chain), b, k in zip(spaces, np.cumsum(sizes), sizes):
-            for j, power in enumerate(chain, 1):
-                if j == len(powers):
-                    powers.append(np.zeros((d, d), dtype=complex))
-                powers[j][b - k : b, b - k : b] = power
-        Winv = np.linalg.inv(W)
-        centre = np.array([c for c, _, _ in spaces])
-        return _Blocks(Winv @ self.B @ W, label, centre, np.array(powers), W, Winv)
-
-    @cached_property
-    def _factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """U, B' N^j and V^T N^j (N^0 = I, the N^j of blocks.powers) for the
-        contour kernel, where B' = W^-1 B W = U V^T through the r nonzero
-        columns of B: U = W^-1 B[:, cols] (d x r), V^T = W[cols] (r x d)."""
-        Bw, _, _, powers, W, Winv = self.blocks
-        cols = np.flatnonzero(self.B.any(axis=0))
-        return Winv @ self.B[:, cols], Bw @ powers, W[cols] @ powers
-
 
 class _Blocks(NamedTuple):
     """The decomposition of a pair, TransferPair.blocks: what the contour
@@ -171,7 +130,7 @@ class _Blocks(NamedTuple):
     Winv: np.ndarray  # W^-1
 
 
-class SpectralPoint(_Frozen):
+class SpectralPoint(NamedTuple):
     """One located eigenvalue with its certificate data.
 
     ``vector`` and ``left`` are the unit right and left null vectors of
@@ -181,28 +140,68 @@ class SpectralPoint(_Frozen):
     terms, so it stays near float64 rounding however large P's entries get.
     """
 
-    __slots__ = ("lam", "vector", "left", "simple", "residual")
     lam: complex
     vector: np.ndarray
     left: np.ndarray
     simple: bool
     residual: float
 
-    def __init__(self, lam, vector, left, simple, residual) -> None:
-        self._set(lam, vector, left, simple, residual)
-
 
 def build_transfer(scheme: WeightScheme) -> TransferPair:
-    """Assemble the transfer pair of a scheme."""
+    """Assemble the transfer pair of a scheme, with its decomposition.
+
+    A window whose 2^(m-1) x 2^(m-1) matrices pass linalg's cap raises
+    ValueError before any matrix is allocated."""
     m = scheme.m
     d = 2 ** (m - 1)
+    if d > MAX_DIM:
+        raise ValueError(f"dimension {d} exceeds the cap {MAX_DIM}")
     A = np.zeros((d, d), dtype=complex)
     B = np.zeros((d, d), dtype=complex)
     index = {w: i for i, w in enumerate(all_words(m - 1))}
     for w in all_words(m - 1):
         A[index[w], index[("a" + w)[: m - 1]]] = float(scheme.wt["a" + w])
         B[index[w], index[("b" + w)[: m - 1]]] = float(scheme.wt["b" + w])
-    return TransferPair(m=m, A=A, B=B)
+    return TransferPair(m, A, B, *_decompose(A, B))
+
+
+def _decompose(A: np.ndarray, B: np.ndarray) -> tuple[_Blocks, tuple]:
+    """B in a basis W of generalized eigenspaces of C = A - B, and the
+    contour kernel's factors.
+
+    The one decomposition of C that the contour kernel and the
+    eigenfunctions (descentsum.constants) share, from
+    linalg.invariant_subspaces with clusters of eigenvalues within
+    _CLUSTER_TOL: cluster by cluster, W holds orthonormal columns V_i on
+    which C acts as T_i = V_i^H C V_i = c_i I + N_i, N_i nilpotent, so
+    W^-1 C W is block-diagonal.  The centre c_i is tr(T_i)/k_i, so
+    N_i = 0 on a 1 x 1 block; a larger cluster at 0 has c_i = 0.  A
+    cluster that is not one Jordan structure has been split into 1 x 1
+    blocks.  W is kept however ill-conditioned it is; the eigenfunctions
+    refuse to be read through one with cond(W) > constants._BASIS_COND.
+
+    The factors are U, B' N^j and V^T N^j (N^0 = I, the N^j of
+    blocks.powers), where B' = W^-1 B W = U V^T through the r nonzero
+    columns of B: U = W^-1 B[:, cols] (d x r), V^T = W[cols] (r x d).
+    """
+    C, d = A - B, len(A)
+    tol = _CLUSTER_TOL * max(1.0, float(np.linalg.norm(C, 1)))
+    spaces = invariant_subspaces(C, tol)
+    W = np.hstack([V for _, V, _ in spaces])
+    sizes = [V.shape[1] for _, V, _ in spaces]
+    label = np.repeat(np.arange(len(sizes)), sizes)
+    powers = [np.eye(d, dtype=complex)]
+    for (_, _, chain), b, k in zip(spaces, np.cumsum(sizes), sizes):
+        for j, power in enumerate(chain, 1):
+            if j == len(powers):
+                powers.append(np.zeros((d, d), dtype=complex))
+            powers[j][b - k : b, b - k : b] = power
+    Winv = np.linalg.inv(W)
+    centre = np.array([c for c, _, _ in spaces])
+    Bw, powers = Winv @ B @ W, np.array(powers)
+    cols = np.flatnonzero(B.any(axis=0))
+    factors = Winv @ B[:, cols], Bw @ powers, W[cols] @ powers
+    return _Blocks(Bw, label, centre, powers, W, Winv), factors
 
 
 def _kernel(
@@ -213,7 +212,7 @@ def _kernel(
     In the basis W, M(z) = I - B' z gamma(zT) and f'/f = -tr(M^-1 B' exp(zT)),
     with B' = W^-1 B W.  Only the r columns of B of the words that start
     with b are nonzero (r <= d/2), so B' = U V^T with U = W^-1 B[:, cols]
-    and V^T = W[cols] (TransferPair._factors), and f'/f = -tr(L M^-1 U)
+    and V^T = W[cols] (TransferPair.factors), and f'/f = -tr(L M^-1 U)
     with L = V^T exp(zT): one d x d solve with r right-hand sides.  Where a
     block's centre c has Re(zc) > 1, its columns in M and L are multiplied
     by exp(-zc): the trace is unchanged, but the entries stay bounded, so
@@ -233,7 +232,7 @@ def _kernel(
     precomputed B' N^j and V^T N^j.
     """
     _, label, centre, powers, *_ = pair.blocks
-    _, BN, VN = pair._factors
+    _, BN, VN = pair.factors
     d = pair.dim
     chunk = max(1, _STACK_BYTES // (16 * d**2))  # points per (d, d) stack
     p = len(powers)
@@ -314,7 +313,7 @@ def det_P(pair: TransferPair, lam: complex) -> complex:
 
 def _log_derivative(pair: TransferPair, zs: np.ndarray) -> np.ndarray:
     """f'(z)/f(z) = -tr(M(z)^-1 B exp(zC)) at every z of a 1-d array."""
-    U = pair._factors[0]
+    U = pair.factors[0]
     # where f is not resolved in float64 the values come out non-finite,
     # which the callers reject
     with np.errstate(all="ignore"):

@@ -20,6 +20,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 Letter = str  # 'a' or 'b'
+MAX_WINDOW = 16  # longest window: a scheme lists every word, 2^16 = 65,536 of them
 
 __all__ = [
     "WeightScheme",
@@ -90,55 +91,14 @@ def reverse_complement(word: str) -> str:
     return word[::-1].translate(str.maketrans("ab", "ba"))
 
 
-class _Frozen:
-    """Base of the package's immutable records.
-
-    A record's fields are its ``__slots__`` (a ``__dict__`` slot only holds
-    cached properties), which its __init__ sets once, in order, through
-    _set.  Records compare and hash as the tuple of their field values.
-    """
-
-    __slots__ = ()
-
-    def _fields(self) -> list[str]:
-        return [f for f in self.__slots__ if f != "__dict__"]
-
-    def _set(self, *values) -> None:
-        for name, value in zip(self._fields(), values, strict=True):
-            object.__setattr__(self, name, value)
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, f) for f in self._fields())
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-    def __reduce__(self):  # copy and pickle rebuild through __init__
-        return type(self), self._values()
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields())
-        return f"{type(self).__name__}({fields})"
-
-
-class WeightScheme(_Frozen):
+class WeightScheme:
     """Rational weights on length-m windows plus boundary weights.
 
     ``wt`` is total on all 2^m words of length m; ``wt1`` and ``wt2`` are
     total on all 2^(m-1) words of length m - 1 (for m = 1 that is the single
-    empty word).  Unlisted weights default to 1.  Instances are immutable:
-    the tables are read-only views, and a scheme hashes by their items.
+    empty word).  Unlisted weights default to 1.  m is at most MAX_WINDOW,
+    as every table is listed in full.  Instances are immutable: the tables
+    are read-only views, and a scheme compares and hashes by their items.
     """
 
     __slots__ = ("m", "wt", "wt1", "wt2")
@@ -156,6 +116,8 @@ class WeightScheme(_Frozen):
     ) -> None:
         if m < 1:
             raise ValueError("window length m must be at least 1")
+        if m > MAX_WINDOW:
+            raise ValueError(f"window length m = {m} is above the cap {MAX_WINDOW}")
         tables = []
         for name, table, length in (
             ("wt", wt or {}, m),
@@ -169,7 +131,21 @@ class WeightScheme(_Frozen):
             if extra:
                 raise ValueError(f"{name} has words of wrong length: {sorted(extra)}")
             tables.append(MappingProxyType(full))
-        self._set(m, *tables)
+        for name, value in zip(self.__slots__, (m, *tables)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, *_) -> None:
+        raise AttributeError("WeightScheme is immutable")
+
+    __delattr__ = __setattr__
+
+    def _values(self) -> tuple:
+        return self.m, self.wt, self.wt1, self.wt2
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
 
     def __hash__(self) -> int:
         return hash((self.m, *(tuple(sorted(t.items())) for t in self._values()[1:])))
@@ -314,6 +290,11 @@ def load_scheme(text: str) -> WeightScheme:
                 ) from None
             if m_val < 1:
                 raise SchemeParseError(f"line {lineno}: window length m must be >= 1")
+            if m_val > MAX_WINDOW:
+                raise SchemeParseError(
+                    f"line {lineno}: window length m = {m_val} is above the cap "
+                    f"{MAX_WINDOW}"
+                )
             m_decl = (lineno, m_val)
             continue
         if len(fields) == 1 and fields[0] in ("wt1", "wt2"):

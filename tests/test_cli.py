@@ -376,6 +376,15 @@ def test_a_window_past_the_matrix_cap_is_a_usage_error(tmp_path, capsys, monkeyp
                        "--method", "dp", "--format", "json")
     assert rc == 0, err
     assert json.loads(out)["rows"][0]["alpha"] == str(math.factorial(9) - 1)
+    # a window past the cap of the scheme tables is refused by every command
+    # as the file is parsed, before any of its 2^m words is listed
+    f.write_text("m = 40\n")
+    for argv in (["oracle", "--n", "5"], ["spectrum"], ["constants"], ["verify"]):
+        rc, out, err = run(capsys, *argv, "--scheme", str(f))
+        assert (rc, out) == (2, ""), err
+        assert err.startswith(
+            "error: line 1: window length m = 40 is above the cap 16\n"
+        )
 
 
 def test_library_errors_are_check_failures(capsys, monkeypatch):

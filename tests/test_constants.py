@@ -18,7 +18,9 @@ refusals and predict_alpha.
 
 from __future__ import annotations
 
+import copy
 import math
+import pickle
 import random
 import re
 import warnings
@@ -489,6 +491,31 @@ def test_asymptotics_searches_eigenvalues_once_per_call(monkeypatch):
     assert len(calls) == 1
     assert len(analysis.points) == len(analysis.terms) == 1
     assert analysis.r_hat is not None
+
+
+def _same(a, b) -> bool:
+    """Equal field by field, through nested tuples, arrays by value."""
+    if isinstance(a, np.ndarray):
+        return isinstance(b, np.ndarray) and np.array_equal(a, b)
+    if isinstance(a, tuple):
+        return type(a) is type(b) and len(a) == len(b) and all(map(_same, a, b))
+    return a == b
+
+
+def test_records_are_immutable_and_survive_pickle_and_deepcopy():
+    from descentsum.cli import RunReport
+
+    analysis = asymptotics(preset_scheme("sec5-1"), 0.05, top=1)
+    report = RunReport("constants", "sec5-1", {"top": 1}, ["n"], [(1,)])
+    assert report.summary == ()
+    records = [analysis, analysis.pair, analysis.points[0], report]
+    for record in records:
+        for name in (record._fields[0], "extra"):
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+    for record in records[:2]:
+        for copied in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record)):
+            assert copied is not record and _same(copied, record)
 
 
 def test_predict_alpha_examples(spectra):

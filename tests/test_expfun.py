@@ -155,9 +155,9 @@ def test_scheme_constant_reads_neither_the_blocks_nor_the_kernel_factors(monkeyp
     def barred(pair):
         raise AssertionError("the reference read the block decomposition")
 
-    # a property on the class outranks the values cached on the instance
+    # a named tuple's fields are descriptors on its class: a property replaces them
     monkeypatch.setattr(spectral.TransferPair, "blocks", property(barred))
-    monkeypatch.setattr(spectral.TransferPair, "_factors", property(barred))
+    monkeypatch.setattr(spectral.TransferPair, "factors", property(barred))
     with pytest.raises(AssertionError):
         analysis.pair.blocks
     const, _ = scheme_constant(scheme, analysis.pair, top)

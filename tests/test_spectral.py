@@ -129,6 +129,9 @@ def test_det_P_at_the_dimension_cap():
     pair = build_transfer(load_scheme("m = 7\nwt aaaaaaa = 0\nwt bbbbbbb = 0\n"))
     assert pair.dim == 64
     assert np.isfinite(det_P(pair, 0.9))
+    # one letter more is refused as the pair is built
+    with pytest.raises(ValueError, match="dimension 128 exceeds the cap 64"):
+        build_transfer(load_scheme("m = 8\nwt aaaaaaaa = 0\n"))
 
 
 def test_det_P_20_over_lam4_identity():

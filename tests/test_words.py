@@ -25,6 +25,7 @@ from descentsum import (
     standardize,
     symmetry_defect,
 )
+from descentsum.words import MAX_WINDOW
 
 words_st = st.text(alphabet="ab", max_size=12)
 
@@ -94,6 +95,12 @@ def test_weight_scheme_defaults_and_validation():
     assert s.max_abs_weight() == 1
     with pytest.raises(ValueError):
         WeightScheme(m=0)
+    # every table is listed in full: 2^16 window words at the cap, and a
+    # longer window is refused before any word is listed
+    assert len(WeightScheme(m=MAX_WINDOW).wt) == 2**16
+    for m in (MAX_WINDOW + 1, 40):
+        with pytest.raises(ValueError, match=f"m = {m} is above the cap 16"):
+            WeightScheme(m=m)
     with pytest.raises(ValueError):
         WeightScheme(m=2, wt={"aaa": 0})
     with pytest.raises(ValueError):
@@ -198,6 +205,8 @@ def test_load_scheme_rationals_comments_and_boundaries():
         ("m = 2\nm = 3\n", "line 2"),
         ("m = x\n", "malformed window length"),
         ("m = 0\n", "must be >= 1"),
+        ("m = 17\n", "line 1: window length m = 17 is above the cap 16"),
+        ("# too long\nm = 40\nwt aa = 0\n", "line 2: window length m = 40 is above"),
         ("m = 2\nwt aaa = 0\n", "length 3"),
         ("m = 2\nwt ac = 1\n", "outside"),
         ("m = 2\nwt aa = oops\n", "malformed rational"),
